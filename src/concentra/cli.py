@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import models, verify
 from .diffops import NormProfile, norm_profile
 from .errors import ConcentraError, SchemaError
-from .funcs import FunctionSpec, function_from_json, fourier_transform
+from .funcs import function_from_json, fourier_transform
 from .lsi import lsi_constant_search
 from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
 from .bounds import Regime
@@ -108,12 +108,6 @@ def build_regime(doc: dict) -> Regime:
     if kind == "dlsi":
         return bounds_mod.dlsi(float(_require(doc, "sigma2")), d)
     raise SchemaError(f"unknown regime kind {kind!r}")
-
-
-def _profile_for(config: dict, mu: Measure, f: FunctionSpec, d: int) -> NormProfile:
-    if "profile" in config:
-        return NormProfile.from_json(config["profile"])
-    return norm_profile(f, mu, d)
 
 
 def build_bound(config: dict) -> bounds_mod.TailBound:

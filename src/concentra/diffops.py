@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, EnumerationTooLargeError
 from .funcs import FunctionSpec, evaluator
 from .space import ENUMERATION_CAP, Measure
-from .tensors import op_norm, op_norm_batch
+from .tensors import op_norm_batch
 
 H_VARIANTS = ("osc", "plus", "minus")
 
@@ -305,10 +305,8 @@ def norm_profile(
     gammas: list[float] = []
     errors: list[float] = []
     for k in range(1, d + 1):
-        norms = np.empty(samples.shape[0])
-        for row_idx, row in enumerate(samples):
-            tensor = h_tensor(f, mu, row, k)
-            norms[row_idx] = op_norm(tensor, restarts=restarts, seed=seed).value
+        tensors = np.stack([h_tensor(f, mu, row, k) for row in samples])
+        norms = op_norm_batch(tensors, restarts=restarts, seed=seed)
         if k < d:
             gammas.append(float(norms.mean()))
             errors.append(float(norms.std(ddof=1) / math.sqrt(norms.size)) if norms.size > 1 else 0.0)

@@ -601,18 +601,16 @@ def chaos_gradient_field(chaos: VectorChaos, k: int, x: Sequence[float]) -> np.n
 
 def chaos_w(chaos: VectorChaos, k: int, x: Sequence[float], restarts: int = 16, seed: int = 0) -> float:
     """W_k at x: the operator-type supremum over unit direction vectors and the dual ball."""
-    from .tensors import op_norm  # local import to avoid a cycle
+    from .tensors import op_norm, op_norm_batch  # local import to avoid a cycle
 
     field_ = chaos_gradient_field(chaos, k, x)
     if chaos.norm == "l2":
         # The l2 dual ball is the Euclidean ball: one extra contraction axis.
         return op_norm(field_, restarts=restarts, seed=seed).value
-    # linf dual ball: extreme points are +/- coordinate vectors.
-    best = 0.0
-    for j in range(chaos.codim):
-        component = field_[..., j]
-        best = max(best, op_norm(component, restarts=restarts, seed=seed).value)
-    return best
+    # linf dual ball: extreme points are +/- coordinate vectors, so take the
+    # largest operator norm among the codim components.
+    components = np.moveaxis(field_, -1, 0)
+    return float(op_norm_batch(components, restarts=restarts, seed=seed).max())
 
 
 def chaos_w_tilde(chaos: VectorChaos, k: int, x: Sequence[float], restarts: int = 16, seed: int = 0) -> float:

@@ -1,10 +1,14 @@
 """Norms of dense tensors: Hilbert-Schmidt, operator norm, and partition norms.
 
-The operator norm is computed by alternating maximization over the axis
-vectors: with all but one axis fixed, the optimal vector is the normalized
-contraction, so every sub-step is exact and the final contraction value is a
-certified lower bound.  Tensor operator norms are NP-hard in general for
-order >= 3; multi-start makes the lower bound reliable at desk scale.
+The operator norm sup <v^1 x ... x v^d, A> over unit vectors is exact for
+order <= 2: the Euclidean norm for vectors and the top singular value (from
+`np.linalg.svd`) for matrices.  For order >= 3 it is NP-hard in general
+(Hillar & Lim 2013), and one batched multi-start alternating maximization
+(ALS, the higher-order power method of De Lathauwer, De Moor & Vandewalle
+2000) serves every caller: with all but one axis fixed, the optimal vector is
+the normalized contraction, so every sub-step is exact and the final
+contraction value is a certified lower bound.  Multi-start makes that lower
+bound reliable at desk scale.
 """
 from __future__ import annotations
 
@@ -17,8 +21,10 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_RESTARTS = 32
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
+# Every ALS run stops after SWEEPS sweeps, or earlier once each (tensor, start)
+# value moved by at most TOL relative (absolute below 1) in the last sweep.
+SWEEPS = 200
+TOL = 1e-9
 
 
 def hs_norm(tensor: np.ndarray) -> float:
@@ -37,22 +43,6 @@ class OpNormResult:
         return self.value
 
 
-def _contract_all(tensor: np.ndarray, vectors: Sequence[np.ndarray]) -> float:
-    out = tensor
-    for v in reversed(vectors):
-        out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
-    return float(out)
-
-
-def _contract_except(tensor: np.ndarray, vectors: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    out = tensor
-    for axis in range(tensor.ndim - 1, -1, -1):
-        if axis == skip:
-            continue
-        out = np.tensordot(out, vectors[axis], axes=([axis if axis < skip else out.ndim - 1], [0]))
-    return out
-
-
 def _normalize(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -62,117 +52,109 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _gram_power_refine(matrix: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
-    """Power iteration on the Gram form A^T A starting from v; returns (sigma, u, v, iters)."""
-    sigma = 0.0
-    iterations = 0
-    v = _normalize(v)
-    for iterations in range(1, max_iter + 1):
-        w = matrix @ v
-        new_sigma = float(np.linalg.norm(w))
-        if new_sigma == 0.0:
-            return 0.0, _normalize(w), v, iterations
-        u = w / new_sigma
-        v = _normalize(matrix.T @ u)
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    u = _normalize(matrix @ v)
-    sigma = float(u @ matrix @ v)
-    return sigma, u, v, iterations
-
-
-def op_norm(
-    tensor: np.ndarray,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> OpNormResult:
-    """sup over unit vectors v^1..v^d of <v^1 x ... x v^d, A>, by multi-start ALS.
-
-    The returned value is the contraction against the returned unit vectors,
-    hence always a certified lower bound; for d <= 2 the best point is refined
-    by power iteration on the Gram form.  Nonnegative tensors get a positive
-    start and entrywise-nonnegative maximizers.
-    """
-    tensor = np.asarray(tensor, dtype=float)
+def _checked(tensors, restarts: int) -> np.ndarray:
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
+    return np.asarray(tensors, dtype=float)
+
+
+@dataclass
+class _AlsRun:
+    values: np.ndarray  # (B, restarts): contraction against the final vectors
+    vectors: list[np.ndarray]  # one (B, restarts, n_axis) array of unit vectors per axis
+    sweeps: int
+    converged: bool
+
+
+def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
+    """Multi-start ALS on a batch of shape (B, n1, ..., nk), k >= 3, all at once.
+
+    Start 0 of every tensor is the all-ones direction, the others are
+    Gaussian.  The batch stops together, when every (tensor, start) value has
+    converged or after SWEEPS sweeps.
+    """
+    rng = np.random.default_rng(seed)
+    batch = tensors.shape[0]
+    k = tensors.ndim - 1
+    letters = string.ascii_lowercase[:k]
+    vectors = []
+    for m in tensors.shape[1:]:
+        v = rng.standard_normal((batch, restarts, m))
+        v[:, 0, :] = 1.0
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        vectors.append(v)
+
+    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
+    value = np.einsum(full_spec, tensors, *vectors)
+    for sweep in range(1, SWEEPS + 1):
+        for axis in range(k):
+            others = [vectors[a] for a in range(k) if a != axis]
+            spec = (
+                "z"
+                + letters
+                + ","
+                + ",".join(f"zy{letters[a]}" for a in range(k) if a != axis)
+                + "->zy"
+                + letters[axis]
+            )
+            contraction = np.einsum(spec, tensors, *others)
+            norms = np.linalg.norm(contraction, axis=2, keepdims=True)
+            safe = np.where(norms == 0.0, 1.0, norms)
+            vectors[axis] = contraction / safe
+        new_value = np.einsum(full_spec, tensors, *vectors)
+        converged = bool(np.all(np.abs(new_value - value) <= TOL * np.maximum(1.0, np.abs(new_value))))
+        value = new_value
+        if converged:
+            break
+    return _AlsRun(value, vectors, sweep, converged)
+
+
+def op_norm(tensor: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OpNormResult:
+    """sup over unit vectors v^1..v^d of <v^1 x ... x v^d, A>.
+
+    Exact for d <= 2: the closed form for scalars and vectors, the top
+    singular triple for matrices.  For d >= 3 it is the best start of the
+    batched ALS on this one tensor, the value that
+    `op_norm_batch(tensor[None], restarts, seed)[0]` returns, and a certified
+    lower bound.  The value is the contraction against the returned unit
+    vectors.  Nonnegative tensors get entrywise-nonnegative maximizers and
+    the value recomputed against them, which can only rise up to rounding.
+    """
+    tensor = _checked(tensor, restarts)
     d = tensor.ndim
     if d == 0:
         return OpNormResult(abs(float(tensor)), (), True, 0)
     if d == 1:
-        value = float(np.linalg.norm(tensor))
-        return OpNormResult(value, (_normalize(tensor.copy()),), True, 0)
-
-    rng = np.random.default_rng(seed)
-    nonnegative = bool(np.all(tensor >= 0.0))
-    best_value = -np.inf
-    best_vectors: tuple[np.ndarray, ...] | None = None
-    total_iterations = 0
-    converged = True
-
-    for restart in range(restarts):
-        if restart == 0:
-            vectors = [_normalize(np.ones(m)) for m in tensor.shape]
-        else:
-            vectors = [_normalize(rng.standard_normal(m)) for m in tensor.shape]
-        value = _contract_all(tensor, vectors)
-        this_converged = False
-        for _ in range(max_iter):
-            for axis in range(d):
-                contraction = _contract_except(tensor, vectors, axis)
-                vectors[axis] = _normalize(contraction)
-            total_iterations += 1
-            new_value = _contract_all(tensor, vectors)
-            if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-                value = new_value
-                this_converged = True
-                break
-            value = new_value
-        converged &= this_converged
-        if value > best_value:
-            best_value = value
-            best_vectors = tuple(v.copy() for v in vectors)
-
-    assert best_vectors is not None
+        return OpNormResult(float(np.linalg.norm(tensor)), (_normalize(tensor),), True, 0)
     if d == 2:
-        sigma, u, v, iters = _gram_power_refine(tensor, best_vectors[1], tol, max_iter)
-        total_iterations += iters
-        if sigma > best_value:
-            best_value, best_vectors = sigma, (u, v)
-        converged &= iters < max_iter
-    if nonnegative:
-        # For a nonnegative tensor the optimum is attained at nonnegative
-        # vectors, and flipping signs entrywise cannot decrease the value.
-        abs_vectors = tuple(np.abs(v) for v in best_vectors)
-        abs_value = _contract_all(tensor, abs_vectors)
-        if abs_value >= best_value:
-            best_value, best_vectors = abs_value, abs_vectors
-    return OpNormResult(max(best_value, 0.0), best_vectors, converged, total_iterations)
+        u, s, vh = np.linalg.svd(tensor)
+        value, vectors, converged, iterations = float(s[0]), (u[:, 0], vh[0]), True, 0
+    else:
+        run = _als(tensor[None], restarts, seed)
+        best = int(np.argmax(run.values[0]))
+        value = float(run.values[0, best])
+        vectors = tuple(v[0, best] for v in run.vectors)
+        converged, iterations = run.converged, run.sweeps
+    if np.all(tensor >= 0.0):
+        # For a nonnegative tensor, flipping signs entrywise cannot decrease
+        # the contraction, so the maximizers are taken nonnegative.  The value
+        # is recomputed against them to stay a certificate.
+        vectors = tuple(np.abs(v) for v in vectors)
+        contraction = tensor
+        for v in reversed(vectors):
+            contraction = contraction @ v
+        value = float(contraction)
+    return OpNormResult(max(value, 0.0), vectors, converged, iterations)
 
 
-def _batch_letters(k: int) -> tuple[str, list[str]]:
-    letters = string.ascii_lowercase[:k]
-    return letters, list(letters)
-
-
-def op_norm_batch(
-    tensors: np.ndarray,
-    restarts: int = 8,
-    sweeps: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> np.ndarray:
+def op_norm_batch(tensors: np.ndarray, restarts: int = 8, seed: int = 0) -> np.ndarray:
     """Operator norms of a batch of tensors, shape (B, n1, ..., nk) -> (B,).
 
-    Matrices and vectors are handled exactly (batched SVD / Euclidean norms);
-    higher orders run a batched multi-start ALS and return certified lower
-    bounds.
+    Vectors and matrices are exact (Euclidean norms / batched singular
+    values); higher orders return the best start of the batched ALS per
+    tensor, a certified lower bound.
     """
-    tensors = np.asarray(tensors, dtype=float)
+    tensors = _checked(tensors, restarts)
     k = tensors.ndim - 1
     if k < 1:
         raise DomainError("expected a batch of tensors")
@@ -180,45 +162,7 @@ def op_norm_batch(
         return np.linalg.norm(tensors, axis=1)
     if k == 2:
         return np.linalg.svd(tensors, compute_uv=False)[:, 0]
-
-    rng = np.random.default_rng(seed)
-    batch = tensors.shape[0]
-    dims = tensors.shape[1:]
-    letters, axis_letters = _batch_letters(k)
-    vectors = []
-    for axis, m in enumerate(dims):
-        v = rng.standard_normal((batch, restarts, m))
-        v[:, 0, :] = 1.0  # deterministic positive start per tensor
-        v /= np.linalg.norm(v, axis=2, keepdims=True)
-        vectors.append(v)
-
-    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in axis_letters) + "->zy"
-
-    def contract_value() -> np.ndarray:
-        return np.einsum(full_spec, tensors, *vectors)
-
-    value = contract_value()
-    for _ in range(sweeps):
-        for axis in range(k):
-            others = [vectors[a] for a in range(k) if a != axis]
-            spec = (
-                "z"
-                + letters
-                + ","
-                + ",".join(f"zy{axis_letters[a]}" for a in range(k) if a != axis)
-                + "->zy"
-                + axis_letters[axis]
-            )
-            contraction = np.einsum(spec, tensors, *others)
-            norms = np.linalg.norm(contraction, axis=2, keepdims=True)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            vectors[axis] = contraction / safe
-        new_value = contract_value()
-        if np.all(np.abs(new_value - value) <= tol * np.maximum(1.0, np.abs(new_value))):
-            value = new_value
-            break
-        value = new_value
-    return np.maximum(value.max(axis=1), 0.0)
+    return np.maximum(_als(tensors, restarts, seed).values.max(axis=1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -283,18 +227,15 @@ def enumerate_partitions(order: int) -> list[Partition]:
 
 
 def partition_norm(
-    tensor: np.ndarray,
-    partition: Partition,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
+    tensor: np.ndarray, partition: Partition, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> float:
     """sup of the contraction against one unit vector per partition block.
 
     Grouping each block's axes and flattening reduces the supremum to the
     operator norm of the reshaped tensor, so the single-block partition gives
-    the Hilbert-Schmidt norm and all-singletons gives the operator norm.
+    the Hilbert-Schmidt norm and all-singletons gives the operator norm.  A
+    two-block partition reshapes to a matrix and is exact (an SVD); three or
+    more blocks give the ALS lower bound of `op_norm`.
     """
     tensor = np.asarray(tensor, dtype=float)
     if tensor.ndim != partition.order:
@@ -312,4 +253,4 @@ def partition_norm(
         block_dims.append(int(np.prod(span)))
         cursor += len(block)
     reshaped = moved.reshape(block_dims)
-    return op_norm(reshaped, restarts=restarts, tol=tol, max_iter=max_iter, seed=seed).value
+    return op_norm(reshaped, restarts=restarts, seed=seed).value

@@ -73,12 +73,15 @@ class TestOpNorm:
 
     def test_certificate_consistency(self):
         rng = np.random.default_rng(0)
-        tensor = rng.standard_normal((4, 4, 4))
-        result = op_norm(tensor, restarts=8)
-        contraction = np.einsum("ijk,i,j,k->", tensor, *result.vectors)
-        assert contraction == pytest.approx(result.value, abs=1e-9)
-        for vec in result.vectors:
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+        for tensor, spec in [
+            (rng.standard_normal((4, 4, 4)), "ijk,i,j,k->"),
+            (rng.standard_normal((5, 3)), "ij,i,j->"),
+        ]:
+            result = op_norm(tensor, restarts=8)
+            contraction = np.einsum(spec, tensor, *result.vectors)
+            assert contraction == pytest.approx(result.value, abs=1e-9)
+            for vec in result.vectors:
+                assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_gram_oracle_for_matrices(self):
         rng = np.random.default_rng(1)
@@ -132,6 +135,23 @@ class TestOpNormBatch:
         for tensor, value in zip(batch, values):
             single = op_norm(tensor, restarts=16).value
             assert value == pytest.approx(single, rel=1e-6, abs=1e-8)
+
+    def test_single_is_a_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 4):
+            for _ in range(10):
+                tensor = rng.standard_normal((3,) * d)
+                single = op_norm(tensor, restarts=8, seed=3).value
+                batched = op_norm_batch(tensor[None], restarts=8, seed=3)[0]
+                if d >= 3:
+                    assert single == batched
+                else:
+                    assert single == pytest.approx(batched, rel=1e-12, abs=0.0)
+
+    def test_restart_validation(self):
+        for shape in [(2, 3, 3), (2, 3, 3, 3)]:
+            with pytest.raises(DomainError):
+                op_norm_batch(np.ones(shape), restarts=0)
 
 
 class TestPartitions:
