@@ -586,8 +586,8 @@ def chaos_gradient_field(chaos: VectorChaos, k: int, x: Sequence[float]) -> np.n
     Entry (i1..ik) is the sum over (d-k)-subsets I avoiding i1..ik of
     x_I t_{I + {i1..ik}}, symmetrized over the k slots; shape (n,)*k + (m,).
     """
-    if k > chaos.order:
-        raise DomainError(f"order {k} exceeds chaos order {chaos.order}")
+    if not 1 <= k <= chaos.order:
+        raise DomainError(f"order {k} outside 1..{chaos.order} for this chaos")
     x = np.asarray(x, dtype=float)
     n = chaos.dim
     out = np.zeros((n,) * k + (chaos.codim,))

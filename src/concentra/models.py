@@ -4,6 +4,8 @@ random graphs, plus a systematic-scan Glauber sampler with deterministic seeding
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -360,22 +362,32 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # Glauber dynamics
 # ---------------------------------------------------------------------------
 
-_CONDITIONAL_CACHE_LIMIT = 1 << 20
+# Largest space whose section CDFs the chain tabulates: the table takes about
+# 8 * n * size * (m - 1) / m bytes, 80 MiB for 20 binary coordinates.  Larger
+# spaces evaluate each conditional at its update.
+_SECTION_TABLE_LIMIT = 1 << 20
 
 
 @dataclass
 class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
 
-    Each step resamples one coordinate from its exact single-site conditional;
-    the stream is deterministic given the seed.
+    The state is a flat enumeration index plus its digits.  On the first sweep
+    the chain tabulates the conditional CDF of every coordinate on every
+    section along it (`Measure.section_conditionals`), so a site update is a
+    bisection in that table; above 2^20 configurations each update evaluates
+    `measure.conditional` instead.  A sweep draws its n uniforms at once,
+    which is the same stream as n single draws, so the stream is deterministic
+    given the seed.
     """
 
     measure: Measure
     seed: int = 0
-    state: np.ndarray = field(init=False)
+    index: int = field(init=False)
+    digits: list[int] = field(init=False)
     rng: np.random.Generator = field(init=False)
     steps: int = field(init=False, default=0)
+    _cdfs: list[array] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
@@ -383,40 +395,46 @@ class GlauberChain:
         if isinstance(self.measure, ExactMeasure):
             # Joint support can be a strict subset of the per-coordinate
             # supports (proper colorings), so start at a positive-mass point.
-            first = int(np.nonzero(self.measure.prob_table() > 0.0)[0][0])
-            self.state = np.asarray(space.configuration(first), dtype=float)
+            self.index = int(np.nonzero(self.measure.prob_table() > 0.0)[0][0])
+            self.digits = [self.index // s % m for s, m in zip(space.strides, space.shape)]
         else:
-            supports = [self.measure.coordinate_support(i) for i in range(space.n)]
-            digits = [int(self.rng.choice(s)) for s in supports]
-            self.state = np.array(
-                [space.alphabets[i][digit] for i, digit in enumerate(digits)], dtype=float
-            )
-        self._cache: dict[tuple[int, int], np.ndarray] | None = (
-            {} if space.size <= _CONDITIONAL_CACHE_LIMIT else None
-        )
+            self.digits = [
+                int(self.rng.choice(self.measure.coordinate_support(i))) for i in range(space.n)
+            ]
+            self.index = sum(d * s for d, s in zip(self.digits, space.strides))
 
-    def _conditional_cdf(self, i: int) -> np.ndarray:
-        space = self.measure.space
-        if self._cache is None:
-            return np.cumsum(self.measure.conditional(self.state, i))
-        digits = space.digits_of(self.state)
-        section_key = int(np.dot(digits, space.strides)) - int(digits[i]) * space.strides[i]
-        key = (i, section_key)
-        cdf = self._cache.get(key)
-        if cdf is None:
-            cdf = np.cumsum(self.measure.conditional(self.state, i))
-            self._cache[key] = cdf
-        return cdf
+    @property
+    def state(self) -> np.ndarray:
+        """Values of the current configuration."""
+        alphabets = self.measure.space.alphabets
+        return np.array([a[d] for a, d in zip(alphabets, self.digits)], dtype=float)
 
     def sweep(self) -> None:
         space = self.measure.space
-        for i in range(space.n):
-            cdf = self._conditional_cdf(i)
-            u = self.rng.random()
-            digit = int(np.searchsorted(cdf, u, side="right"))
-            digit = min(digit, space.shape[i] - 1)
-            self.state[i] = space.alphabets[i][digit]
-            self.steps += 1
+        if self._cdfs is None and space.size <= _SECTION_TABLE_LIMIT:
+            # Row r of site i holds the first m_i - 1 CDF entries of section r.
+            self._cdfs = [
+                array("d", np.cumsum(p, axis=1)[:, :-1].tobytes())
+                for p in self.measure.section_conditionals()
+            ]
+        cdfs, digits, index = self._cdfs, self.digits, self.index
+        strides, shape = space.strides, space.shape
+        state = self.state if cdfs is None else None
+        for i, u in enumerate(self.rng.random(space.n).tolist()):
+            stride, m = strides[i], shape[i]
+            base = index - digits[i] * stride
+            if cdfs is None:
+                cdf = np.cumsum(self.measure.conditional(state, i))
+                digit = min(int(np.searchsorted(cdf, u, side="right")), m - 1)
+                state[i] = space.alphabets[i][digit]
+            else:
+                pre, post = divmod(base, stride * m)
+                row = (pre * stride + post) * (m - 1)
+                digit = bisect_right(cdfs[i], u, row, row + m - 1) - row
+            digits[i] = digit
+            index = base + digit * stride
+        self.index = index
+        self.steps += space.n
 
 
 def glauber_sample(
@@ -441,7 +459,7 @@ def glauber_sample(
     for s in range(1, sweeps + 1):
         chain.sweep()
         if s % thinning == 0:
-            out.append(chain.state.copy())
+            out.append(chain.state)
     return np.asarray(out, dtype=float)
 
 
@@ -464,7 +482,7 @@ def write_samples_binary(path, samples: np.ndarray, space: ProductSpace) -> None
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if any(m > 256 for m in space.shape):
         raise DomainError("binary sample format limited to alphabets of size <= 256")
-    digit_rows = np.stack([space.digits_of(row) for row in samples]).astype(np.uint8)
+    digit_rows = space.digit_rows(samples).astype(np.uint8)
     with open(path, "wb") as handle:
         handle.write(SAMPLE_MAGIC)
         handle.write(struct.pack("<II", digit_rows.shape[0], digit_rows.shape[1]))
@@ -476,8 +494,18 @@ def read_samples_binary(path, space: ProductSpace) -> np.ndarray:
         magic = handle.read(8)
         if magic != SAMPLE_MAGIC:
             raise SchemaError(f"bad magic {magic!r}")
-        count, n = struct.unpack("<II", handle.read(8))
-        raw = np.frombuffer(handle.read(count * n), dtype=np.uint8).reshape(count, n)
+        header = handle.read(8)
+        if len(header) < 8:
+            raise SchemaError("truncated sample stream header")
+        count, n = struct.unpack("<II", header)
+        body = handle.read()
+    if n != space.n:
+        raise SchemaError(f"sample stream has {n} coordinates, the space has {space.n}")
+    if len(body) < count * n:
+        raise SchemaError(f"truncated sample stream: {len(body)} of {count * n} digit bytes")
+    raw = np.frombuffer(body, dtype=np.uint8, count=count * n).reshape(count, n)
+    if np.any(raw >= np.asarray(space.shape)):
+        raise SchemaError("sample stream has a digit outside its alphabet")
     values = np.empty((count, n), dtype=float)
     for i in range(n):
         grid = space.value_grid(i)

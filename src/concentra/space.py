@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,6 +79,22 @@ class ProductSpace:
             raise DomainError(f"configuration has {len(values)} coordinates, expected {self.n}")
         return np.array([self.digit_of(i, v) for i, v in enumerate(values)], dtype=np.intp)
 
+    def digit_rows(self, values: np.ndarray) -> np.ndarray:
+        """Alphabet indices of a batch of configurations, one row per configuration."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self.n:
+            raise DomainError(f"configurations have shape {values.shape}, expected (k, {self.n})")
+        digits = np.empty(values.shape, dtype=np.intp)
+        for i in range(self.n):
+            grid = self.value_grid(i)
+            order = np.argsort(grid)
+            pos = np.searchsorted(grid, values[:, i], sorter=order).clip(max=len(grid) - 1)
+            digits[:, i] = order[pos]
+            missing = grid[digits[:, i]] != values[:, i]
+            if missing.any():
+                raise DomainError(f"value {float(values[missing, i][0])!r} not in alphabet {i}")
+        return digits
+
     def index_of(self, values: Sequence[float]) -> int:
         """Flat enumeration index of a configuration given by its values."""
         digits = self.digits_of(values)
@@ -140,6 +156,22 @@ def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) ->
     return columns
 
 
+def _sections(flat: np.ndarray, space: ProductSpace, i: int) -> np.ndarray:
+    """A flat enumeration-ordered array as one row per section along coordinate i.
+
+    Rows follow the enumeration order of the sections.  The result is
+    C-contiguous, so row reductions round exactly as on a standalone section.
+    """
+    m = space.shape[i]
+    return np.ascontiguousarray(flat.reshape(-1, m, space.strides[i]).swapaxes(1, 2)).reshape(-1, m)
+
+
+def _softmax(logw: np.ndarray) -> np.ndarray:
+    """Normalised exponential along the last axis, shifted by its maximum."""
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def _axis_indices(space: ProductSpace, base_digits: np.ndarray, i: int) -> np.ndarray:
     """Flat indices of the section through `base_digits` along coordinate i."""
     base = int(np.dot(base_digits, space.strides)) - base_digits[i] * space.strides[i]
@@ -160,6 +192,13 @@ class Measure:
 
     def conditional(self, x: Sequence[float], i: int) -> np.ndarray:
         """Conditional distribution of coordinate i given the other coordinates of x."""
+        raise NotImplementedError
+
+    def section_conditionals(self) -> Iterator[np.ndarray]:
+        """For each coordinate i in turn, `conditional(x, i)` on every section
+        along i: shape (size // m_i, m_i), one row per section in enumeration
+        order, with the same arithmetic as `conditional`.  Yielded one
+        coordinate at a time to bound memory."""
         raise NotImplementedError
 
     def coordinate_support(self, i: int) -> np.ndarray:
@@ -214,6 +253,14 @@ class ExactMeasure(Measure):
             )
         return slice_ / mass
 
+    def section_conditionals(self) -> Iterator[np.ndarray]:
+        for i in range(self.space.n):
+            rows = _sections(self.table, self.space, i)
+            # Zero-mass sections become NaN rows; a chain started on the
+            # support never visits them.
+            with np.errstate(invalid="ignore"):
+                yield rows / rows.sum(axis=1, keepdims=True)
+
     def coordinate_support(self, i: int) -> np.ndarray:
         marg = self.table.reshape(self.space.shape)
         axes = tuple(j for j in range(self.space.n) if j != i)
@@ -261,6 +308,10 @@ class ProductMeasure(Measure):
         # Independence: conditioning leaves the marginal unchanged.
         self.space.digits_of(x)
         return self.tables[i].copy()
+
+    def section_conditionals(self) -> Iterator[np.ndarray]:
+        for t in self.tables:
+            yield np.tile(t, (self.space.size // len(t), 1))
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.nonzero(self.tables[i] > 0.0)[0]
@@ -312,10 +363,20 @@ class GibbsMeasure(Measure):
         grid = self.space.value_grid(i)
         rows = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
         rows[:, i] = grid
-        logw = self.log_weights(rows)
-        logw -= logw.max()
-        w = np.exp(logw)
-        return w / w.sum()
+        return _softmax(self.log_weights(rows))
+
+    def section_conditionals(self) -> Iterator[np.ndarray]:
+        # Blocks bound the temporaries of a batch log-weight (an ERGM's motif
+        # products take size x embeddings x edges floats); per-row values do
+        # not depend on the batch.
+        configs = enumerate_configurations(self.space)
+        block = 1 << 10
+        logw = np.concatenate(
+            [self.log_weights(configs[s:s + block]) for s in range(0, len(configs), block)]
+        )
+        del configs  # free the enumeration before the tables are built
+        for i in range(self.space.n):
+            yield _softmax(_sections(logw, self.space, i))
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.arange(self.space.shape[i])
@@ -348,7 +409,7 @@ def measure_from_json(doc: dict) -> Measure:
             return float(_logw[_space.index_of(row)])
 
         def lw_batch(rows: np.ndarray, _space=space, _logw=logw) -> np.ndarray:
-            return np.array([_logw[_space.index_of(r)] for r in rows])
+            return _logw[_space.digit_rows(rows) @ np.asarray(_space.strides)]
 
         return GibbsMeasure(space, lw, lw_batch)
     raise SchemaError(f"unknown measure kind {kind!r}")

@@ -245,6 +245,14 @@ class TestChaosQuantities:
             for k in (1, 2):
                 assert chaos_w_tilde(chaos, k, row) >= chaos_w(chaos, k, row) - 1e-9
 
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    @pytest.mark.parametrize("k", [-1, 0, 3])
+    def test_order_outside_range_rejected(self, norm, k):
+        chaos = VectorChaos(2, 3, {(0, 1): [1.0, 2.0]}, norm=norm)
+        for quantity in (chaos_w, chaos_w_tilde):
+            with pytest.raises(DomainError, match=r"outside 1\.\.2"):
+                quantity(chaos, k, [1.0, 1.0, 1.0])
+
 
 class TestSerialization:
     def test_round_trips(self):

@@ -26,7 +26,13 @@ from concentra.models import (
     write_samples_csv,
 )
 from concentra.funcs import MultilinearPoly
-from concentra.space import enumerate_configurations, rademacher
+from concentra.space import (
+    ExactMeasure,
+    ProductSpace,
+    bernoulli_product,
+    enumerate_configurations,
+    rademacher,
+)
 
 
 class TestIsing:
@@ -247,6 +253,84 @@ class TestGlauber:
             assert mu.prob_table()[mu.space.index_of(chain.state)] > 0
 
 
+def reference_heat_bath(mu, sweeps, burn_in=0, thinning=1, seed=0):
+    """Per-update systematic-scan heat bath: one conditional, one cumsum and one
+    scalar uniform per site update, started where `GlauberChain` starts."""
+    space = mu.space
+    rng = np.random.default_rng(seed)
+    if isinstance(mu, ExactMeasure):
+        first = int(np.nonzero(mu.prob_table() > 0.0)[0][0])
+        state = np.asarray(space.configuration(first), dtype=float)
+    else:
+        digits = [int(rng.choice(mu.coordinate_support(i))) for i in range(space.n)]
+        state = np.array([space.alphabets[i][d] for i, d in enumerate(digits)], dtype=float)
+    out = []
+    for s in range(1 - burn_in, sweeps + 1):
+        for i in range(space.n):
+            cdf = np.cumsum(mu.conditional(state, i))
+            digit = min(int(np.searchsorted(cdf, rng.random(), side="right")), space.shape[i] - 1)
+            state[i] = space.alphabets[i][digit]
+        if s >= 1 and s % thinning == 0:
+            out.append(state.copy())
+    return np.asarray(out, dtype=float)
+
+
+def _ternary_exact():
+    space = ProductSpace(((0.0, 1.0, 2.0),) * 4)
+    table = np.random.default_rng(4).random(space.size)
+    table[::7] = 0.0
+    return ExactMeasure(space, table / table.sum())
+
+
+BIT_IDENTITY_CASES = {
+    "curie-weiss-field": lambda: build_ising(curie_weiss_spec(5, 0.8, 0.3))[0],
+    "ergm-triangle": lambda: build_ergm(ErgmSpec(5, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.8)))[0],
+    "coloring": lambda: build_coloring([(0, 1), (1, 2), (2, 3), (3, 0)], 4, 3)[0],
+    "bernoulli": lambda: bernoulli_product(5, 0.3),
+    "ternary-exact": _ternary_exact,
+}
+
+
+class TestTableDrivenSweep:
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CASES))
+    def test_stream_equals_per_update_heat_bath(self, name):
+        mu = BIT_IDENTITY_CASES[name]()
+        got = glauber_sample(mu, 120, burn_in=7, thinning=3, seed=13)
+        np.testing.assert_array_equal(got, reference_heat_bath(mu, 120, 7, 3, seed=13))
+        assert got.shape == (40, mu.space.n)
+
+    def test_large_space_uses_per_update_conditionals(self):
+        mu = bernoulli_product(21, 0.3)
+        assert mu.space.size > 1 << 20
+        got = glauber_sample(mu, 3, burn_in=1, seed=5)
+        np.testing.assert_array_equal(got, reference_heat_bath(mu, 3, 1, seed=5))
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            build_ising(IsingSpec(
+                np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 0.0]]),
+                np.array([0.1, -0.4, 0.2]),
+            ))[0],
+            # nine colors: section sums of m >= 8 entries take numpy's pairwise path
+            build_coloring([(0, 1), (1, 2), (0, 2)], 3, 9)[0],
+        ],
+        ids=["ising", "coloring"],
+    )
+    def test_section_rows_equal_conditionals(self, mu):
+        space = mu.space
+        configs = enumerate_configurations(space)
+        for i, rows in enumerate(mu.section_conditionals()):
+            m, stride = space.shape[i], space.strides[i]
+            assert rows.shape == (space.size // m, m)
+            for idx, x in enumerate(configs):
+                if mu.prob_table()[idx] == 0.0:
+                    continue
+                base = idx - space.digits_of(x)[i] * stride
+                pre, post = divmod(base, stride * m)
+                np.testing.assert_array_equal(rows[pre * stride + post], mu.conditional(x, i))
+
+
 class TestSampleStreams:
     def test_csv_format(self, tmp_path):
         samples = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -269,3 +353,24 @@ class TestSampleStreams:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(SchemaError):
             read_samples_binary(path, rademacher(1).space)
+
+    @pytest.mark.parametrize("keep", [12, 16 + 5 * 3 - 1])
+    def test_truncated_stream_rejected(self, tmp_path, keep):
+        mu = rademacher(3)
+        path = tmp_path / "samples.bin"
+        write_samples_binary(path, glauber_sample(mu, 5, seed=2), mu.space)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(SchemaError, match="truncated"):
+            read_samples_binary(path, mu.space)
+
+    def test_stream_of_another_space_rejected(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples_binary(path, glauber_sample(rademacher(3), 5, seed=2), rademacher(3).space)
+        with pytest.raises(SchemaError, match="coordinates"):
+            read_samples_binary(path, rademacher(2).space)
+        with pytest.raises(SchemaError, match="outside its alphabet"):
+            read_samples_binary(path, ProductSpace(((0.0,),) * 3))
+
+    def test_value_outside_alphabet_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match="not in alphabet 1"):
+            write_samples_binary(tmp_path / "s.bin", np.array([[1.0, 0.5]]), rademacher(2).space)

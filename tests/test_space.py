@@ -52,6 +52,20 @@ class TestEnumeration:
         for idx in range(space.size):
             assert space.index_of(space.configuration(idx)) == idx
 
+    def test_digit_rows_match_digits_of(self):
+        space = ProductSpace(((2.0, 0.0, 1.0), (3.0, -4.0), (0.5, -0.5, 9.0, 1.5)))
+        configs = enumerate_configurations(space)
+        np.testing.assert_array_equal(
+            space.digit_rows(configs), [space.digits_of(row) for row in configs]
+        )
+        for bad in (0.25, math.nan):
+            rows = configs[:3].copy()
+            rows[1, 2] = bad
+            with pytest.raises(DomainError, match="not in alphabet 2"):
+                space.digit_rows(rows)
+        with pytest.raises(DomainError, match="expected"):
+            space.digit_rows(configs[:, :2])
+
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
             ProductSpace(((1.0, 1.0),))
@@ -187,6 +201,19 @@ class TestSerialization:
         mu, _ = build_ising(IsingSpec(np.array([[0.0, 0.4], [0.4, 0.0]]), np.array([0.1, 0.0])))
         back = measure_from_json(mu.to_json())
         np.testing.assert_allclose(back.prob_table(), mu.prob_table(), atol=1e-12)
+
+    def test_gibbs_log_weight_batch_matches_rows(self):
+        space = ProductSpace(((0.0, 1.0, 2.0), (-1.0, 1.0), (0.5, 1.5, 2.5, 3.5)))
+        logw = np.random.default_rng(2).normal(size=space.size)
+        doc = space.to_json()
+        doc["measure"] = {"kind": "gibbs", "log_weights": logw.tolist()}
+        mu = measure_from_json(doc)
+        configs = enumerate_configurations(space)
+        batch = mu.log_weights(configs)
+        np.testing.assert_array_equal(batch, [mu.log_weight(row) for row in configs])
+        np.testing.assert_array_equal(batch, logw)
+        with pytest.raises(DomainError):
+            mu.log_weights(configs + 0.25)
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
