@@ -362,32 +362,44 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # Glauber dynamics
 # ---------------------------------------------------------------------------
 
-# Largest space whose section CDFs the chain tabulates: the table takes about
-# 8 * n * size * (m - 1) / m bytes, 80 MiB for 20 binary coordinates.  Larger
-# spaces evaluate each conditional at its update.
-_SECTION_TABLE_LIMIT = 1 << 20
+# Largest space whose section CDFs the chain tabulates.  The table is built on
+# the first sweep whatever the chain's length.  Measured on one Xeon core for
+# an Ising ring: at 2^16 configurations the build takes about 0.12 s and
+# 9 MiB, as long as some 2,400 per-update conditionals, and the glauber-mc
+# benchmark chains make 19,200 and 38,400 updates; at 2^20 it took 3 s and
+# 175 MiB, longer than 1000 sweeps of per-update conditionals.  Larger spaces
+# evaluate each conditional at its update and memoise up to 2^16 sections.
+_SECTION_TABLE_LIMIT = 1 << 16
 
 
 @dataclass
 class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
 
-    The state is a flat enumeration index plus its digits.  On the first sweep
-    the chain tabulates the conditional CDF of every coordinate on every
-    section along it (`Measure.section_conditionals`), so a site update is a
-    bisection in that table; above 2^20 configurations each update evaluates
-    `measure.conditional` instead.  A sweep draws its n uniforms at once,
-    which is the same stream as n single draws, so the stream is deterministic
-    given the seed.
+    On the first sweep the chain tabulates the conditional CDF of every
+    coordinate on every section along it (`Measure.section_conditionals`), so
+    a site update is a bisection in that table.  Above 2^16 configurations an
+    update evaluates `measure.conditional` on a section it has not memoised.
+    A sweep draws its n uniforms at once, which is the same stream as n single
+    draws, so the stream is deterministic given the seed.
+
+    `state` is a snapshot: a new array of the current values on each access,
+    which the chain never reads back.
     """
 
     measure: Measure
     seed: int = 0
-    index: int = field(init=False)
-    digits: list[int] = field(init=False)
     rng: np.random.Generator = field(init=False)
     steps: int = field(init=False, default=0)
+    # The current configuration as a flat enumeration index and its digits.
+    _index: int = field(init=False, repr=False)
+    _digits: list[int] = field(init=False, repr=False)
     _cdfs: list[array] | None = field(init=False, default=None, repr=False)
+    # Above the table limit: first m_i - 1 CDF entries of visited sections,
+    # keyed by (site, index of the section's first point), at most 2^16 of them.
+    _memo: dict[tuple[int, int], list[float]] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self):
         self.rng = np.random.default_rng(self.seed)
@@ -395,19 +407,19 @@ class GlauberChain:
         if isinstance(self.measure, ExactMeasure):
             # Joint support can be a strict subset of the per-coordinate
             # supports (proper colorings), so start at a positive-mass point.
-            self.index = int(np.nonzero(self.measure.prob_table() > 0.0)[0][0])
-            self.digits = [self.index // s % m for s, m in zip(space.strides, space.shape)]
+            self._index = int(np.nonzero(self.measure.prob_table() > 0.0)[0][0])
+            self._digits = [self._index // s % m for s, m in zip(space.strides, space.shape)]
         else:
-            self.digits = [
+            self._digits = [
                 int(self.rng.choice(self.measure.coordinate_support(i))) for i in range(space.n)
             ]
-            self.index = sum(d * s for d, s in zip(self.digits, space.strides))
+            self._index = sum(d * s for d, s in zip(self._digits, space.strides))
 
     @property
     def state(self) -> np.ndarray:
         """Values of the current configuration."""
         alphabets = self.measure.space.alphabets
-        return np.array([a[d] for a, d in zip(alphabets, self.digits)], dtype=float)
+        return np.array([a[d] for a, d in zip(alphabets, self._digits)], dtype=float)
 
     def sweep(self) -> None:
         space = self.measure.space
@@ -417,15 +429,19 @@ class GlauberChain:
                 array("d", np.cumsum(p, axis=1)[:, :-1].tobytes())
                 for p in self.measure.section_conditionals()
             ]
-        cdfs, digits, index = self._cdfs, self.digits, self.index
+        cdfs, memo, digits, index = self._cdfs, self._memo, self._digits, self._index
         strides, shape = space.strides, space.shape
         state = self.state if cdfs is None else None
         for i, u in enumerate(self.rng.random(space.n).tolist()):
             stride, m = strides[i], shape[i]
             base = index - digits[i] * stride
             if cdfs is None:
-                cdf = np.cumsum(self.measure.conditional(state, i))
-                digit = min(int(np.searchsorted(cdf, u, side="right")), m - 1)
+                cdf = memo.get((i, base))
+                if cdf is None:
+                    cdf = np.cumsum(self.measure.conditional(state, i))[:-1].tolist()
+                    if len(memo) < _SECTION_TABLE_LIMIT:
+                        memo[(i, base)] = cdf
+                digit = bisect_right(cdf, u)
                 state[i] = space.alphabets[i][digit]
             else:
                 pre, post = divmod(base, stride * m)
@@ -433,7 +449,7 @@ class GlauberChain:
                 digit = bisect_right(cdfs[i], u, row, row + m - 1) - row
             digits[i] = digit
             index = base + digit * stride
-        self.index = index
+        self._index = index
         self.steps += space.n
 
 

@@ -349,10 +349,23 @@ class GibbsMeasure(Measure):
             raise DomainError("log-weight is not finite on the declared space")
         return out
 
+    def _enumerated_log_weights(self) -> np.ndarray:
+        """`log_weights` of every configuration, in enumeration order.
+
+        Evaluated in blocks of 1024 configurations, which bounds the
+        temporaries of a batch log-weight (an ERGM's motif products take
+        rows x embeddings x edges floats); a row's value does not depend on
+        its batch.  The enumeration is freed on return.
+        """
+        configs = enumerate_configurations(self.space)
+        block = 1 << 10
+        return np.concatenate(
+            [self.log_weights(configs[s:s + block]) for s in range(0, len(configs), block)]
+        )
+
     def prob_table(self) -> np.ndarray:
         if self._table is None:
-            configs = enumerate_configurations(self.space)
-            logw = self.log_weights(configs)
+            logw = self._enumerated_log_weights()
             logw -= logw.max()
             w = np.exp(logw)
             self._table = w / w.sum()
@@ -366,15 +379,7 @@ class GibbsMeasure(Measure):
         return _softmax(self.log_weights(rows))
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
-        # Blocks bound the temporaries of a batch log-weight (an ERGM's motif
-        # products take size x embeddings x edges floats); per-row values do
-        # not depend on the batch.
-        configs = enumerate_configurations(self.space)
-        block = 1 << 10
-        logw = np.concatenate(
-            [self.log_weights(configs[s:s + block]) for s in range(0, len(configs), block)]
-        )
-        del configs  # free the enumeration before the tables are built
+        logw = self._enumerated_log_weights()
         for i in range(self.space.n):
             yield _softmax(_sections(logw, self.space, i))
 
@@ -385,8 +390,7 @@ class GibbsMeasure(Measure):
         return np.ones(self.space.size, dtype=bool)
 
     def measure_json(self) -> dict:
-        configs = enumerate_configurations(self.space)
-        return {"kind": "gibbs", "log_weights": self.log_weights(configs).tolist()}
+        return {"kind": "gibbs", "log_weights": self._enumerated_log_weights().tolist()}
 
 
 def measure_from_json(doc: dict) -> Measure:

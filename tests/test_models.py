@@ -301,9 +301,27 @@ class TestTableDrivenSweep:
 
     def test_large_space_uses_per_update_conditionals(self):
         mu = bernoulli_product(21, 0.3)
-        assert mu.space.size > 1 << 20
+        assert mu.space.size > 1 << 16
         got = glauber_sample(mu, 3, burn_in=1, seed=5)
         np.testing.assert_array_equal(got, reference_heat_bath(mu, 3, 1, seed=5))
+
+    def test_memoised_sections_above_table_limit(self):
+        # A strongly coupled ring on 2^17 configurations settles, so the
+        # chain revisits sections and reads their CDFs back from its memo.
+        n = 17
+        coupling = np.zeros((n, n))
+        for a in range(n):
+            coupling[a, (a + 1) % n] = coupling[(a + 1) % n, a] = 1.5
+        mu, _ = build_ising(IsingSpec(coupling, np.full(n, 0.2)))
+        conditional, calls = mu.conditional, []
+        mu.conditional = lambda x, i: calls.append(i) or conditional(x, i)
+        chain = GlauberChain(mu, seed=9)
+        for _ in range(20):
+            chain.sweep()
+        assert 0 < len(calls) < chain.steps // 2
+        mu.conditional = conditional
+        got = glauber_sample(mu, 12, burn_in=8, thinning=2, seed=9)
+        np.testing.assert_array_equal(got, reference_heat_bath(mu, 12, 8, 2, seed=9))
 
     @pytest.mark.parametrize(
         "mu",

@@ -215,6 +215,21 @@ class TestSerialization:
         with pytest.raises(DomainError):
             mu.log_weights(configs + 0.25)
 
+    def test_gibbs_enumeration_spans_blocks(self):
+        # 2^11 configurations take two blocks of the enumerated log-weights;
+        # they must equal one batch over the whole enumeration.
+        from concentra.models import IsingSpec, build_ising
+
+        n = 11
+        coupling = np.zeros((n, n))
+        for a in range(n):
+            coupling[a, (a + 1) % n] = coupling[(a + 1) % n, a] = 0.4
+        mu, _ = build_ising(IsingSpec(coupling, np.linspace(-0.3, 0.3, n)))
+        logw = mu.log_weights(enumerate_configurations(mu.space))
+        np.testing.assert_array_equal(mu.measure_json()["log_weights"], logw)
+        w = np.exp(logw - logw.max())
+        np.testing.assert_array_equal(mu.prob_table(), w / w.sum())
+
     def test_table_validation(self):
         with pytest.raises(DomainError):
             ExactMeasure(binary(1), np.array([0.6, 0.6]))
