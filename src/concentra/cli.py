@@ -60,10 +60,18 @@ def _load_config(path: str) -> dict:
         raise SchemaError(f"config is not valid JSON: {exc}")
 
 
-def _require(config: dict, key: str):
-    if key not in config:
+def _convert(value, kind, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _require(config: dict, key: str, kind=None):
+    """config[key], converted by `kind` (int or float) when given."""
+    if not isinstance(config, dict) or key not in config:
         raise SchemaError(f"config is missing the required key {key!r}")
-    return config[key]
+    return config[key] if kind is None else _convert(config[key], kind, repr(key))
 
 
 def build_model(doc: dict) -> Measure:
@@ -71,9 +79,9 @@ def build_model(doc: dict) -> Measure:
         raise SchemaError("model must be an object")
     kind = _require(doc, "kind")
     if kind == "rademacher":
-        return rademacher(int(_require(doc, "n")))
+        return rademacher(_require(doc, "n", int))
     if kind == "bernoulli":
-        return bernoulli_product(int(_require(doc, "n")), float(_require(doc, "p")))
+        return bernoulli_product(_require(doc, "n", int), _require(doc, "p", float))
     if kind == "ising":
         spec = models.IsingSpec(
             np.asarray(_require(doc, "coupling"), dtype=float),
@@ -82,18 +90,20 @@ def build_model(doc: dict) -> Measure:
         return models.build_ising(spec)[0]
     if kind == "curie_weiss":
         spec = models.curie_weiss_spec(
-            int(_require(doc, "n")), float(_require(doc, "beta")), float(doc.get("field", 0.0))
+            _require(doc, "n", int), _require(doc, "beta", float), float(doc.get("field", 0.0))
         )
         return models.build_ising(spec)[0]
     if kind == "coloring":
         return models.build_coloring(
             [tuple(e) for e in _require(doc, "edges")],
-            int(_require(doc, "vertices")),
-            int(_require(doc, "colors")),
+            _require(doc, "vertices", int),
+            _require(doc, "colors", int),
         )[0]
     if kind == "ergm":
-        motifs = tuple(models.Motif(tuple(tuple(e) for e in m["edges"])) for m in _require(doc, "motifs"))
-        spec = models.ErgmSpec(int(_require(doc, "vertices")), motifs, tuple(_require(doc, "beta")))
+        motifs = tuple(
+            models.Motif(tuple(tuple(e) for e in _require(m, "edges"))) for m in _require(doc, "motifs")
+        )
+        spec = models.ErgmSpec(_require(doc, "vertices", int), motifs, tuple(_require(doc, "beta")))
         return models.build_ergm(spec)[0]
     if kind == "measure":
         return measure_from_json(_require(doc, "document"))
@@ -102,11 +112,11 @@ def build_model(doc: dict) -> Measure:
 
 def build_regime(doc: dict) -> Regime:
     kind = _require(doc, "kind")
-    d = int(_require(doc, "d"))
+    d = _require(doc, "d", int)
     if kind == "independent":
         return bounds_mod.independent(d)
     if kind == "dlsi":
-        return bounds_mod.dlsi(float(_require(doc, "sigma2")), d)
+        return bounds_mod.dlsi(_require(doc, "sigma2", float), d)
     raise SchemaError(f"unknown regime kind {kind!r}")
 
 
@@ -126,28 +136,28 @@ def build_bound(config: dict) -> bounds_mod.TailBound:
         regime = build_regime(_require(doc, "regime"))
         return bounds_mod.bound_suprema(
             [float(v) for v in doc.get("expected_w", [])],
-            float(_require(doc, "w_top_sup")),
+            _require(doc, "w_top_sup", float),
             regime,
         )
     if kind == "chaos":
         return bounds_mod.bound_chaos(
             [float(v) for v in _require(doc, "expected_w")],
-            float(_require(doc, "sigma2")),
-            float(_require(doc, "a")),
-            float(_require(doc, "b")),
-            int(_require(doc, "d")),
+            _require(doc, "sigma2", float),
+            _require(doc, "a", float),
+            _require(doc, "b", float),
+            _require(doc, "d", int),
             doc.get("variant", "upper"),
         )
     if kind == "boolean":
         return bounds_mod.bound_boolean(
-            [float(v) for v in _require(doc, "weights")], int(_require(doc, "d"))
+            [float(v) for v in _require(doc, "weights")], _require(doc, "d", int)
         )
     if kind == "ustat":
         regime = build_regime(_require(doc, "regime"))
         return bounds_mod.bound_ustat(
-            float(_require(doc, "B")),
-            int(_require(doc, "n")),
-            int(_require(doc, "d")),
+            _require(doc, "B", float),
+            _require(doc, "n", int),
+            _require(doc, "d", int),
             regime,
             bool(doc.get("normalized", False)),
         )
@@ -155,7 +165,7 @@ def build_bound(config: dict) -> bounds_mod.TailBound:
         regime = build_regime(_require(doc, "regime"))
         return bounds_mod.hanson_wright(
             np.asarray(_require(doc, "matrix"), dtype=float),
-            float(_require(doc, "M")),
+            _require(doc, "M", float),
             regime,
         )
     if kind == "moment":
@@ -166,30 +176,37 @@ def build_bound(config: dict) -> bounds_mod.TailBound:
         return bounds_mod.moment_to_tail(profile)
     if kind == "ergm_triangle":
         return bounds_mod.bound_ergm_triangle(
-            int(_require(doc, "n")),
-            float(_require(doc, "c_two_star")),
-            float(_require(doc, "c_edge")),
-            float(_require(doc, "c_user")),
+            _require(doc, "n", int),
+            _require(doc, "c_two_star", float),
+            _require(doc, "c_edge", float),
+            _require(doc, "c_user", float),
         )
     if kind == "polynomial":
         mu = build_model(_require(config, "model"))
         f = function_from_json(_require(config, "function"))
-        d = int(_require(doc, "d"))
+        d = _require(doc, "d", int)
         norms = bounds_mod.polynomial_partition_norms(f, mu, d)
         return bounds_mod.bound_polynomial(
-            norms, float(_require(doc, "sigma")), d, doc.get("c_user")
+            norms, _require(doc, "sigma", float), d, doc.get("c_user")
         )
     raise SchemaError(f"unknown bound kind {kind!r}")
 
 
 def build_t_grid(doc) -> np.ndarray:
+    """A finite, non-empty grid from a list or {start, stop, count}."""
     if isinstance(doc, list):
-        return np.asarray([float(t) for t in doc])
-    if isinstance(doc, dict):
-        return np.linspace(
-            float(_require(doc, "start")), float(_require(doc, "stop")), int(_require(doc, "count"))
-        )
-    raise SchemaError("t_grid must be a list or {start, stop, count}")
+        grid = np.asarray([_convert(t, float, "a t_grid entry") for t in doc])
+    elif isinstance(doc, dict):
+        count = _require(doc, "count", int)
+        if count < 1:
+            raise SchemaError(f"t_grid count must be at least 1, got {count}")
+        ends = [_require(doc, "start", float), _require(doc, "stop", float)]
+        grid = np.linspace(*ends, count) if np.all(np.isfinite(ends)) else np.array(ends)
+    else:
+        raise SchemaError("t_grid must be a list or {start, stop, count}")
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise SchemaError("t_grid must be non-empty and finite")
+    return grid
 
 
 def _out_dir(args) -> Path:
@@ -290,7 +307,7 @@ def cmd_lsi(args) -> int:
 def cmd_fourier(args) -> int:
     config = _load_config(args.config)
     f = function_from_json(_require(config, "function"))
-    n = int(_require(config, "n"))
+    n = _require(config, "n", int)
     space = hypercube(n)
     spectrum = fourier_transform(f.evaluate_table(space), space)
     weights = spectrum.weights()
@@ -306,7 +323,7 @@ def cmd_sample(args) -> int:
     mu = build_model(_require(config, "model"))
     samples = models.glauber_sample(
         mu,
-        sweeps=int(_require(config, "sweeps")),
+        sweeps=_require(config, "sweeps", int),
         burn_in=int(config.get("burn_in", 0)),
         thinning=int(config.get("thinning", 1)),
         seed=int(config.get("seed", args.seed)),

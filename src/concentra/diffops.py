@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTooLargeError
-from .funcs import FunctionSpec, evaluator
+from .errors import DomainError, EnumerationTooLargeError, SchemaError
+from .funcs import FunctionSpec, function_table
 from .space import ENUMERATION_CAP, Measure
 from .tensors import op_norm_batch
 
 H_VARIANTS = ("osc", "plus", "minus")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in H_VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; use one of {H_VARIANTS}")
 
 
 def _support_values(mu: Measure, i: int) -> np.ndarray:
@@ -28,38 +33,27 @@ def _support_values(mu: Measure, i: int) -> np.ndarray:
     return mu.space.value_grid(i)[idx]
 
 
-def _section_values(f, mu: Measure, x: Sequence[float], i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of f along coordinate i's support with the other coordinates frozen at x."""
-    values = _support_values(mu, i)
-    rows = np.tile(np.asarray(x, dtype=float), (values.size, 1))
-    rows[:, i] = values
-    ev = evaluator(f, mu.space) if isinstance(f, FunctionSpec) else f
-    return values, np.array([float(ev(row)) for row in rows])
+def _support_index_sets(mu: Measure) -> list[np.ndarray]:
+    return [np.asarray(mu.coordinate_support(i), dtype=np.intp) for i in range(mu.space.n)]
 
 
-def h_component(f, mu: Measure, x: Sequence[float], i: int, variant: str = "osc") -> float:
-    """One coordinate of the difference operators at x.
+# Section kernel: the only code that turns function values into operator values.
+# Each helper reduces some axes of a section array and keeps the others, so the
+# fields apply it to a whole table and the pointwise operators to the sections
+# through their points, each section grid evaluated in one evaluate_rows call.
 
-    osc: max over support pairs of |f(x_{i^c}, a) - f(x_{i^c}, b)|; constant in x_i.
-    plus/minus: max over resampled values of the positive/negative part of
-    f(x) - f(x_{i^c}, a); these depend on the actual x_i.
+
+def _h_reduce(section: np.ndarray, here, axis: int, variant: str) -> np.ndarray:
+    """h^variant along `axis` of `section`, given f at the configuration itself.
+
+    osc: max - min over the section; constant along the axis.
+    plus/minus: the positive part of f(x) - min, or of max - f(x).
     """
-    if variant not in H_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; use one of {H_VARIANTS}")
-    if not 0 <= i < mu.space.n:
-        raise DomainError(f"coordinate {i} outside range(0, {mu.space.n})")
-    _, section = _section_values(f, mu, x, i)
     if variant == "osc":
-        return float(section.max() - section.min())
-    ev = evaluator(f, mu.space) if isinstance(f, FunctionSpec) else f
-    here = float(ev(np.asarray(x, dtype=float)))
+        return section.max(axis=axis, keepdims=True) - section.min(axis=axis, keepdims=True)
     if variant == "plus":
-        return max(here - float(section.min()), 0.0)
-    return max(float(section.max()) - here, 0.0)
-
-
-def h_vector(f, mu: Measure, x: Sequence[float], variant: str = "osc") -> np.ndarray:
-    return np.array([h_component(f, mu, x, i, variant) for i in range(mu.space.n)])
+        return np.maximum(here - section.min(axis=axis, keepdims=True), 0.0)
+    return np.maximum(section.max(axis=axis, keepdims=True) - here, 0.0)
 
 
 def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -67,6 +61,23 @@ def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
     a = np.expand_dims(arr, axis + 1)
     b = np.expand_dims(arr, axis)
     return a - b
+
+
+def _combo_entries(section: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Max over all (original, prime) assignments along `axes` of the
+    alternating-sign expansion prod_s (Id - T_s) f; the other axes are kept."""
+    axes = sorted(axes)
+    for axis in reversed(axes):
+        section = _pair_difference(section, axis)
+    # After doubling, the j-th index axis occupies positions axis + j and axis + j + 1.
+    doubled = tuple(p for j, axis in enumerate(axes) for p in (axis + j, axis + j + 1))
+    return np.abs(section).max(axis=doubled)
+
+
+def _conditional_variance(cond: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """Variance of `values` along `axis` under the weights `cond`."""
+    mean = (cond * values).sum(axis=axis, keepdims=True)
+    return (cond * (values - mean) ** 2).sum(axis=axis, keepdims=True)
 
 
 def _tensor_cap_check(mu: Measure, combo: tuple[int, ...]) -> None:
@@ -77,80 +88,17 @@ def _tensor_cap_check(mu: Measure, combo: tuple[int, ...]) -> None:
         )
 
 
-def h_tensor(f, mu: Measure, x: Sequence[float], k: int) -> np.ndarray:
-    """Order-k difference tensor at x: dense (n,)*k array, symmetric, zero diagonal.
-
-    Entry (i1..ik) is the maximum over all assignments of the originals and
-    primes of the 2k involved coordinates (each ranging over its support) of
-    the alternating-sign expansion of prod_s (Id - T_{i_s}) f; coordinates
-    outside the index set stay frozen at x.
-    """
-    if k < 1:
-        raise DomainError("tensor order must be >= 1")
-    space = mu.space
-    n = space.n
-    ev = evaluator(f, space) if isinstance(f, FunctionSpec) else f
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n,) * k)
-    for combo in combinations(range(n), k):
-        _tensor_cap_check(mu, combo)
-        supports = [_support_values(mu, i) for i in combo]
-        grid_shape = tuple(s.size for s in supports)
-        values = np.empty(grid_shape)
-        for assignment in product(*(range(m) for m in grid_shape)):
-            row = x.copy()
-            for slot, i in enumerate(combo):
-                row[i] = supports[slot][assignment[slot]]
-            values[assignment] = float(ev(row))
-        for axis in range(k - 1, -1, -1):
-            values = _pair_difference(values, axis)
-        entry = float(np.abs(values).max())
-        for perm in permutations(range(k)):
-            out[tuple(combo[p] for p in perm)] = entry
-    return out
-
-
-def _support_index_sets(mu: Measure) -> list[np.ndarray]:
-    return [np.asarray(mu.coordinate_support(i), dtype=np.intp) for i in range(mu.space.n)]
-
-
-def h_osc_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
-    """Oscillation of every coordinate at every configuration, shape (size, n)."""
+def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarray:
+    """Every coordinate of h^variant (osc, plus or minus) at every configuration,
+    shape (size, n)."""
+    _check_variant(variant)
     space = mu.space
     F = np.asarray(f_table, dtype=float).reshape(space.shape)
     supports = _support_index_sets(mu)
     out = np.empty((space.size, space.n))
     for i in range(space.n):
-        sub = np.take(F, supports[i], axis=i)
-        osc = sub.max(axis=i, keepdims=True) - sub.min(axis=i, keepdims=True)
-        out[:, i] = np.broadcast_to(osc, space.shape).reshape(-1)
-    return out
-
-
-def h_plus_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
-    """Positive-part component of every coordinate at every configuration."""
-    space = mu.space
-    F = np.asarray(f_table, dtype=float).reshape(space.shape)
-    supports = _support_index_sets(mu)
-    out = np.empty((space.size, space.n))
-    for i in range(space.n):
-        sub = np.take(F, supports[i], axis=i)
-        low = sub.min(axis=i, keepdims=True)
-        plus = np.maximum(F - np.broadcast_to(low, space.shape), 0.0)
-        out[:, i] = plus.reshape(-1)
-    return out
-
-
-def h_minus_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
-    space = mu.space
-    F = np.asarray(f_table, dtype=float).reshape(space.shape)
-    supports = _support_index_sets(mu)
-    out = np.empty((space.size, space.n))
-    for i in range(space.n):
-        sub = np.take(F, supports[i], axis=i)
-        high = sub.max(axis=i, keepdims=True)
-        minus = np.maximum(np.broadcast_to(high, space.shape) - F, 0.0)
-        out[:, i] = minus.reshape(-1)
+        part = _h_reduce(np.take(F, supports[i], axis=i), F, i, variant)
+        out[:, i] = np.broadcast_to(part, space.shape).reshape(-1)
     return out
 
 
@@ -173,16 +121,7 @@ def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
         sub = F
         for i in combo:
             sub = np.take(sub, supports[i], axis=i)
-        for axis_pos in sorted(combo, reverse=True):
-            sub = _pair_difference(sub, axis_pos)
-        # After doubling, each combo coordinate occupies two adjacent axes.
-        doubled_axes = []
-        offset = 0
-        for i in range(n):
-            if i in combo:
-                doubled_axes.extend([i + offset, i + offset + 1])
-                offset += 1
-        entry = np.abs(sub).max(axis=tuple(doubled_axes))
+        entry = _combo_entries(sub, combo)
         # Broadcast the per-section entry over the collapsed combo axes.
         expanded = entry
         for i in combo:
@@ -191,24 +130,6 @@ def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
         for perm in permutations(combo):
             out[(slice(None),) + perm] = expanded
     return out
-
-
-def d_operator(f, mu: Measure, x: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Per-coordinate conditional standard deviations and their Euclidean length."""
-    space = mu.space
-    ev = evaluator(f, space) if isinstance(f, FunctionSpec) else f
-    x = np.asarray(x, dtype=float)
-    parts = np.empty(space.n)
-    for i in range(space.n):
-        cond = mu.conditional(x, i)
-        grid = space.value_grid(i)
-        rows = np.tile(x, (grid.size, 1))
-        rows[:, i] = grid
-        vals = np.array([float(ev(r)) for r in rows])
-        mean = float(np.dot(cond, vals))
-        var = float(np.dot(cond, (vals - mean) ** 2))
-        parts[i] = math.sqrt(max(var, 0.0))
-    return parts, float(np.linalg.norm(parts))
 
 
 def d_squared_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
@@ -224,10 +145,90 @@ def d_squared_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
         mass = W.sum(axis=i, keepdims=True)
         safe = np.where(mass > 0.0, mass, 1.0)
         cond = np.where(mass > 0.0, W / safe, 0.0)
-        mean = (cond * F).sum(axis=i, keepdims=True)
-        var = (cond * (F - mean) ** 2).sum(axis=i, keepdims=True)
-        total += np.broadcast_to(var, space.shape)
+        total += np.broadcast_to(_conditional_variance(cond, F, i), space.shape)
     return total.reshape(-1)
+
+
+def _local_sections(f: FunctionSpec, mu: Measure, x, coords, grids) -> tuple[float, list[np.ndarray]]:
+    """f at x, and f along each coordinate's grid with the others frozen at x."""
+    x = np.asarray(x, dtype=float)
+    bounds = np.cumsum([1] + [g.size for g in grids])
+    rows = np.tile(x, (int(bounds[-1]), 1))
+    for i, grid, start in zip(coords, grids, bounds):
+        rows[start:start + grid.size, i] = grid
+    values = f.evaluate_rows(mu.space, rows)
+    return values[0], np.split(values, bounds)[1:-1]
+
+
+def _h_at(f: FunctionSpec, mu: Measure, x: Sequence[float], coords: Sequence[int], variant: str) -> np.ndarray:
+    _check_variant(variant)
+    here, sections = _local_sections(f, mu, x, coords, [_support_values(mu, i) for i in coords])
+    return np.array([_h_reduce(section, here, 0, variant)[0] for section in sections])
+
+
+def h_component(f: FunctionSpec, mu: Measure, x: Sequence[float], i: int, variant: str = "osc") -> float:
+    """One coordinate of the difference operators at x.
+
+    osc: max over support pairs of |f(x_{i^c}, a) - f(x_{i^c}, b)|; constant in x_i.
+    plus/minus: max over resampled values of the positive/negative part of
+    f(x) - f(x_{i^c}, a); these depend on the actual x_i.
+    """
+    if not 0 <= i < mu.space.n:
+        raise DomainError(f"coordinate {i} outside range(0, {mu.space.n})")
+    return float(_h_at(f, mu, x, [i], variant)[0])
+
+
+def h_vector(f: FunctionSpec, mu: Measure, x: Sequence[float], variant: str = "osc") -> np.ndarray:
+    return _h_at(f, mu, x, range(mu.space.n), variant)
+
+
+def _h_tensors(f: FunctionSpec, mu: Measure, points: np.ndarray, k: int) -> np.ndarray:
+    """Order-k difference tensors at each row of `points`, shape (len(points),) + (n,)*k.
+
+    f is evaluated once per index combination, on the product grid of the
+    combination's supports around every point.
+    """
+    if k < 1:
+        raise DomainError("tensor order must be >= 1")
+    space = mu.space
+    n = space.n
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((len(points),) + (n,) * k)
+    for combo in combinations(range(n), k):
+        _tensor_cap_check(mu, combo)
+        supports = [_support_values(mu, i) for i in combo]
+        grid = np.stack(np.meshgrid(*supports, indexing="ij"), axis=-1).reshape(-1, k)
+        rows = np.repeat(points[:, None, :], len(grid), axis=1)
+        rows[:, :, list(combo)] = grid
+        values = f.evaluate_rows(space, rows.reshape(-1, n))
+        values = values.reshape((len(points),) + tuple(s.size for s in supports))
+        entry = _combo_entries(values, range(1, k + 1))
+        for perm in permutations(combo):
+            out[(slice(None),) + perm] = entry
+    return out
+
+
+def h_tensor(f: FunctionSpec, mu: Measure, x: Sequence[float], k: int) -> np.ndarray:
+    """Order-k difference tensor at x: dense (n,)*k array, symmetric, zero diagonal.
+
+    Entry (i1..ik) is the maximum over all assignments of the originals and
+    primes of the 2k involved coordinates (each ranging over its support) of
+    the alternating-sign expansion of prod_s (Id - T_{i_s}) f; coordinates
+    outside the index set stay frozen at x.
+    """
+    return _h_tensors(f, mu, [x], k)[0]
+
+
+def d_operator(f: FunctionSpec, mu: Measure, x: Sequence[float]) -> tuple[np.ndarray, float]:
+    """Per-coordinate conditional standard deviations and their Euclidean length."""
+    space = mu.space
+    x = np.asarray(x, dtype=float)
+    coords = range(space.n)
+    conds = [mu.conditional(x, i) for i in coords]
+    _, sections = _local_sections(f, mu, x, coords, [space.value_grid(i) for i in coords])
+    var = np.array([_conditional_variance(c, s, 0)[0] for c, s in zip(conds, sections)])
+    parts = np.sqrt(np.maximum(var, 0.0))
+    return parts, float(np.linalg.norm(parts))
 
 
 @dataclass
@@ -257,9 +258,13 @@ class NormProfile:
 
     @staticmethod
     def from_json(doc: dict) -> "NormProfile":
+        try:
+            d, gamma = int(doc["d"]), tuple(float(g) for g in doc["gamma"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid norm profile document: {exc!r}") from exc
         return NormProfile(
-            int(doc["d"]),
-            tuple(float(g) for g in doc["gamma"]),
+            d,
+            gamma,
             doc.get("mode", "exact"),
             tuple(doc["stderr"]) if "stderr" in doc else None,
             bool(doc.get("sup_is_lower_estimate", False)),
@@ -285,7 +290,7 @@ def norm_profile(
         raise DomainError("profile depth must be >= 1")
     if mode == "exact":
         mu.space.check_cap()
-        table = f.evaluate_table(mu.space) if isinstance(f, FunctionSpec) else np.asarray(f, dtype=float)
+        table = function_table(f, mu.space)
         w = mu.prob_table()
         support = w > 0.0
         gammas = []
@@ -301,12 +306,10 @@ def norm_profile(
         raise DomainError(f"unknown mode {mode!r}")
     if samples is None or len(samples) == 0:
         raise DomainError("monte_carlo mode needs sample configurations")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     gammas: list[float] = []
     errors: list[float] = []
     for k in range(1, d + 1):
-        tensors = np.stack([h_tensor(f, mu, row, k) for row in samples])
-        norms = op_norm_batch(tensors, restarts=restarts, seed=seed)
+        norms = op_norm_batch(_h_tensors(f, mu, samples, k), restarts=restarts, seed=seed)
         if k < d:
             gammas.append(float(norms.mean()))
             errors.append(float(norms.std(ddof=1) / math.sqrt(norms.size)) if norms.size > 1 else 0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +44,20 @@ class FunctionSpec:
     def evaluate(self, x: Sequence[float]) -> float:
         raise NotImplementedError
 
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        """Values at a (k, n) batch of configurations of `space`, one per row.
+
+        The space-aware batch method: tabulated kinds need the space for indexing.
+        """
+        self.check_space(space)
+        return self.evaluate_batch(rows)
+
     def evaluate_on(self, space: ProductSpace, x: Sequence[float]) -> float:
-        """Space-aware evaluation; tabulated kinds need the space for indexing."""
-        return self.evaluate(x)
+        """The value at one configuration: a one-row view of evaluate_rows."""
+        return float(self.evaluate_rows(space, np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def evaluate_table(self, space: ProductSpace) -> np.ndarray:
-        configs = enumerate_configurations(space)
-        return self.evaluate_batch(configs)
+        return self.evaluate_rows(space, enumerate_configurations(space))
 
     def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
@@ -76,8 +83,9 @@ class Tabulated(FunctionSpec):
     def evaluate(self, x: Sequence[float]) -> float:
         raise DimensionMismatchError("tabulated functions are evaluated against a space")
 
-    def evaluate_on(self, space: ProductSpace, x: Sequence[float]) -> float:
-        return float(self.values[space.index_of(x)])
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        self.check_space(space)
+        return self.values[space.digit_rows(rows) @ np.asarray(space.strides)]
 
     def evaluate_table(self, space: ProductSpace) -> np.ndarray:
         self.check_space(space)
@@ -234,10 +242,6 @@ class UStatistic(FunctionSpec):
         """B = max |h| over all arguments."""
         return float(np.abs(self.kernel).max())
 
-    def _digits(self, space: ProductSpace, x: Sequence[float]) -> np.ndarray:
-        self.check_space(space)
-        return space.digits_of(x)
-
     def evaluate_digits(self, digits: np.ndarray) -> float:
         g = np.asarray(digits, dtype=np.intp)
         n = g.size
@@ -252,16 +256,9 @@ class UStatistic(FunctionSpec):
             total += float(self.kernel[tuple(g[list(combo)])])
         return total
 
-    def evaluate_on(self, space: ProductSpace, x: Sequence[float]) -> float:
-        return self.evaluate_digits(self._digits(space, x))
-
-    def evaluate_table(self, space: ProductSpace) -> np.ndarray:
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         self.check_space(space)
-        configs = enumerate_configurations(space)
-        grid = space.value_grid(0)
-        lookup = {v: i for i, v in enumerate(grid)}
-        digit_rows = np.vectorize(lookup.get)(configs).astype(np.intp)
-        return np.array([self.evaluate_digits(row) for row in digit_rows])
+        return np.array([self.evaluate_digits(g) for g in space.digit_rows(rows)])
 
     def check_space(self, space: ProductSpace) -> None:
         if space.n <= self.order - 1:
@@ -295,15 +292,8 @@ class SupFamily(FunctionSpec):
     def evaluate(self, x: Sequence[float]) -> float:
         return max(abs(m.evaluate(x)) for m in self.members)
 
-    def evaluate_on(self, space: ProductSpace, x: Sequence[float]) -> float:
-        return max(abs(m.evaluate_on(space, x)) for m in self.members)
-
-    def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
-        stacked = np.stack([np.abs(m.evaluate_batch(configs)) for m in self.members])
-        return stacked.max(axis=0)
-
-    def evaluate_table(self, space: ProductSpace) -> np.ndarray:
-        stacked = np.stack([np.abs(m.evaluate_table(space)) for m in self.members])
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        stacked = np.stack([np.abs(m.evaluate_rows(space, rows)) for m in self.members])
         return stacked.max(axis=0)
 
     def check_space(self, space: ProductSpace) -> None:
@@ -386,37 +376,44 @@ class VectorChaos(FunctionSpec):
         }
 
 
-def evaluator(f: FunctionSpec, space: ProductSpace) -> Callable[[np.ndarray], float]:
-    """Per-configuration evaluator bound to a space (needed for tabulated kinds)."""
-    f.check_space(space)
-    return lambda row: f.evaluate_on(space, row)
+def function_table(f, space: ProductSpace) -> np.ndarray:
+    """Values of f over the enumeration of `space`: a FunctionSpec's table, or
+    a given table (any array-like) after checking its shape."""
+    if isinstance(f, FunctionSpec):
+        return f.evaluate_table(space)
+    table = np.asarray(f, dtype=float)
+    if table.shape != (space.size,):
+        raise DomainError(f"table has shape {table.shape}, expected ({space.size},)")
+    return table
 
 
 def function_from_json(doc: dict) -> FunctionSpec:
+    if not isinstance(doc, dict):
+        raise SchemaError("a function document must be an object")
     try:
         kind = doc["kind"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"invalid function document: {exc}") from exc
-    if kind == "table":
-        return Tabulated(np.asarray(doc["values"], dtype=float))
-    if kind == "poly":
-        tensors = {
-            int(item["order"]): np.asarray(item["tensor"], dtype=float)
-            for item in doc["coefficients"]
-        }
-        return MultilinearPoly(tensors)
-    if kind == "quadform":
-        return QuadraticForm(np.asarray(doc["matrix"], dtype=float))
-    if kind == "ustat":
-        return UStatistic(int(doc["order"]), np.asarray(doc["kernel"], dtype=float))
-    if kind == "sup":
-        return SupFamily(tuple(function_from_json(m) for m in doc["members"]))
-    if kind == "chaos":
-        coeffs = {
-            tuple(item["subset"]): np.asarray(item["vector"], dtype=float)
-            for item in doc["coefficients"]
-        }
-        return VectorChaos(int(doc["order"]), int(doc["dim"]), coeffs, doc.get("norm", "l2"))
+        if kind == "table":
+            return Tabulated(np.asarray(doc["values"], dtype=float))
+        if kind == "poly":
+            tensors = {
+                int(item["order"]): np.asarray(item["tensor"], dtype=float)
+                for item in doc["coefficients"]
+            }
+            return MultilinearPoly(tensors)
+        if kind == "quadform":
+            return QuadraticForm(np.asarray(doc["matrix"], dtype=float))
+        if kind == "ustat":
+            return UStatistic(int(doc["order"]), np.asarray(doc["kernel"], dtype=float))
+        if kind == "sup":
+            return SupFamily(tuple(function_from_json(m) for m in doc["members"]))
+        if kind == "chaos":
+            coeffs = {
+                tuple(item["subset"]): np.asarray(item["vector"], dtype=float)
+                for item in doc["coefficients"]
+            }
+            return VectorChaos(int(doc["order"]), int(doc["dim"]), coeffs, doc.get("norm", "l2"))
+    except KeyError as exc:
+        raise SchemaError(f"function document is missing the key {exc}") from exc
     raise SchemaError(f"unknown function kind {kind!r}")
 
 
@@ -487,12 +484,7 @@ def fourier_transform(f, space: ProductSpace) -> FourierSpectrum:
     Walsh-Hadamard transform with a parity sign per subset.
     """
     _require_hypercube(space)
-    if isinstance(f, np.ndarray):
-        table = f.astype(float)
-        if table.shape != (space.size,):
-            raise DimensionMismatchError("table size mismatch")
-    else:
-        table = f.evaluate_table(space)
+    table = function_table(f, space)
     coeffs = _fwht(table) * _parity_signs(space.n) / space.size
     return FourierSpectrum(space.n, coeffs)
 

@@ -13,8 +13,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, UndefinedRatioError
-from .diffops import d_squared_field, h_osc_field, h_plus_field
-from .funcs import FunctionSpec
+from .diffops import d_squared_field, h_field
+from .funcs import function_table
 from .space import Measure, ProductMeasure, lp_norm, two_point_measure
 
 OPERATORS = ("d", "h", "h_plus")
@@ -22,19 +22,10 @@ OPERATORS = ("d", "h", "h_plus")
 _TINY = 1e-300
 
 
-def _table_of(f, mu: Measure) -> np.ndarray:
-    if isinstance(f, FunctionSpec):
-        return f.evaluate_table(mu.space)
-    table = np.asarray(f, dtype=float)
-    if table.shape != (mu.space.size,):
-        raise DomainError(f"table has shape {table.shape}, expected ({mu.space.size},)")
-    return table
-
-
 def dirichlet_form(mu: Measure, f) -> float:
     """E |d f|^2: the Dirichlet form of the single-site resampling dynamics."""
     mu.space.check_cap()
-    table = _table_of(f, mu)
+    table = function_table(f, mu.space)
     return float(np.dot(mu.prob_table(), d_squared_field(table, mu)))
 
 
@@ -42,11 +33,11 @@ def gamma_squared_mean(mu: Measure, f, operator: str) -> float:
     """E Gamma(f)^2 for Gamma in {d, h, h_plus}."""
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
-    table = _table_of(f, mu)
+    table = function_table(f, mu.space)
     w = mu.prob_table()
     if operator == "d":
         return float(np.dot(w, d_squared_field(table, mu)))
-    field_ = h_osc_field(table, mu) if operator == "h" else h_plus_field(table, mu)
+    field_ = h_field(table, mu, "osc" if operator == "h" else "plus")
     return float(np.dot(w, (field_**2).sum(axis=1)))
 
 
@@ -64,7 +55,7 @@ def _entropy_of_square(w: np.ndarray, table: np.ndarray) -> float:
 
 def lsi_ratio(mu: Measure, f, operator: str = "d") -> float:
     """Ent(f^2) / (2 E Gamma(f)^2); undefined for f constant on the support."""
-    table = _table_of(f, mu)
+    table = function_table(f, mu.space)
     w = mu.prob_table()
     support = w > 0.0
     vals = table[support]

@@ -476,7 +476,7 @@ def glauber_sample(
         chain.sweep()
         if s % thinning == 0:
             out.append(chain.state)
-    return np.asarray(out, dtype=float)
+    return np.asarray(out, dtype=float).reshape(len(out), measure.space.n)
 
 
 # ---------------------------------------------------------------------------

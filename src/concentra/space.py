@@ -443,21 +443,11 @@ def two_point_measure(p: float) -> ExactMeasure:
     return ExactMeasure(binary(1), np.array([1.0 - p, p]))
 
 
-def _as_table(g, mu: Measure) -> np.ndarray:
-    """Materialize a function (table, callable or FunctionSpec) over the enumeration."""
-    if isinstance(g, np.ndarray):
-        if g.shape != (mu.space.size,):
-            raise DomainError(f"table has shape {g.shape}, expected ({mu.space.size},)")
-        return g.astype(float)
-    if hasattr(g, "evaluate_table"):
-        return g.evaluate_table(mu.space)
-    configs = enumerate_configurations(mu.space)
-    return np.array([float(g(row)) for row in configs])
-
-
 def entropy_functional(mu: Measure, g) -> float:
     """Ent(g) = E g log g - (E g) log(E g) for nonnegative g, with 0 log 0 = 0."""
-    table = _as_table(g, mu)
+    from .funcs import function_table  # funcs builds on this module
+
+    table = function_table(g, mu.space)
     w = mu.prob_table()
     support = w > 0.0
     vals = table[support]
@@ -476,7 +466,9 @@ def lp_norm(mu: Measure, f, p: float, centered: bool = True) -> float:
     """(E |f - [centered] E f|^p)^(1/p) by exact summation."""
     if p < 1.0:
         raise DomainError(f"p={p} < 1")
-    table = _as_table(f, mu)
+    from .funcs import function_table  # funcs builds on this module
+
+    table = function_table(f, mu.space)
     w = mu.prob_table()
     shift = float(np.dot(w, table)) if centered else 0.0
     dev = np.abs(table - shift)

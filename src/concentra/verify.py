@@ -21,7 +21,7 @@ from .bounds import Regime, TailBound, bound_general, dlsi, independent
 from .diffops import (
     NormProfile,
     d_squared_field,
-    h_plus_field,
+    h_field,
     h_tensor_field,
     norm_profile,
 )
@@ -34,6 +34,7 @@ from .funcs import (
     Tabulated,
     UStatistic,
     fourier_transform,
+    function_table,
     spectrum_from_coefficients,
 )
 from .lsi import lsi_constant_search, verify_h_lsi_product, psi2_blowup_study
@@ -124,7 +125,7 @@ def tail_curve(
         raise DomainError("t grid must be nondecreasing")
     if mode == "exact":
         mu.space.check_cap()
-        table = f.evaluate_table(mu.space) if isinstance(f, FunctionSpec) else np.asarray(f, dtype=float)
+        table = function_table(f, mu.space)
         w = mu.prob_table()
         mean = float(np.dot(w, table)) if center is None else center
         dev = table - mean
@@ -141,9 +142,7 @@ def tail_curve(
     if samples is None or len(samples) == 0:
         raise DomainError("monte_carlo mode needs sample configurations")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    values = f.evaluate_batch(samples) if isinstance(f, FunctionSpec) else np.array(
-        [float(f(row)) for row in samples]
-    )
+    values = f.evaluate_rows(mu.space, samples)
     mean = float(values.mean()) if center is None else center
     dev = values - mean
     dev = np.abs(dev) if side == "two" else dev
@@ -329,7 +328,7 @@ def check_d_moment_inequality(
 ) -> MomentChainReport:
     """First-order display under a d-operator LSI:
     ||f - Ef||_p <= (2 sigma^2 (p - 3/2))^(1/2) ||df||_p."""
-    table = f.evaluate_table(mu.space) if isinstance(f, FunctionSpec) else np.asarray(f, dtype=float)
+    table = function_table(f, mu.space)
     w = mu.prob_table()
     d_sq = d_squared_field(table, mu)
     lhs, rhs = [], []
@@ -384,9 +383,9 @@ def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> Pointwi
     """
     if d < 2:
         raise DomainError("the recursion lemma needs d >= 2")
-    table = f.evaluate_table(mu.space) if isinstance(f, FunctionSpec) else np.asarray(f, dtype=float)
+    table = function_table(f, mu.space)
     inner = _op_norm_field(table, mu, d - 1, restarts=8 if d - 1 >= 3 else 1)
-    lhs = np.linalg.norm(h_plus_field(inner, mu), axis=1)
+    lhs = np.linalg.norm(h_field(inner, mu, "plus"), axis=1)
     rhs = _op_norm_field(table, mu, d, restarts=8 if d >= 3 else 1)
     support = mu.support_mask()
     margins = lhs[support] - rhs[support]
@@ -397,11 +396,11 @@ def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> Pointwi
 def check_sup_lemma(family: SupFamily, mu: Measure, slack: float = 1e-12) -> PointwiseReport:
     """Pointwise |h+ g| <= sup over members of |h+ |member|| for g the family sup."""
     g_table = family.evaluate_table(mu.space)
-    lhs = np.linalg.norm(h_plus_field(g_table, mu), axis=1)
+    lhs = np.linalg.norm(h_field(g_table, mu, "plus"), axis=1)
     member_plus = []
     for member in family.members:
         abs_table = np.abs(member.evaluate_table(mu.space))
-        member_plus.append(np.linalg.norm(h_plus_field(abs_table, mu), axis=1))
+        member_plus.append(np.linalg.norm(h_field(abs_table, mu, "plus"), axis=1))
     rhs = np.stack(member_plus).max(axis=0)
     support = mu.support_mask()
     margins = lhs[support] - rhs[support]

@@ -284,3 +284,94 @@ class TestCommands:
         assert lines[0] == "t,raw_bound,clipped_bound,active_level"
         assert len(lines) == 5
         assert float(lines[1].split(",")[2]) == 1.0  # clipped value at t = 0
+
+
+_RAD3 = {"kind": "rademacher", "n": 3}
+_GENERAL_D1 = {
+    "kind": "general",
+    "regime": {"kind": "independent", "d": 1},
+    "profile": {"d": 1, "gamma": [1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("verify-tail", {"model": _RAD3, "function": {"kind": "table"},
+                         "bound": _GENERAL_D1, "t_grid": [1.0]}),
+        ("sample", {"model": {"kind": "ergm", "vertices": 3, "motifs": [{}], "beta": [0.1]},
+                    "sweeps": 1}),
+        ("sample", {"model": {"kind": "ergm", "vertices": 3, "motifs": [5], "beta": [0.1]},
+                    "sweeps": 1}),
+        ("sample", {"model": {"kind": "rademacher", "n": "x"}, "sweeps": 1}),
+        ("bound", {"bound": dict(_GENERAL_D1, profile={"d": 1}), "t_grid": [1.0]}),
+        ("bound", {"bound": _GENERAL_D1, "t_grid": {"start": 0.0, "stop": 1.0, "count": -3}}),
+        ("bound", {"bound": _GENERAL_D1, "t_grid": {"start": 0.0, "stop": 1.0, "count": 0}}),
+        ("bound", {"bound": _GENERAL_D1,
+                   "t_grid": {"start": 0.0, "stop": float("inf"), "count": 3}}),
+        ("bound", {"bound": _GENERAL_D1, "t_grid": []}),
+        ("bound", {"bound": _GENERAL_D1, "t_grid": [0.0, "x"]}),
+        ("verify-tail", {"model": _RAD3, "function": {"kind": "poly", "coefficients": [
+            {"order": 1, "tensor": [1.0, 1.0, 1.0]}]},
+            "bound": _GENERAL_D1, "t_grid": [float("nan"), 1.0]}),
+        ("verify-tail", {"model": _RAD3, "function": {"kind": "poly", "coefficients": [
+            {"order": 1, "tensor": [1.0, 1.0, 1.0]}]},
+            "bound": _GENERAL_D1, "t_grid": [1.0, float("-inf")]}),
+    ],
+    ids=["table-without-values", "motif-without-edges", "motif-not-an-object", "n-not-a-number",
+         "profile-without-gamma", "t-grid-negative-count", "t-grid-zero-count",
+         "t-grid-infinite-stop", "t-grid-empty", "t-grid-not-a-number", "t-grid-nan",
+         "t-grid-minus-inf"],
+)
+def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, "bad.json", doc)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_sample_thinning_past_sweeps_writes_empty_stream(tmp_path, fmt):
+    from concentra.models import read_samples_binary
+    from concentra.space import rademacher
+
+    cfg = write_config(
+        tmp_path, "s.json", {"model": _RAD3, "sweeps": 1, "thinning": 2, "format": fmt}
+    )
+    rc = main(["sample", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
+    if fmt == "csv":
+        assert (tmp_path / "out" / "samples.csv").read_text() == ""
+    else:
+        back = read_samples_binary(tmp_path / "out" / "samples.bin", rademacher(3).space)
+        assert back.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        {"kind": "table", "values": [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]},
+        {"kind": "ustat", "order": 2, "kernel": [[1.0, 0.0], [0.0, 1.0]]},
+    ],
+    ids=["table", "ustat"],
+)
+def test_verify_tail_monte_carlo_space_bound_functions(tmp_path, function):
+    cfg = write_config(
+        tmp_path,
+        "mc.json",
+        {
+            "model": _RAD3,
+            "function": function,
+            "bound": {"kind": "general", "regime": {"kind": "independent", "d": 1},
+                      "profile": {"d": 1, "gamma": [2.0]}},
+            "t_grid": [0.0, 0.5, 1.0, 2.0],
+            "seed": 1,
+            "samples": 200,
+            "burn_in": 5,
+        },
+    )
+    rc = main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", "mc"])
+    assert rc in (EXIT_OK, EXIT_VIOLATION)
+    assert (tmp_path / "out" / "tail_curve.csv").exists()

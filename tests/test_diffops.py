@@ -9,8 +9,7 @@ from concentra.diffops import (
     d_operator,
     d_squared_field,
     h_component,
-    h_osc_field,
-    h_plus_field,
+    h_field,
     h_tensor,
     h_tensor_field,
     h_vector,
@@ -129,13 +128,11 @@ class TestHTensor:
         assert np.all(tensor >= 0.0)
 
     def test_minus_field_mirrors_plus_of_negation(self):
-        from concentra.diffops import h_minus_field
-
         rng = np.random.default_rng(12)
         mu = bernoulli_product(3, 0.4)
         table = rng.standard_normal(8)
         np.testing.assert_allclose(
-            h_minus_field(table, mu), h_plus_field(-table, mu), atol=1e-12
+            h_field(table, mu, "minus"), h_field(-table, mu, "plus"), atol=1e-12
         )
 
     def test_assignment_grid_cap(self):
@@ -267,8 +264,205 @@ class TestRecursionInequalityPointwise:
             mu = rademacher(n)
             for _ in range(10):
                 table = rng.standard_normal(mu.space.size)
-                inner = np.linalg.norm(h_osc_field(table, mu), axis=1)
-                lhs = np.linalg.norm(h_plus_field(inner, mu), axis=1)
+                inner = np.linalg.norm(h_field(table, mu, "osc"), axis=1)
+                lhs = np.linalg.norm(h_field(inner, mu, "plus"), axis=1)
                 field = h_tensor_field(table, mu, 2)
                 rhs = np.array([op_norm(t, restarts=2).value for t in field])
                 assert np.all(lhs <= rhs + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# An independent reference: inclusion-exclusion, one evaluate_on call per row
+# ---------------------------------------------------------------------------
+
+
+def oracle_h_tensor(f, mu, x, k):
+    """max over (original, prime) assignments of |sum_{S in combo} (-1)^|S| f(.)|."""
+    from itertools import combinations, permutations
+
+    n = mu.space.n
+    supports = [mu.space.value_grid(i)[mu.coordinate_support(i)] for i in range(n)]
+    out = np.zeros((n,) * k)
+    for combo in combinations(range(n), k):
+        best = 0.0
+        for originals in product(*(supports[i] for i in combo)):
+            for primes in product(*(supports[i] for i in combo)):
+                total = 0.0
+                for subset in product((0, 1), repeat=k):
+                    row = np.array(x, dtype=float)
+                    for slot, i in enumerate(combo):
+                        row[i] = primes[slot] if subset[slot] else originals[slot]
+                    total += (-1) ** sum(subset) * f.evaluate_on(mu.space, row)
+                best = max(best, abs(total))
+        for perm in permutations(combo):
+            out[perm] = best
+    return out
+
+
+def oracle_h_component(f, mu, x, i, variant):
+    here = f.evaluate_on(mu.space, x)
+    section = []
+    for v in mu.space.value_grid(i)[mu.coordinate_support(i)]:
+        row = np.array(x, dtype=float)
+        row[i] = v
+        section.append(f.evaluate_on(mu.space, row))
+    if variant == "osc":
+        return max(section) - min(section)
+    if variant == "plus":
+        return max(here - min(section), 0.0)
+    return max(max(section) - here, 0.0)
+
+
+def oracle_d_parts(f, mu, x):
+    parts = []
+    for i in range(mu.space.n):
+        cond = mu.conditional(x, i)
+        vals = []
+        for v in mu.space.value_grid(i):
+            row = np.array(x, dtype=float)
+            row[i] = v
+            vals.append(f.evaluate_on(mu.space, row))
+        mean = sum(c * v for c, v in zip(cond, vals))
+        parts.append(math.sqrt(max(sum(c * (v - mean) ** 2 for c, v in zip(cond, vals)), 0.0)))
+    return np.array(parts)
+
+
+def _ternary_case():
+    from concentra.space import ExactMeasure, ProductSpace
+
+    rng = np.random.default_rng(31)
+    space = ProductSpace(((0.0, 1.0, 2.0),) * 3)
+    weights = rng.uniform(0.1, 1.0, 27)
+    return ExactMeasure(space, weights / weights.sum()), Tabulated(rng.standard_normal(27))
+
+
+def _partial_support_case():
+    from concentra.space import ProductMeasure, ProductSpace
+
+    rng = np.random.default_rng(32)
+    space = ProductSpace(((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 1.0)))
+    mu = ProductMeasure(space, [np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5]),
+                                np.array([0.4, 0.6])])
+    return mu, Tabulated(rng.standard_normal(18))
+
+
+def _ustat_case():
+    from concentra.funcs import UStatistic
+    from concentra.space import ProductSpace, uniform
+
+    # a symmetric order-3 kernel on {0, 1}: its value depends on the count of ones
+    kernel = np.array([0.5, -1.0, 2.0, 0.25])[np.indices((2, 2, 2)).sum(axis=0)]
+    return uniform(ProductSpace(((0.0, 1.0),) * 4)), UStatistic(3, kernel)
+
+
+def _sup_case():
+    from concentra.funcs import SupFamily
+
+    rng = np.random.default_rng(33)
+    A = rng.standard_normal((4, 4))
+    A = (A + A.T) / 2
+    np.fill_diagonal(A, 0.0)
+    members = (QuadraticForm(A), Tabulated(rng.standard_normal(16)),
+               MultilinearPoly({1: rng.standard_normal(4)}))
+    return bernoulli_product(4, 0.3), SupFamily(members)
+
+
+ORACLE_CASES = {
+    "ternary": _ternary_case,
+    "partial-support": _partial_support_case,
+    "ustat": _ustat_case,
+    "sup-family": _sup_case,
+}
+
+
+def _oracle_points(mu, count=5):
+    """A few configurations, off-support ones included."""
+    configs = enumerate_configurations(mu.space)
+    picks = np.random.default_rng(34).choice(len(configs), size=count, replace=False)
+    return configs[np.sort(picks)]
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+class TestOperatorsAgainstOracle:
+    def test_h_tensor(self, case):
+        mu, f = ORACLE_CASES[case]()
+        table = f.evaluate_table(mu.space)
+        for k in (1, 2, 3):
+            field = h_tensor_field(table, mu, k)
+            for x in _oracle_points(mu):
+                got = h_tensor(f, mu, x, k)
+                np.testing.assert_allclose(got, oracle_h_tensor(f, mu, x, k), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    got, field[mu.space.index_of(x)], rtol=0, atol=1e-12
+                )
+
+    def test_h_component_and_vector(self, case):
+        mu, f = ORACLE_CASES[case]()
+        table = f.evaluate_table(mu.space)
+        for variant in ("osc", "plus", "minus"):
+            field = h_field(table, mu, variant)
+            for x in _oracle_points(mu):
+                expected = [oracle_h_component(f, mu, x, i, variant) for i in range(mu.space.n)]
+                got = [h_component(f, mu, x, i, variant) for i in range(mu.space.n)]
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(h_vector(f, mu, x, variant), expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(field[mu.space.index_of(x)], expected, rtol=0, atol=1e-12)
+
+    def test_d_operator(self, case):
+        mu, f = ORACLE_CASES[case]()
+        field = d_squared_field(f.evaluate_table(mu.space), mu)
+        for x in _oracle_points(mu):
+            if not mu.support_mask()[mu.space.index_of(x)]:
+                continue  # conditionals are undefined off the support
+            parts, total = d_operator(f, mu, x)
+            np.testing.assert_allclose(parts, oracle_d_parts(f, mu, x), rtol=0, atol=1e-12)
+            assert total**2 == pytest.approx(field[mu.space.index_of(x)], abs=1e-12)
+
+    def test_monte_carlo_profile(self, case):
+        from concentra.tensors import op_norm_batch
+
+        mu, f = ORACLE_CASES[case]()
+        points = _oracle_points(mu, count=6)
+        profile = norm_profile(f, mu, 2, mode="monte_carlo", samples=points, restarts=2)
+        level1 = op_norm_batch(np.stack([oracle_h_tensor(f, mu, x, 1) for x in points]), restarts=2)
+        level2 = op_norm_batch(np.stack([oracle_h_tensor(f, mu, x, 2) for x in points]), restarts=2)
+        assert profile.gamma[0] == pytest.approx(float(level1.mean()), abs=1e-12)
+        assert profile.gamma[1] == pytest.approx(float(level2.max()), abs=1e-12)
+
+
+class TestOneEvaluationPerSectionGrid:
+    @staticmethod
+    def _count_calls(monkeypatch, f):
+        calls = []
+        original = f.evaluate_rows
+
+        def counted(space, rows):
+            calls.append(len(rows))
+            return original(space, rows)
+
+        monkeypatch.setattr(f, "evaluate_rows", counted)
+        return calls
+
+    def test_pointwise_operators(self, monkeypatch):
+        mu = rademacher(5)
+        f = MultilinearPoly({1: np.arange(5.0)})
+        calls = self._count_calls(monkeypatch, f)
+        x = [1.0, -1.0, 1.0, 1.0, -1.0]
+        h_tensor(f, mu, x, 2)
+        assert len(calls) == math.comb(5, 2)
+        del calls[:]
+        h_vector(f, mu, x, "plus")
+        h_component(f, mu, x, 3, "minus")
+        d_operator(f, mu, x)
+        assert len(calls) == 3
+
+    def test_monte_carlo_profile_calls_do_not_grow_with_samples(self, monkeypatch):
+        mu = rademacher(5)
+        f = MultilinearPoly({1: np.arange(5.0)})
+        calls = self._count_calls(monkeypatch, f)
+        samples = np.random.default_rng(35).choice([-1.0, 1.0], size=(64, 5))
+        norm_profile(f, mu, 2, mode="monte_carlo", samples=samples[:1], restarts=1)
+        one = len(calls)
+        del calls[:]
+        norm_profile(f, mu, 2, mode="monte_carlo", samples=samples, restarts=1)
+        assert len(calls) == one == 5 + math.comb(5, 2)

@@ -66,6 +66,31 @@ class TestTailCurve:
         # |sum of three signs| >= 2 only at +-3, probability 1/4
         assert curve.prob[1] == pytest.approx(0.25, abs=0.05)
 
+    @pytest.mark.parametrize("side", ["two", "upper"])
+    def test_monte_carlo_tabulated_uses_table_at_sample_rows(self, side):
+        rng = np.random.default_rng(21)
+        mu = rademacher(4)
+        table = rng.standard_normal(16)
+        samples = rng.choice([-1.0, 1.0], size=(300, 4))
+        grid = [0.0, 0.25, 0.5, 1.0, 2.0]
+        curve = tail_curve(mu, Tabulated(table), grid, mode="monte_carlo", side=side, samples=samples)
+        values = table[[mu.space.index_of(row) for row in samples]]
+        mean = float(values.mean())
+        dev = np.abs(values - mean) if side == "two" else values - mean
+        counts = [int(np.count_nonzero(dev >= t)) for t in grid]
+        assert curve.center == mean
+        assert curve.prob.tolist() == [c / 300 for c in counts]
+        assert curve.upper.tolist() == [clopper_pearson_upper(c, 300) for c in counts]
+
+    def test_monte_carlo_ustatistic(self):
+        rng = np.random.default_rng(22)
+        mu = rademacher(4)
+        u = UStatistic(2, np.array([[1.0, -1.0], [-1.0, 2.0]]))
+        samples = rng.choice([-1.0, 1.0], size=(50, 4))
+        curve = tail_curve(mu, u, [0.0, 1.0], mode="monte_carlo", samples=samples)
+        values = np.array([u.evaluate_on(mu.space, row) for row in samples])
+        assert curve.center == pytest.approx(float(values.mean()), abs=1e-12)
+
     def test_grid_must_be_sorted(self):
         with pytest.raises(DomainError):
             tail_curve(rademacher(1), np.array([0.0, 1.0]), [1.0, 0.5])
