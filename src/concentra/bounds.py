@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import DomainError
 from .diffops import NormProfile
+from .schema import array, boolean, reads, real, text
 from .tensors import Partition, enumerate_partitions, hs_norm, op_norm
 
 INDEPENDENT_C_FACTOR = 217.0
 DLSI_C_FACTOR = 15.0
+CHAOS_VARIANTS = ("upper", "two_sided")
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class Regime:
         if self.d < 1:
             raise DomainError("regime order must be >= 1")
         if self.kind == "dlsi":
-            if self.sigma2 is None or self.sigma2 <= 0.0:
+            if self.sigma2 is None or not self.sigma2 > 0.0:
                 raise DomainError("dlsi regime needs sigma2 > 0")
 
     @property
@@ -72,12 +74,12 @@ class TailBound:
     label: str = ""
 
     def __post_init__(self):
-        if self.constant <= 0.0:
+        if not self.constant > 0.0:
             raise DomainError("bound constant must be positive")
         for order, gamma in self.levels:
-            if order <= 0:
+            if not order > 0:
                 raise DomainError("level orders must be positive")
-            if gamma < 0:
+            if not gamma >= 0:
                 raise DomainError("level scales must be nonnegative")
 
     def exponent(self, t: float) -> float:
@@ -129,13 +131,11 @@ class TailBound:
 
     @staticmethod
     def from_json(doc: dict) -> "TailBound":
-        return TailBound(
-            tuple((float(k), float(g)) for k, g in doc["levels"]),
-            float(doc["constant"]),
-            float(doc.get("prefactor", 2.0)),
-            bool(doc.get("one_sided", False)),
-            str(doc.get("label", "")),
-        )
+        return reads(
+            lambda levels, *rest: TailBound(tuple(map(tuple, levels.tolist())), *rest),
+            ("levels", array((None, 2))), ("constant", real), ("prefactor", real, 2.0),
+            ("one_sided", boolean, False), ("label", text, ""),
+        )(doc)
 
 
 def bound_general(profile: NormProfile, regime: Regime) -> TailBound:
@@ -184,7 +184,7 @@ def bound_chaos(
         raise DomainError("sigma2 must be positive")
     if len(expected_w) != d:
         raise DomainError(f"need {d} levels for order {d}")
-    if variant not in ("upper", "two_sided"):
+    if variant not in CHAOS_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     constant = 2.0 * math.e**2 * sigma2 * (b - a) ** 2 * d**2
     levels = tuple((float(k + 1), float(w)) for k, w in enumerate(expected_w))
@@ -353,8 +353,8 @@ def hanson_wright(A: np.ndarray, M: float, regime: Regime) -> TailBound:
     The regime must have order 2; A must be symmetric with zero diagonal.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("need a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise DomainError("need a non-empty square matrix")
     if not np.allclose(A, A.T, atol=1e-12):
         raise DomainError("matrix must be symmetric")
     if np.any(np.diag(A) != 0.0):

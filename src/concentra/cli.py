@@ -20,15 +20,18 @@ from . import models, verify
 from .diffops import NormProfile, norm_profile
 from .errors import ConcentraError, SchemaError
 from .funcs import function_from_json, fourier_transform
-from .lsi import lsi_constant_search
+from .lsi import OPERATORS, lsi_constant_search
+from .schema import array, boolean, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector
 from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
-from .bounds import Regime
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_VIOLATION = 3
 
 JOBS_ENV_VAR = "CONCENTRA_JOBS"
+MODES = ("exact", "mc")
+COUNT, SEED = integer(1), integer(0)
+EDGES = array((None, 2), int)
 
 
 def _fmt(x: float) -> str:
@@ -54,158 +57,102 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}")
+    except OSError as exc:
+        raise SchemaError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SchemaError(f"config is not valid JSON: {exc}") from None
 
 
-def _convert(value, kind, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _require(config: dict, key: str, kind=None):
-    """config[key], converted by `kind` (int or float) when given."""
-    if not isinstance(config, dict) or key not in config:
-        raise SchemaError(f"config is missing the required key {key!r}")
-    return config[key] if kind is None else _convert(config[key], kind, repr(key))
+MODEL_KINDS = {
+    "rademacher": reads(rademacher, ("n", COUNT)),
+    "bernoulli": reads(bernoulli_product, ("n", COUNT), ("p", real)),
+    "ising": reads(
+        lambda J, h: models.build_ising(models.IsingSpec(J, h))[0], ("coupling", matrix), ("field", vector)
+    ),
+    "curie_weiss": reads(
+        lambda *a: models.build_ising(models.curie_weiss_spec(*a))[0],
+        ("n", COUNT), ("beta", real), ("field", real, 0.0),
+    ),
+    "coloring": reads(
+        lambda edges, *a: models.build_coloring(edges.tolist(), *a)[0],
+        ("edges", EDGES), ("vertices", COUNT), ("colors", COUNT),
+    ),
+    "ergm": reads(
+        lambda *a: models.build_ergm(models.ErgmSpec(*a))[0],
+        ("vertices", COUNT),
+        ("motifs", list_of(reads(lambda e: models.Motif(tuple(map(tuple, e.tolist()))), ("edges", EDGES)))),
+        ("beta", floats),
+    ),
+    "measure": reads(measure_from_json, ("document", document)),
+}
 
 
 def build_model(doc: dict) -> Measure:
-    if not isinstance(doc, dict):
-        raise SchemaError("model must be an object")
-    kind = _require(doc, "kind")
-    if kind == "rademacher":
-        return rademacher(_require(doc, "n", int))
-    if kind == "bernoulli":
-        return bernoulli_product(_require(doc, "n", int), _require(doc, "p", float))
-    if kind == "ising":
-        spec = models.IsingSpec(
-            np.asarray(_require(doc, "coupling"), dtype=float),
-            np.asarray(_require(doc, "field"), dtype=float),
-        )
-        return models.build_ising(spec)[0]
-    if kind == "curie_weiss":
-        spec = models.curie_weiss_spec(
-            _require(doc, "n", int), _require(doc, "beta", float), float(doc.get("field", 0.0))
-        )
-        return models.build_ising(spec)[0]
-    if kind == "coloring":
-        return models.build_coloring(
-            [tuple(e) for e in _require(doc, "edges")],
-            _require(doc, "vertices", int),
-            _require(doc, "colors", int),
-        )[0]
-    if kind == "ergm":
-        motifs = tuple(
-            models.Motif(tuple(tuple(e) for e in _require(m, "edges"))) for m in _require(doc, "motifs")
-        )
-        spec = models.ErgmSpec(_require(doc, "vertices", int), motifs, tuple(_require(doc, "beta")))
-        return models.build_ergm(spec)[0]
-    if kind == "measure":
-        return measure_from_json(_require(doc, "document"))
-    raise SchemaError(f"unknown model kind {kind!r}")
+    return dispatch(doc, MODEL_KINDS, "model")
 
 
-def build_regime(doc: dict) -> Regime:
-    kind = _require(doc, "kind")
-    d = _require(doc, "d", int)
-    if kind == "independent":
-        return bounds_mod.independent(d)
-    if kind == "dlsi":
-        return bounds_mod.dlsi(_require(doc, "sigma2", float), d)
-    raise SchemaError(f"unknown regime kind {kind!r}")
+MODEL = ("model", lambda doc, _: build_model(doc))
+FUNCTION = ("function", lambda doc, _: function_from_json(doc))
+
+
+REGIME_KINDS = {
+    "independent": reads(bounds_mod.independent, ("d", COUNT)),
+    "dlsi": reads(bounds_mod.dlsi, ("sigma2", real), ("d", COUNT)),
+}
+
+
+REGIME = ("regime", lambda doc, _: dispatch(doc, REGIME_KINDS, "regime"))
+
+
+def _bound_general(doc: dict, config: dict) -> bounds_mod.TailBound:
+    regime = field(doc, *REGIME)
+    profile = field(doc, "profile", lambda profile, _: NormProfile.from_json(profile), None)
+    if profile is None:
+        profile = norm_profile(field(config, *FUNCTION), field(config, *MODEL), regime.d)
+    return bounds_mod.bound_general(profile, regime)
+
+
+def _bound_polynomial(doc: dict, config: dict) -> bounds_mod.TailBound:
+    d, sigma, c_user = field(doc, "d", COUNT), field(doc, "sigma", real), field(doc, "c_user", real, None)
+    norms = bounds_mod.polynomial_partition_norms(field(config, *FUNCTION), field(config, *MODEL), d)
+    return bounds_mod.bound_polynomial(norms, sigma, d, c_user)
+
+
+BOUND_KINDS = {
+    "general": _bound_general,
+    "suprema": reads(bounds_mod.bound_suprema, ("expected_w", vector, ()), ("w_top_sup", real), REGIME),
+    "chaos": reads(
+        bounds_mod.bound_chaos, ("expected_w", vector), ("sigma2", real), ("a", real), ("b", real),
+        ("d", COUNT), ("variant", choice(*bounds_mod.CHAOS_VARIANTS), "upper"),
+    ),
+    "boolean": reads(bounds_mod.bound_boolean, ("weights", vector), ("d", COUNT)),
+    "ustat": reads(
+        bounds_mod.bound_ustat, ("B", real), ("n", COUNT), ("d", COUNT), REGIME, ("normalized", boolean, False)
+    ),
+    "hanson_wright": reads(bounds_mod.hanson_wright, ("matrix", matrix), ("M", real), REGIME),
+    "moment": reads(
+        lambda *a: bounds_mod.moment_to_tail(bounds_mod.MomentProfile(*a)),
+        ("coefficients", floats), ("shift", real, 0.0),
+    ),
+    "ergm_triangle": reads(
+        bounds_mod.bound_ergm_triangle, ("n", COUNT), ("c_two_star", real), ("c_edge", real), ("c_user", real)
+    ),
+    "polynomial": _bound_polynomial,
+}
 
 
 def build_bound(config: dict) -> bounds_mod.TailBound:
-    doc = _require(config, "bound")
-    kind = _require(doc, "kind")
-    if kind == "general":
-        regime = build_regime(_require(doc, "regime"))
-        if "profile" in doc:
-            profile = NormProfile.from_json(doc["profile"])
-        else:
-            mu = build_model(_require(config, "model"))
-            f = function_from_json(_require(config, "function"))
-            profile = norm_profile(f, mu, regime.d)
-        return bounds_mod.bound_general(profile, regime)
-    if kind == "suprema":
-        regime = build_regime(_require(doc, "regime"))
-        return bounds_mod.bound_suprema(
-            [float(v) for v in doc.get("expected_w", [])],
-            _require(doc, "w_top_sup", float),
-            regime,
-        )
-    if kind == "chaos":
-        return bounds_mod.bound_chaos(
-            [float(v) for v in _require(doc, "expected_w")],
-            _require(doc, "sigma2", float),
-            _require(doc, "a", float),
-            _require(doc, "b", float),
-            _require(doc, "d", int),
-            doc.get("variant", "upper"),
-        )
-    if kind == "boolean":
-        return bounds_mod.bound_boolean(
-            [float(v) for v in _require(doc, "weights")], _require(doc, "d", int)
-        )
-    if kind == "ustat":
-        regime = build_regime(_require(doc, "regime"))
-        return bounds_mod.bound_ustat(
-            _require(doc, "B", float),
-            _require(doc, "n", int),
-            _require(doc, "d", int),
-            regime,
-            bool(doc.get("normalized", False)),
-        )
-    if kind == "hanson_wright":
-        regime = build_regime(_require(doc, "regime"))
-        return bounds_mod.hanson_wright(
-            np.asarray(_require(doc, "matrix"), dtype=float),
-            _require(doc, "M", float),
-            regime,
-        )
-    if kind == "moment":
-        profile = bounds_mod.MomentProfile(
-            tuple(float(c) for c in _require(doc, "coefficients")),
-            float(doc.get("shift", 0.0)),
-        )
-        return bounds_mod.moment_to_tail(profile)
-    if kind == "ergm_triangle":
-        return bounds_mod.bound_ergm_triangle(
-            _require(doc, "n", int),
-            _require(doc, "c_two_star", float),
-            _require(doc, "c_edge", float),
-            _require(doc, "c_user", float),
-        )
-    if kind == "polynomial":
-        mu = build_model(_require(config, "model"))
-        f = function_from_json(_require(config, "function"))
-        d = _require(doc, "d", int)
-        norms = bounds_mod.polynomial_partition_norms(f, mu, d)
-        return bounds_mod.bound_polynomial(
-            norms, _require(doc, "sigma", float), d, doc.get("c_user")
-        )
-    raise SchemaError(f"unknown bound kind {kind!r}")
+    return dispatch(field(config, "bound", document), BOUND_KINDS, "bound", config)
 
 
-def build_t_grid(doc) -> np.ndarray:
-    """A finite, non-empty grid from a list or {start, stop, count}."""
-    if isinstance(doc, list):
-        grid = np.asarray([_convert(t, float, "a t_grid entry") for t in doc])
-    elif isinstance(doc, dict):
-        count = _require(doc, "count", int)
-        if count < 1:
-            raise SchemaError(f"t_grid count must be at least 1, got {count}")
-        ends = [_require(doc, "start", float), _require(doc, "stop", float)]
-        grid = np.linspace(*ends, count) if np.all(np.isfinite(ends)) else np.array(ends)
+def build_t_grid(doc, what: str = "t_grid") -> np.ndarray:
+    """A finite, non-empty grid from a list or {start, stop, count}; a reader type."""
+    if isinstance(doc, dict):
+        grid = np.linspace(field(doc, "start", real), field(doc, "stop", real), field(doc, "count", COUNT))
     else:
-        raise SchemaError("t_grid must be a list or {start, stop, count}")
+        grid = vector(doc, what)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise SchemaError("t_grid must be non-empty and finite")
+        raise SchemaError(f"{what} must be non-empty and finite")
     return grid
 
 
@@ -230,35 +177,29 @@ def _bound_rows(bound: bounds_mod.TailBound, grid: np.ndarray) -> list[list]:
     return rows
 
 
-def cmd_bound(args) -> int:
-    config = _load_config(args.config)
+def cmd_bound(config: dict | None, args) -> int:
     bound = build_bound(config)
-    grid = build_t_grid(_require(config, "t_grid"))
+    grid = field(config, "t_grid", build_t_grid)
     out = _out_dir(args)
     _write_csv(out / "bound_curve.csv", ["t", "raw_bound", "clipped_bound", "active_level"], _bound_rows(bound, grid))
     print(f"wrote {out / 'bound_curve.csv'}")
     return EXIT_OK
 
 
-def cmd_verify_tail(args) -> int:
-    config = _load_config(args.config)
-    mu = build_model(_require(config, "model"))
-    f = function_from_json(_require(config, "function"))
+def cmd_verify_tail(config: dict | None, args) -> int:
+    mu, f = field(config, *MODEL), field(config, *FUNCTION)
     bound = build_bound(config)
-    grid = build_t_grid(_require(config, "t_grid"))
-    mode = args.mode if args.mode is not None else config.get("mode", "exact")
-    side = config.get("side", "upper" if bound.one_sided else "two")
+    grid = field(config, "t_grid", build_t_grid)
+    mode = args.mode if args.mode is not None else field(config, "mode", choice(*MODES), "exact")
+    side = field(config, "side", choice(*verify.TAIL_SIDES), "upper" if bound.one_sided else "two")
     if mode == "exact":
         curve = verify.tail_curve(mu, f, grid, mode="exact", side=side)
-    elif mode == "mc":
-        seed = int(config.get("seed", args.seed))
-        n_samples = int(config.get("samples", args.samples))
-        sample_rows = models.glauber_sample(
-            mu, sweeps=n_samples, burn_in=int(config.get("burn_in", 500)), seed=seed
-        )
-        curve = verify.tail_curve(mu, f, grid, mode="monte_carlo", side=side, samples=sample_rows)
     else:
-        raise SchemaError(f"unknown mode {mode!r}")
+        sample_rows = reads(
+            lambda sweeps, burn_in, seed: models.glauber_sample(mu, sweeps, burn_in, seed=seed),
+            ("samples", COUNT, args.samples), ("burn_in", integer(0), 500), ("seed", SEED, args.seed),
+        )(config)
+        curve = verify.tail_curve(mu, f, grid, mode="monte_carlo", side=side, samples=sample_rows)
     report = verify.check_domination(curve, bound)
     out = _out_dir(args)
     rows = [
@@ -271,12 +212,10 @@ def cmd_verify_tail(args) -> int:
     return EXIT_OK if report.dominated else EXIT_VIOLATION
 
 
-def cmd_verify_moments(args) -> int:
-    config = _load_config(args.config)
-    mu = build_model(_require(config, "model"))
-    f = function_from_json(_require(config, "function"))
-    regime = build_regime(_require(config, "regime"))
-    p_grid = [float(p) for p in _require(config, "p_grid")]
+def cmd_verify_moments(config: dict | None, args) -> int:
+    mu, f = field(config, *MODEL), field(config, *FUNCTION)
+    regime = field(config, *REGIME)
+    p_grid = field(config, "p_grid", vector).tolist()
     report = verify.check_moment_chain(mu, f, regime.d, p_grid, regime)
     out = _out_dir(args)
     rows = [
@@ -289,26 +228,20 @@ def cmd_verify_moments(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def cmd_lsi(args) -> int:
-    config = _load_config(args.config)
-    mu = build_model(_require(config, "model"))
-    report = lsi_constant_search(
-        mu,
-        operator=config.get("operator", "d"),
-        starts=int(config.get("starts", 32)),
-        seed=int(config.get("seed", args.seed)),
-    )
+def cmd_lsi(config: dict | None, args) -> int:
+    report = reads(
+        lsi_constant_search, MODEL, ("operator", choice(*OPERATORS), "d"), ("starts", COUNT, 32),
+        ("seed", SEED, args.seed),
+    )(config)
     out = _out_dir(args)
     _write_json(out / "lsi_report.json", report.to_json())
     print(f"best_ratio={_fmt(report.best_ratio)}")
     return EXIT_OK
 
 
-def cmd_fourier(args) -> int:
-    config = _load_config(args.config)
-    f = function_from_json(_require(config, "function"))
-    n = _require(config, "n", int)
-    space = hypercube(n)
+def cmd_fourier(config: dict | None, args) -> int:
+    f = field(config, *FUNCTION)
+    space = hypercube(field(config, "n", COUNT))
     spectrum = fourier_transform(f.evaluate_table(space), space)
     weights = spectrum.weights()
     out = _out_dir(args)
@@ -318,35 +251,26 @@ def cmd_fourier(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    config = _load_config(args.config)
-    mu = build_model(_require(config, "model"))
-    samples = models.glauber_sample(
-        mu,
-        sweeps=_require(config, "sweeps", int),
-        burn_in=int(config.get("burn_in", 0)),
-        thinning=int(config.get("thinning", 1)),
-        seed=int(config.get("seed", args.seed)),
-    )
+def cmd_sample(config: dict | None, args) -> int:
+    mu = field(config, *MODEL)
+    fmt = field(config, "format", choice("csv", "binary"), "csv")
+    samples = reads(
+        lambda *a: models.glauber_sample(mu, *a),
+        ("sweeps", COUNT), ("burn_in", integer(0), 0), ("thinning", COUNT, 1), ("seed", SEED, args.seed),
+    )(config)
     out = _out_dir(args)
-    fmt = config.get("format", "csv")
     if fmt == "csv":
         path = out / "samples.csv"
         models.write_samples_csv(path, samples)
-    elif fmt == "binary":
+    else:
         path = out / "samples.bin"
         models.write_samples_binary(path, samples, mu.space)
-    else:
-        raise SchemaError(f"unknown sample format {fmt!r}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_suite(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-    result = verify.run_suite(seed=args.seed, jobs=max(1, jobs))
+def cmd_suite(config: dict | None, args) -> int:
+    result = verify.run_suite(seed=args.seed, jobs=max(1, args.jobs))
     out = _out_dir(args)
     _write_json(out / "suite_report.json", result.to_json())
     rows = []
@@ -364,36 +288,41 @@ def cmd_suite(args) -> int:
     return EXIT_OK if result.all_passed else EXIT_VIOLATION
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concentra",
         description="Multilevel concentration bounds on finite product spaces, verified",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--mode", choices=["exact", "mc"], default=None, help="override mode")
-        p.add_argument("--samples", type=int, default=10_000, help="Monte Carlo sample count")
-        p.add_argument("--jobs", type=int, default=None, help=f"parallel workers (or ${JOBS_ENV_VAR})")
-
-    for name, handler in [
-        ("bound", cmd_bound),
-        ("verify-tail", cmd_verify_tail),
-        ("verify-moments", cmd_verify_moments),
-        ("lsi", cmd_lsi),
-        ("fourier", cmd_fourier),
-        ("sample", cmd_sample),
+    flags = {
+        "--config": dict(required=True, help="path to a JSON config"),
+        "--out": dict(default="out", help="output directory"),
+        "--seed": dict(type=_seed, default=0, help="random seed, a non-negative integer"),
+        "--mode": dict(choices=MODES, default=None, help="override the config's mode"),
+        "--samples": dict(type=int, default=10_000, help="Monte Carlo sample count"),
+        # argparse converts a string default with `type`, so a bad value exits 2.
+        "--jobs": dict(type=int, default=os.environ.get(JOBS_ENV_VAR, "1"),
+                       help=f"parallel workers (default ${JOBS_ENV_VAR}, else 1)"),
+    }
+    for name, handler, names in [
+        ("bound", cmd_bound, ("--config", "--out")),
+        ("verify-tail", cmd_verify_tail, ("--config", "--out", "--seed", "--mode", "--samples")),
+        ("verify-moments", cmd_verify_moments, ("--config", "--out")),
+        ("lsi", cmd_lsi, ("--config", "--out", "--seed")),
+        ("fourier", cmd_fourier, ("--config", "--out")),
+        ("sample", cmd_sample, ("--config", "--out", "--seed")),
+        ("suite", cmd_suite, ("--out", "--seed", "--jobs")),
     ]:
         p = sub.add_parser(name)
-        common(p)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(handler=handler)
-    p = sub.add_parser("suite")
-    common(p, needs_config=False)
-    p.set_defaults(handler=cmd_suite)
     return parser
 
 
@@ -401,7 +330,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_load_config(args.config) if "config" in args else None, args)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTooLargeError, SchemaError
+from .errors import DomainError, EnumerationTooLargeError
 from .funcs import FunctionSpec, function_table
+from .schema import boolean, choice, floats, integer, reads
 from .space import ENUMERATION_CAP, Measure
 from .tensors import op_norm_batch
 
@@ -245,7 +246,7 @@ class NormProfile:
     def __post_init__(self):
         if len(self.gamma) != self.d:
             raise DomainError(f"profile of depth {self.d} needs {self.d} levels")
-        if any(g < 0 for g in self.gamma):
+        if not all(g >= 0 for g in self.gamma):
             raise DomainError("norm profile levels must be nonnegative")
 
     def to_json(self) -> dict:
@@ -258,17 +259,10 @@ class NormProfile:
 
     @staticmethod
     def from_json(doc: dict) -> "NormProfile":
-        try:
-            d, gamma = int(doc["d"]), tuple(float(g) for g in doc["gamma"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid norm profile document: {exc!r}") from exc
-        return NormProfile(
-            d,
-            gamma,
-            doc.get("mode", "exact"),
-            tuple(doc["stderr"]) if "stderr" in doc else None,
-            bool(doc.get("sup_is_lower_estimate", False)),
-        )
+        return reads(
+            NormProfile, ("d", integer(1)), ("gamma", floats), ("mode", choice("exact", "monte_carlo"), "exact"),
+            ("stderr", floats, None), ("sup_is_lower_estimate", boolean, False),
+        )(doc)
 
 
 def norm_profile(

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, SchemaError
+from .errors import DimensionMismatchError, DomainError
+from .schema import array, choice, dispatch, document, field, integer, list_of, matrix, reads, vector
 from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations
 
 
@@ -334,8 +335,8 @@ class VectorChaos(FunctionSpec):
             vec = np.asarray(vec, dtype=float)
             if m is None:
                 m = vec.size
-            if vec.shape != (m,):
-                raise DomainError("all coefficient vectors must share one dimension")
+            if vec.shape != (m,) or m == 0:
+                raise DomainError("all coefficient vectors must share one positive dimension")
             clean[subset] = vec
         if not clean:
             raise DomainError("a vector chaos needs at least one coefficient")
@@ -387,34 +388,27 @@ def function_table(f, space: ProductSpace) -> np.ndarray:
     return table
 
 
+_COEFFICIENTS = ("coefficients", list_of(document))
+FUNCTION_KINDS = {
+    "table": reads(Tabulated, ("values", vector)),
+    "poly": reads(
+        lambda items: MultilinearPoly({field(c, "order", integer(1)): field(c, "tensor", array()) for c in items}),
+        _COEFFICIENTS,
+    ),
+    "quadform": reads(QuadraticForm, ("matrix", matrix)),
+    "ustat": reads(UStatistic, ("order", integer(1)), ("kernel", array())),
+    "sup": reads(lambda members: SupFamily(tuple(map(function_from_json, members))), ("members", list_of(document))),
+    "chaos": reads(
+        lambda order, dim, items, norm: VectorChaos(order, dim, {
+            tuple(field(c, "subset", array((None,), int)).tolist()): field(c, "vector", vector) for c in items
+        }, norm),
+        ("order", integer(1)), ("dim", integer(1)), _COEFFICIENTS, ("norm", choice(*_CHAOS_NORMS), "l2"),
+    ),
+}
+
+
 def function_from_json(doc: dict) -> FunctionSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("a function document must be an object")
-    try:
-        kind = doc["kind"]
-        if kind == "table":
-            return Tabulated(np.asarray(doc["values"], dtype=float))
-        if kind == "poly":
-            tensors = {
-                int(item["order"]): np.asarray(item["tensor"], dtype=float)
-                for item in doc["coefficients"]
-            }
-            return MultilinearPoly(tensors)
-        if kind == "quadform":
-            return QuadraticForm(np.asarray(doc["matrix"], dtype=float))
-        if kind == "ustat":
-            return UStatistic(int(doc["order"]), np.asarray(doc["kernel"], dtype=float))
-        if kind == "sup":
-            return SupFamily(tuple(function_from_json(m) for m in doc["members"]))
-        if kind == "chaos":
-            coeffs = {
-                tuple(item["subset"]): np.asarray(item["vector"], dtype=float)
-                for item in doc["coefficients"]
-            }
-            return VectorChaos(int(doc["order"]), int(doc["dim"]), coeffs, doc.get("norm", "l2"))
-    except KeyError as exc:
-        raise SchemaError(f"function document is missing the key {exc}") from exc
-    raise SchemaError(f"unknown function kind {kind!r}")
+    return dispatch(doc, FUNCTION_KINDS, "function")
 
 
 # ---------------------------------------------------------------------------

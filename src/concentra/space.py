@@ -19,6 +19,7 @@ from .errors import (
     UndefinedConditionalError,
     SchemaError,
 )
+from .schema import dispatch, document, field, floats, integer, list_of, vector
 
 ENUMERATION_CAP = 1 << 24
 
@@ -122,12 +123,8 @@ class ProductSpace:
 
     @staticmethod
     def from_json(doc: dict) -> "ProductSpace":
-        try:
-            alphabets = tuple(tuple(float(v) for v in a) for a in doc["alphabets"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"invalid space document: {exc}") from exc
-        space = ProductSpace(alphabets)
-        if "n" in doc and int(doc["n"]) != space.n:
+        space = ProductSpace(tuple(field(doc, "alphabets", list_of(floats))))
+        if field(doc, "n", integer(1), space.n) != space.n:
             raise SchemaError(f"declared n={doc['n']} does not match {space.n} alphabets")
         return space
 
@@ -233,8 +230,8 @@ class ExactMeasure(Measure):
         table = np.asarray(table, dtype=float)
         if table.shape != (space.size,):
             raise DomainError(f"table has shape {table.shape}, expected ({space.size},)")
-        if np.any(table < 0):
-            raise DomainError("probability table has negative entries")
+        if not np.all(np.isfinite(table)) or np.any(table < 0):
+            raise DomainError("probability table has negative or non-finite entries")
         if abs(float(table.sum()) - 1.0) > 1e-12:
             raise DomainError(f"probability table sums to {table.sum()!r}, not 1")
         self.table = table
@@ -290,8 +287,8 @@ class ProductMeasure(Measure):
             t = np.asarray(t, dtype=float)
             if t.shape != (space.shape[i],):
                 raise DomainError(f"marginal {i} has shape {t.shape}, expected ({space.shape[i]},)")
-            if np.any(t < 0):
-                raise DomainError(f"marginal {i} has negative entries")
+            if not np.all(np.isfinite(t)) or np.any(t < 0):
+                raise DomainError(f"marginal {i} has negative or non-finite entries")
             if abs(float(t.sum()) - 1.0) > 1e-12:
                 raise DomainError(f"marginal {i} sums to {t.sum()!r}, not 1")
             clean.append(t)
@@ -393,30 +390,27 @@ class GibbsMeasure(Measure):
         return {"kind": "gibbs", "log_weights": self._enumerated_log_weights().tolist()}
 
 
+def _gibbs_from_json(doc: dict, space: ProductSpace) -> GibbsMeasure:
+    logw = field(doc, "log_weights", vector)
+    if logw.shape != (space.size,):
+        raise SchemaError(f"log_weights has shape {logw.shape}, expected ({space.size},)")
+
+    def lw_batch(rows: np.ndarray) -> np.ndarray:
+        return logw[space.digit_rows(rows) @ np.asarray(space.strides)]
+
+    return GibbsMeasure(space, lambda row: float(lw_batch(np.atleast_2d(row))[0]), lw_batch)
+
+
+MEASURE_KINDS = {
+    "exact": lambda doc, space: ExactMeasure(space, field(doc, "table", vector)),
+    "product": lambda doc, space: ProductMeasure(space, field(doc, "tables", list_of(vector))),
+    "gibbs": _gibbs_from_json,
+}
+
+
 def measure_from_json(doc: dict) -> Measure:
     space = ProductSpace.from_json(doc)
-    try:
-        m = doc["measure"]
-        kind = m["kind"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"invalid measure document: {exc}") from exc
-    if kind == "exact":
-        return ExactMeasure(space, np.asarray(m["table"], dtype=float))
-    if kind == "product":
-        return ProductMeasure(space, [np.asarray(t, dtype=float) for t in m["tables"]])
-    if kind == "gibbs":
-        logw = np.asarray(m["log_weights"], dtype=float)
-        if logw.shape != (space.size,):
-            raise SchemaError(f"log_weights has shape {logw.shape}, expected ({space.size},)")
-
-        def lw(row: np.ndarray, _space=space, _logw=logw) -> float:
-            return float(_logw[_space.index_of(row)])
-
-        def lw_batch(rows: np.ndarray, _space=space, _logw=logw) -> np.ndarray:
-            return _logw[_space.digit_rows(rows) @ np.asarray(_space.strides)]
-
-        return GibbsMeasure(space, lw, lw_batch)
-    raise SchemaError(f"unknown measure kind {kind!r}")
+    return dispatch(field(doc, "measure", document), MEASURE_KINDS, "measure", space)
 
 
 def uniform(space: ProductSpace) -> ProductMeasure:

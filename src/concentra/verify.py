@@ -62,6 +62,7 @@ from .space import (
 from .tensors import op_norm_batch
 
 KAPPA = math.sqrt(math.e) / (2.0 * (math.sqrt(math.e) - 1.0))
+TAIL_SIDES = ("two", "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def tail_curve(
 ) -> TailCurve:
     """Exact mode sums masses; Monte Carlo mode counts exceedances among the
     provided sample configurations and attaches binomial upper limits."""
-    if side not in ("two", "upper"):
+    if side not in TAIL_SIDES:
         raise DomainError(f"unknown side {side!r}")
     t_grid = np.asarray(list(t_grid), dtype=float)
     if np.any(np.diff(t_grid) < 0):
@@ -297,8 +298,8 @@ def check_moment_chain(
     """Verify ||f - Ef||_p <= sum_{j<d} c_j(p) gamma_j + c_d(p) gamma_d on the grid,
     with c_j(p) = (8 kappa p)^(j/2) for independent coordinates and
     (2 sigma^2 (p - 3/2))^(j/2) under a d-operator LSI."""
-    if regime.d != d:
-        raise DomainError("regime order must match d")
+    if regime.d != d or len(p_grid) == 0:
+        raise DomainError("regime order must match d, and p_grid must be non-empty")
     if profile is None:
         profile = norm_profile(f, mu, d)
     lhs, rhs = [], []
@@ -851,7 +852,8 @@ def run_suite(seed: int = 0, jobs: int = 1) -> SuiteResult:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all its workers at once: one per entry at most.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(corpus_names()))) as pool:
             corpus_results = list(pool.map(run_corpus_entry, corpus_names()))
     else:
         corpus_results = [run_corpus_entry(name) for name in corpus_names()]

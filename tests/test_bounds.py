@@ -68,6 +68,15 @@ class TestTailBoundShape:
         back = TailBound.from_json(bound.to_json())
         assert back == bound
 
+    @pytest.mark.parametrize(
+        "levels,constant",
+        [(((1.0, 1.0),), math.nan), (((1.0, math.nan),), 1.0), (((math.nan, 1.0),), 1.0)],
+        ids=["constant", "scale", "order"],
+    )
+    def test_nan_rejected(self, levels, constant):
+        with pytest.raises(DomainError):
+            TailBound(levels, constant)
+
 
 class TestBoundGeneral:
     def test_spec_example(self):
@@ -89,6 +98,8 @@ class TestBoundGeneral:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             dlsi(0.0, 2)
+        with pytest.raises(DomainError):
+            dlsi(math.nan, 2)
 
 
 class TestBoundSuprema:

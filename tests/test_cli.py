@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from concentra.cli import (
     EXIT_OK,
@@ -292,6 +298,23 @@ _GENERAL_D1 = {
     "regime": {"kind": "independent", "d": 1},
     "profile": {"d": 1, "gamma": [1.0]},
 }
+_LINEAR3 = {"kind": "poly", "coefficients": [{"order": 1, "tensor": [1.0, 1.0, 1.0]}]}
+_ERGM3 = {"kind": "ergm", "vertices": 3, "motifs": [{"edges": [[0, 1]]}], "beta": [0.1]}
+_MEASURE1 = {"n": 1, "alphabets": [[0.0, 1.0]],
+             "measure": {"kind": "exact", "table": [0.25, 0.75]}}
+
+
+def _tail(**fields):
+    return {"model": _RAD3, "function": _LINEAR3, "bound": _GENERAL_D1, "t_grid": [1.0]} | fields
+
+
+def _bound(bound, **fields):
+    return {"bound": bound, "t_grid": [1.0]} | fields
+
+
+def _moments(**fields):
+    return {"model": _RAD3, "function": _LINEAR3, "regime": {"kind": "independent", "d": 1},
+            "p_grid": [2.0]} | fields
 
 
 @pytest.mark.parametrize(
@@ -317,11 +340,59 @@ _GENERAL_D1 = {
         ("verify-tail", {"model": _RAD3, "function": {"kind": "poly", "coefficients": [
             {"order": 1, "tensor": [1.0, 1.0, 1.0]}]},
             "bound": _GENERAL_D1, "t_grid": [1.0, float("-inf")]}),
+        ("sample", {"model": _RAD3, "sweeps": 1, "burn_in": "x"}),
+        ("sample", {"model": _RAD3, "sweeps": 1, "thinning": "x"}),
+        ("sample", {"model": _RAD3, "sweeps": 1, "seed": "x"}),
+        ("verify-tail", _tail(function={"kind": "table", "values": "abc"})),
+        ("sample", {"model": _ERGM3 | {"beta": "ab"}, "sweeps": 1}),
+        ("bound", _bound({"kind": "hanson_wright", "matrix": "x", "M": 1.0,
+                          "regime": {"kind": "independent", "d": 2}})),
+        ("verify-moments", _moments(p_grid=["x"])),
+        ("verify-tail", _tail(function={"kind": "poly", "coefficients": [
+            {"order": "x", "tensor": [1.0, 1.0, 1.0]}]})),
+        ("verify-tail", _tail(function={"kind": "ustat", "order": "x",
+                                        "kernel": [[1.0, 0.0], [0.0, 1.0]]})),
+        ("verify-tail", _tail(function={"kind": "chaos", "order": 1, "dim": "x", "coefficients": [
+            {"subset": [0], "vector": [1.0]}]})),
+        ("sample", {"model": _RAD3, "sweeps": 1, "seed": -1}),
+        ("sample", {"model": {"kind": "curie_weiss", "n": 3, "beta": 0.5, "field": "x"},
+                    "sweeps": 1}),
+        ("sample", {"model": {"kind": "ising", "coupling": "x", "field": [0.0, 0.0]}, "sweeps": 1}),
+        ("sample", {"model": {"kind": "coloring", "vertices": 3, "edges": [[0, 1], 1],
+                              "colors": 3}, "sweeps": 1}),
+        ("sample", {"model": {"kind": "measure", "document": _MEASURE1 | {
+            "measure": {"kind": "exact"}}}, "sweeps": 1}),
+        ("sample", {"model": {"kind": "measure", "document": _MEASURE1 | {"n": "x"}},
+                    "sweeps": 1}),
+        ("lsi", {"model": _RAD3, "starts": "x"}),
+        ("bound", _bound({"kind": "suprema", "expected_w": ["x"], "w_top_sup": 2.0,
+                          "regime": {"kind": "dlsi", "sigma2": 1.0, "d": 2}})),
+        ("bound", _bound({"kind": "moment", "coefficients": [1.0], "shift": "x"})),
+        ("bound", _bound({"kind": "polynomial", "d": 1, "sigma": 1.0, "c_user": "x"},
+                         model=_RAD3, function=_LINEAR3)),
+        ("bound", _bound(dict(_GENERAL_D1, profile={"d": 1, "gamma": [1.0], "stderr": 5}))),
+        ("verify-moments", _moments(p_grid=5)),
+        ("sample", {"model": {"kind": "rademacher", "n": 1.7}, "sweeps": 1}),
+        ("sample", {"model": {"kind": "rademacher", "n": True}, "sweeps": 1}),
+        ("bound", _bound({"kind": "ustat", "B": 1.0, "n": 4, "d": 2, "normalized": "false",
+                          "regime": {"kind": "independent", "d": 2}})),
+        ("bound", _bound(dict(_GENERAL_D1, profile={"d": 1, "gamma": [1.0], "mode": "bogus"}))),
+        ("bound", _bound(dict(_GENERAL_D1, regime={"kind": "dlsi", "sigma2": float("nan"),
+                                                   "d": 1}))),
+        ("sample", {"model": _RAD3, "sweeps": 1, "format": "bogus"}),
     ],
     ids=["table-without-values", "motif-without-edges", "motif-not-an-object", "n-not-a-number",
          "profile-without-gamma", "t-grid-negative-count", "t-grid-zero-count",
          "t-grid-infinite-stop", "t-grid-empty", "t-grid-not-a-number", "t-grid-nan",
-         "t-grid-minus-inf"],
+         "t-grid-minus-inf", "burn-in-not-a-number", "thinning-not-a-number",
+         "seed-not-a-number", "table-values-a-string", "ergm-beta-a-string",
+         "hanson-wright-matrix-a-string", "p-grid-entry-a-string", "poly-order-a-string",
+         "ustat-order-a-string", "chaos-dim-a-string", "seed-negative",
+         "curie-weiss-field-a-string", "ising-coupling-a-string", "coloring-edge-not-a-pair",
+         "exact-measure-without-table", "measure-n-a-string", "starts-not-a-number",
+         "expected-w-entry-a-string", "moment-shift-a-string", "c-user-a-string",
+         "profile-stderr-not-a-list", "p-grid-not-a-list", "n-fractional", "n-a-bool",
+         "normalized-a-string", "profile-mode-unknown", "sigma2-nan", "sample-format-unknown"],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
@@ -329,6 +400,45 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, d
     err = capsys.readouterr().err
     assert rc == EXIT_SCHEMA
     assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    from concentra.cli import make_parser
+
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    flags = {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "verify-tail": {"--config", "--out", "--seed", "--mode", "--samples"},
+        "lsi": {"--config", "--out", "--seed"},
+        "sample": {"--config", "--out", "--seed"},
+        "bound": {"--config", "--out"},
+        "verify-moments": {"--config", "--out"},
+        "fourier": {"--config", "--out"},
+        "suite": {"--out", "--seed", "--jobs"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["bound", "--config", "c.json", "--mode", "mc"], {}),
+        (["sample", "--config", "c.json", "--seed", "-1"], {}),
+        (["suite", "--seed", "x"], {}),
+        (["suite"], {"CONCENTRA_JOBS": "x"}),
+    ],
+    ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-env-not-a-number"],
+)
+def test_bad_usage_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_SCHEMA
+    assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -375,3 +485,107 @@ def test_verify_tail_monte_carlo_space_bound_functions(tmp_path, function):
     rc = main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", "mc"])
     assert rc in (EXIT_OK, EXIT_VIOLATION)
     assert (tmp_path / "out" / "tail_curve.csv").exists()
+
+
+# One small valid config per command and per model, function and bound kind (n <= 3).
+_FUZZ_BASES = [
+    ("bound", _bound({"kind": "ustat", "B": 1.0, "n": 3, "d": 2, "normalized": False,
+                      "regime": {"kind": "independent", "d": 2}})),
+    ("bound", _bound(dict(_GENERAL_D1, profile={"d": 1, "gamma": [1.0], "mode": "exact",
+                                                "stderr": [0.0]}))),
+    ("bound", {"bound": {"kind": "chaos", "expected_w": [1.0], "sigma2": 1.0, "a": -1.0, "b": 1.0,
+                         "d": 1, "variant": "upper"},
+               "t_grid": {"start": 0.0, "stop": 2.0, "count": 3}}),
+    ("bound", _bound({"kind": "suprema", "expected_w": [1.0], "w_top_sup": 2.0,
+                      "regime": {"kind": "dlsi", "sigma2": 1.0, "d": 2}})),
+    ("bound", _bound({"kind": "boolean", "weights": [0.5], "d": 1})),
+    ("bound", _bound({"kind": "moment", "coefficients": [1.0], "shift": 0.5})),
+    ("bound", _bound({"kind": "hanson_wright", "matrix": [[0.0, 0.5], [0.5, 0.0]], "M": 1.0,
+                      "regime": {"kind": "independent", "d": 2}})),
+    ("bound", _bound({"kind": "ergm_triangle", "n": 3, "c_two_star": 0.25, "c_edge": 0.5,
+                      "c_user": 40.0})),
+    ("bound", _bound({"kind": "polynomial", "d": 1, "sigma": 1.0, "c_user": 60.0},
+                     model=_RAD3, function=_LINEAR3)),
+    ("verify-tail", _tail(function={"kind": "quadform",
+                                    "matrix": [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+                          bound={"kind": "general", "regime": {"kind": "independent", "d": 2}},
+                          mode="exact", side="two")),
+    ("verify-tail", _tail(function={"kind": "sup", "members": [
+        _LINEAR3, {"kind": "table", "values": [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]}]},
+        mode="mc", samples=20, burn_in=2, seed=1)),
+    ("verify-tail", _tail(model={"kind": "bernoulli", "n": 3, "p": 0.3},
+                          function={"kind": "ustat", "order": 2, "kernel": [[1.0, 0.0], [0.0, 1.0]]},
+                          bound=dict(_GENERAL_D1, profile={"d": 1, "gamma": [4.0]}))),
+    ("verify-tail", _tail(function={"kind": "chaos", "order": 1, "dim": 3, "norm": "linf",
+                                    "coefficients": [{"subset": [0], "vector": [1.0, 0.5]}]})),
+    ("verify-moments", _moments(model={"kind": "measure", "document": _MEASURE1},
+                                function={"kind": "table", "values": [0.0, 1.0]})),
+    ("lsi", {"model": {"kind": "ising", "coupling": [[0.0, 0.2], [0.2, 0.0]], "field": [0.0, 0.1]},
+             "operator": "d", "starts": 2, "seed": 1}),
+    ("fourier", {"function": {"kind": "table", "values": [0.0, 1.0, 1.0, 0.0]}, "n": 2}),
+    ("sample", {"model": {"kind": "curie_weiss", "n": 3, "beta": 0.5, "field": 0.0}, "sweeps": 3,
+                "burn_in": 1, "thinning": 1, "seed": 2, "format": "csv"}),
+    ("sample", {"model": {"kind": "coloring", "vertices": 3, "edges": [[0, 1], [1, 2]], "colors": 3},
+                "sweeps": 2}),
+    ("sample", {"model": _ERGM3, "sweeps": 2, "format": "binary"}),
+    ("sample", {"model": {"kind": "measure", "document": {
+        "n": 2, "alphabets": [[-1.0, 1.0], [-1.0, 1.0]],
+        "measure": {"kind": "gibbs", "log_weights": [0.0, 0.1, 0.1, 0.0]}}}, "sweeps": 2}),
+    ("sample", {"model": {"kind": "measure", "document": {
+        "n": 1, "alphabets": [[0.0, 1.0, 2.0]],
+        "measure": {"kind": "product", "tables": [[0.2, 0.3, 0.5]]}}}, "sweeps": 2}),
+]
+
+
+def _paths(doc, prefix=()):
+    """Every key and index path into a config, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def _run_quietly(command, doc):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = write_config(Path(tmp), "c.json", doc)
+        rc = main([command, "--config", cfg, "--out", f"{tmp}/out"])
+    return rc, err.getvalue()
+
+
+def test_fuzz_bases_are_valid():
+    for command, doc in _FUZZ_BASES:
+        rc, err = _run_quietly(command, doc)
+        assert rc in (EXIT_OK, EXIT_VIOLATION), (command, doc, err)
+
+
+_FUZZ_SCALARS = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(),
+    st.sampled_from([0.5, float("nan"), float("inf"), float("-inf")]),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_mutated_field_exits_0_2_or_3_without_traceback(data):
+    # Types only, never large integers, so that no example can start a long run.
+    command, doc = data.draw(st.sampled_from(_FUZZ_BASES))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    rc, err = _run_quietly(command, _replaced(doc, path, data.draw(_FUZZ_VALUES)))
+    assert rc in (EXIT_OK, EXIT_SCHEMA, EXIT_VIOLATION)
+    assert "Traceback" not in err

@@ -20,3 +20,24 @@ def test_library_tour_snippet_runs():
     runnable = [b for b in blocks if b.startswith("import numpy as np")]
     assert runnable, "the library tour block is missing"
     exec(compile(runnable[0], str(README), "exec"), {})
+
+
+def test_readme_kinds_match_the_reader_tables():
+    import re
+
+    from concentra.cli import BOUND_KINDS, MODEL_KINDS, REGIME_KINDS, make_parser
+    from concentra.funcs import FUNCTION_KINDS
+    from concentra.space import MEASURE_KINDS
+
+    named: dict[str, set[str]] = {}
+    for section, kind in re.findall(r"^\| (\w+) \| `([\w-]+)` \|", README.read_text(), re.M):
+        named.setdefault(section, set()).add(kind)
+    commands = next(a for a in make_parser()._actions if a.dest == "command").choices
+    assert named == {
+        "command": set(commands) - {"suite"},
+        "model": set(MODEL_KINDS),
+        "measure": set(MEASURE_KINDS),
+        "function": set(FUNCTION_KINDS),
+        "regime": set(REGIME_KINDS),
+        "bound": set(BOUND_KINDS),
+    }

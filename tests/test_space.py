@@ -73,6 +73,18 @@ class TestEnumeration:
             ProductSpace(((),))
 
 
+class TestMeasureValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_exact_table_entries_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            ExactMeasure(binary(1), [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_product_marginal_entries_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            ProductMeasure(binary(2), [[0.5, 0.5], [bad, 1.0]])
+
+
 class TestConditional:
     def test_product_returns_marginal(self):
         mu = bernoulli_product(3, 0.3)

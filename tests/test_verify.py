@@ -464,3 +464,20 @@ class TestSuite:
         r2 = run_suite(seed=3)
         assert r1.all_passed
         assert r1.to_json() == r2.to_json()
+
+    def test_pool_capped_at_corpus_size(self, monkeypatch):
+        import concurrent.futures
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def fake_pool(max_workers):
+            seen.append(max_workers)
+            raise Stop  # start no process and run no entry
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
+        with pytest.raises(Stop):
+            run_suite(seed=0, jobs=10_000)
+        assert seen == [len(corpus_names())]
