@@ -63,6 +63,14 @@ def dlsi(sigma2: float, d: int) -> Regime:
     return Regime("dlsi", d, sigma2)
 
 
+def _level_rate(t: float, gamma: float, order: float) -> float:
+    """(t/gamma)^(2/order), +inf where the float power overflows."""
+    try:
+        return (t / gamma) ** (2.0 / order)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class TailBound:
     """Piecewise multilevel bound with levels (order k, scale gamma_k)."""
@@ -91,7 +99,7 @@ class TailBound:
         best = math.inf
         for order, gamma in self.levels:
             if gamma > 0.0:
-                best = min(best, (t / gamma) ** (2.0 / order))
+                best = min(best, _level_rate(t, gamma, order))
         return best / self.constant
 
     def active_level(self, t: float) -> float | None:
@@ -101,7 +109,7 @@ class TailBound:
         best, which = math.inf, None
         for order, gamma in sorted(self.levels):
             if gamma > 0.0:
-                value = (t / gamma) ** (2.0 / order)
+                value = _level_rate(t, gamma, order)
                 if value < best:
                     best, which = value, order
         return which

@@ -9,6 +9,13 @@ order <= 2: the Euclidean norm for vectors and the top singular value (from
 the normalized contraction, so every sub-step is exact and the final
 contraction value is a certified lower bound.  Multi-start makes that lower
 bound reliable at desk scale.
+
+Each ALS axis step contracts all other axes of the whole batch in
+`_contract`: one batched matmul on a reshape of the batch (no transposed
+copy), then two-operand einsums on the much smaller result.  A sweep of a
+batch of B order-k tensors with R starts costs about k*B*R*n1*...*nk
+multiply-adds, and its workspace is one block of about BLOCK_BYTES plus a few
+(B, R, n_a) arrays, whatever B is.
 """
 from __future__ import annotations
 
@@ -25,6 +32,9 @@ DEFAULT_RESTARTS = 32
 # value moved by at most TOL relative (absolute below 1) in the last sweep.
 SWEEPS = 200
 TOL = 1e-9
+# `_contract` works through the batch in blocks whose first-stage product,
+# (block, R, n1*...*nk / n_first) floats, stays near this many bytes.
+BLOCK_BYTES = 1 << 21
 
 
 def hs_norm(tensor: np.ndarray) -> float:
@@ -66,17 +76,60 @@ class _AlsRun:
     converged: bool
 
 
+def _contract(tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int) -> np.ndarray:
+    """Contract a batch (B, n1, ..., nk) against (B, R, n_a) vectors on every axis but `axis`.
+
+    Returns shape (B, R, n_axis).  The first stage is one batched matmul on a
+    plain reshape of the batch, so the batch is never copied: it contracts the
+    first axis, or the last when `axis` is the first, in B*R*n1*...*nk
+    multiply-adds.  (The first axis is preferred because its product needs no
+    transposed operand and runs faster.)  Two-operand einsums then contract
+    the other axes of the smaller (B, R, ...) result, one axis each.  The
+    batch goes through in blocks whose first-stage product stays near
+    BLOCK_BYTES.
+    """
+    shape = tensors.shape[1:]
+    k, restarts = len(shape), vectors[0].shape[1]
+    first = k - 1 if axis == 0 else 0
+    kept = [a for a in range(k) if a != first]
+    here = kept.index(axis)
+    rest = int(np.prod([shape[a] for a in kept]))
+    block = max(1, BLOCK_BYTES // max(1, 8 * restarts * rest))
+    out = np.empty((tensors.shape[0], restarts, shape[axis]))
+    for lo in range(0, tensors.shape[0], block):
+        part = slice(lo, lo + block)
+        t = tensors[part]
+        if first == 0:
+            w = vectors[0][part] @ t.reshape(len(t), shape[0], rest)
+        else:
+            w = vectors[first][part] @ t.reshape(len(t), rest, shape[first]).transpose(0, 2, 1)
+        w = w.reshape((len(t), restarts) + tuple(shape[a] for a in kept))
+        for a in reversed(kept[here + 1 :]):
+            w = np.einsum("zy...j,zyj->zy...", w, vectors[a][part])
+        for a in kept[:here]:
+            w = np.einsum("zyj...,zyj->zy...", w, vectors[a][part])
+        out[part] = w
+    return out
+
+
 def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
     """Multi-start ALS on a batch of shape (B, n1, ..., nk), k >= 3, all at once.
 
     Start 0 of every tensor is the all-ones direction, the others are
     Gaussian.  The batch stops together, when every (tensor, start) value has
     converged or after SWEEPS sweeps.
+
+    A sweep is k calls to `_contract`, one per axis: about k*B*R*n1*...*nk
+    multiply-adds, with a workspace of one block of about BLOCK_BYTES plus the
+    (B, R, n_a) contraction and vectors.  After the last axis step the norm of
+    the contraction is the value against the new vectors, which is what the
+    stopping rule compares.  The returned values are one full contraction of
+    the batch against the returned vectors, so each stays a certified lower
+    bound.
     """
     rng = np.random.default_rng(seed)
     batch = tensors.shape[0]
     k = tensors.ndim - 1
-    letters = string.ascii_lowercase[:k]
     vectors = []
     for m in tensors.shape[1:]:
         v = rng.standard_normal((batch, restarts, m))
@@ -84,29 +137,20 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         vectors.append(v)
 
-    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
-    value = np.einsum(full_spec, tensors, *vectors)
+    value = np.einsum("zyi,zyi->zy", _contract(tensors, vectors, k - 1), vectors[k - 1])
     for sweep in range(1, SWEEPS + 1):
         for axis in range(k):
-            others = [vectors[a] for a in range(k) if a != axis]
-            spec = (
-                "z"
-                + letters
-                + ","
-                + ",".join(f"zy{letters[a]}" for a in range(k) if a != axis)
-                + "->zy"
-                + letters[axis]
-            )
-            contraction = np.einsum(spec, tensors, *others)
-            norms = np.linalg.norm(contraction, axis=2, keepdims=True)
+            contraction = _contract(tensors, vectors, axis)
+            norms = np.linalg.norm(contraction, axis=2)
             safe = np.where(norms == 0.0, 1.0, norms)
-            vectors[axis] = contraction / safe
-        new_value = np.einsum(full_spec, tensors, *vectors)
-        converged = bool(np.all(np.abs(new_value - value) <= TOL * np.maximum(1.0, np.abs(new_value))))
-        value = new_value
+            vectors[axis] = contraction / safe[:, :, None]
+        converged = bool(np.all(np.abs(norms - value) <= TOL * np.maximum(1.0, norms)))
+        value = norms
         if converged:
             break
-    return _AlsRun(value, vectors, sweep, converged)
+    letters = string.ascii_lowercase[:k]
+    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
+    return _AlsRun(np.einsum(full_spec, tensors, *vectors), vectors, sweep, converged)
 
 
 def op_norm(tensor: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OpNormResult:
@@ -114,11 +158,12 @@ def op_norm(tensor: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0)
 
     Exact for d <= 2: the closed form for scalars and vectors, the top
     singular triple for matrices.  For d >= 3 it is the best start of the
-    batched ALS on this one tensor, the value that
-    `op_norm_batch(tensor[None], restarts, seed)[0]` returns, and a certified
-    lower bound.  The value is the contraction against the returned unit
-    vectors.  Nonnegative tensors get entrywise-nonnegative maximizers and
-    the value recomputed against them, which can only rise up to rounding.
+    batched ALS on this one tensor, and a certified lower bound.  The value
+    is the contraction against the returned unit vectors.  Nonnegative
+    tensors get entrywise-nonnegative maximizers |v| and the value recomputed
+    against them, which can only rise up to rounding.  So for d >= 3 the value
+    is `op_norm_batch(tensor[None], restarts, seed)[0]` for a tensor with a
+    negative entry, and the value against |v| for a nonnegative one.
     """
     tensor = _checked(tensor, restarts)
     d = tensor.ndim

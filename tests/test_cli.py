@@ -107,6 +107,27 @@ class TestCommands:
             t, raw, clipped, level = line.split(",")
             assert float(raw) == 0.0 and float(clipped) == 0.0 and level == "none"
 
+    def test_bound_at_huge_t_is_zero_not_an_overflow(self, tmp_path):
+        # (t/gamma)^(2/k) overflows a float for t = 1e308 and k = 1: that
+        # level's rate is +inf, and the order-2 level, 1e308, is active.
+        cfg = write_config(
+            tmp_path,
+            "b.json",
+            {
+                "bound": {
+                    "kind": "general",
+                    "regime": {"kind": "independent", "d": 2},
+                    "profile": {"d": 2, "gamma": [1.0, 1.0]},
+                },
+                "t_grid": [1e308],
+            },
+        )
+        rc = main(["bound", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        lines = (tmp_path / "out" / "bound_curve.csv").read_text().splitlines()
+        t, raw, clipped, level = lines[1].split(",")
+        assert float(t) == 1e308 and float(raw) == 0.0 and float(clipped) == 0.0 and level == "2"
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,11 +1,16 @@
 import math
+import string
 
 import numpy as np
 import pytest
 
+from concentra import tensors
 from concentra.errors import DomainError
 from concentra.tensors import (
+    BLOCK_BYTES,
     Partition,
+    _als,
+    _contract,
     enumerate_partitions,
     hs_norm,
     op_norm,
@@ -31,6 +36,54 @@ def gram_power_iteration(matrix, iterations=20000, tol=1e-14):
             return new_sigma
         sigma = new_sigma
     return sigma
+
+
+def einsum_contract(batch, vectors, axis):
+    """Reference for `_contract`: one einsum over the batch and every other axis's vectors."""
+    k = batch.ndim - 1
+    letters = string.ascii_lowercase[:k]
+    spec = (
+        "z" + letters + "," + ",".join(f"zy{letters[a]}" for a in range(k) if a != axis)
+        + "->zy" + letters[axis]
+    )
+    return np.einsum(spec, batch, *(vectors[a] for a in range(k) if a != axis))
+
+
+def einsum_als(batch, restarts, seed, sweeps=200, tol=1e-9):
+    """Reference ALS: the engine as it was before the batched contractions, one
+    3-operand einsum per axis step and a full contraction after every sweep.
+    Returns (values, vectors, sweeps, converged)."""
+    rng = np.random.default_rng(seed)
+    size = batch.shape[0]
+    k = batch.ndim - 1
+    letters = string.ascii_lowercase[:k]
+    vectors = []
+    for m in batch.shape[1:]:
+        v = rng.standard_normal((size, restarts, m))
+        v[:, 0, :] = 1.0
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        vectors.append(v)
+
+    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
+    value = np.einsum(full_spec, batch, *vectors)
+    for sweep in range(1, sweeps + 1):
+        for axis in range(k):
+            contraction = einsum_contract(batch, vectors, axis)
+            norms = np.linalg.norm(contraction, axis=2, keepdims=True)
+            safe = np.where(norms == 0.0, 1.0, norms)
+            vectors[axis] = contraction / safe
+        new_value = np.einsum(full_spec, batch, *vectors)
+        converged = bool(np.all(np.abs(new_value - value) <= tol * np.maximum(1.0, np.abs(new_value))))
+        value = new_value
+        if converged:
+            break
+    return value, vectors, sweep, converged
+
+
+def assert_close_to(actual, expected, rel):
+    """Entrywise match within `rel` times the largest entry of `expected`."""
+    scale = float(np.max(np.abs(expected), initial=0.0))
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * scale)
 
 
 def sphere_grid_sup(tensor, points=24):
@@ -75,6 +128,7 @@ class TestOpNorm:
         rng = np.random.default_rng(0)
         for tensor, spec in [
             (rng.standard_normal((4, 4, 4)), "ijk,i,j,k->"),
+            (rng.standard_normal((3, 4, 2, 3)), "ijkl,i,j,k,l->"),
             (rng.standard_normal((5, 3)), "ij,i,j->"),
         ]:
             result = op_norm(tensor, restarts=8)
@@ -82,6 +136,16 @@ class TestOpNorm:
             assert contraction == pytest.approx(result.value, abs=1e-9)
             for vec in result.vectors:
                 assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+        # A batch that `_contract` splits into three blocks: every value is
+        # the contraction against that tensor's returned unit vectors.
+        restarts, n = 4, 8
+        block = BLOCK_BYTES // (8 * restarts * n * n)
+        batch = rng.standard_normal((2 * block + 5, n, n, n))
+        run = _als(batch, restarts, 0)
+        contraction = np.einsum("zijk,zyi,zyj,zyk->zy", batch, *run.vectors)
+        assert_close_to(run.values, contraction, 1e-12)
+        for vec in run.vectors:
+            np.testing.assert_allclose(np.linalg.norm(vec, axis=2), 1.0, atol=1e-12)
 
     def test_matches_gram_oracle_for_matrices(self):
         rng = np.random.default_rng(1)
@@ -152,6 +216,66 @@ class TestOpNormBatch:
         for shape in [(2, 3, 3), (2, 3, 3, 3)]:
             with pytest.raises(DomainError):
                 op_norm_batch(np.ones(shape), restarts=0)
+
+
+class TestContract:
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (2, 3, 4, 1), (1, 2, 3, 2, 2), (2, 2, 1, 3, 2)])
+    @pytest.mark.parametrize("size", [1, 5])
+    @pytest.mark.parametrize("block_bytes", [1, BLOCK_BYTES])
+    def test_matches_einsum(self, monkeypatch, shape, size, block_bytes):
+        # block_bytes = 1 makes every tensor its own block, so the loop runs `size` times.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(sum(shape) + size)
+        batch = rng.standard_normal((size,) + shape)
+        vectors = [rng.standard_normal((size, 3, m)) for m in shape]
+        for axis in range(len(shape)):
+            out = _contract(batch, vectors, axis)
+            assert out.shape == (size, 3, shape[axis])
+            assert_close_to(out, einsum_contract(batch, vectors, axis), 1e-12)
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    def test_batch_below_at_and_above_one_block(self, monkeypatch, size):
+        restarts, n = 2, 4
+        # A block holds three tensors: each first-stage product is restarts * n^2 floats.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", 3 * 8 * restarts * n * n)
+        rng = np.random.default_rng(size)
+        batch = rng.standard_normal((size, n, n, n))
+        vectors = [rng.standard_normal((size, restarts, n)) for _ in range(3)]
+        for axis in range(3):
+            assert_close_to(_contract(batch, vectors, axis), einsum_contract(batch, vectors, axis), 1e-12)
+
+
+class TestAlsAgainstEinsumOracle:
+    # The (40, 5, 3, 4) batch does not converge within SWEEPS sweeps.
+    @pytest.mark.parametrize(
+        "shape, restarts, seed, converges",
+        [
+            ((6, 4, 4, 4), 8, 0, True),
+            ((40, 5, 3, 4), 4, 1, False),
+            ((5, 3, 3, 3, 3), 6, 2, True),
+            ((9, 2, 3, 1, 4), 3, 3, True),
+        ],
+    )
+    @pytest.mark.parametrize("block_bytes", [64, BLOCK_BYTES])
+    def test_same_sweeps_and_values(self, monkeypatch, shape, restarts, seed, converges, block_bytes):
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
+        batch = np.random.default_rng(100 + seed).standard_normal(shape)
+        values, vectors, sweeps, converged = einsum_als(batch, restarts, seed)
+        run = _als(batch, restarts, seed)
+        assert (run.sweeps, run.converged) == (sweeps, converged)
+        assert converged == converges and (sweeps < tensors.SWEEPS) == converges
+        assert_close_to(run.values, values, 1e-12)
+        for got, want in zip(run.vectors, vectors):
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(7, 4, 4, 4), (4, 3, 2, 3, 3)])
+    def test_same_result_when_a_lower_sweep_limit_stops_the_run(self, monkeypatch, shape):
+        monkeypatch.setattr(tensors, "SWEEPS", 2)
+        batch = np.random.default_rng(7).standard_normal(shape)
+        values, _, sweeps, converged = einsum_als(batch, 5, 4, sweeps=2)
+        run = _als(batch, 5, 4)
+        assert (run.sweeps, run.converged) == (sweeps, converged) == (2, False)
+        assert_close_to(run.values, values, 1e-12)
 
 
 class TestPartitions:
