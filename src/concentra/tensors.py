@@ -148,6 +148,8 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
         value = norms
         if converged:
             break
+    # The last step's <contraction, vectors[-1]> is this value up to rounding,
+    # but its last digits differ, and they reach suite_report.json.
     letters = string.ascii_lowercase[:k]
     full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
     return _AlsRun(np.einsum(full_spec, tensors, *vectors), vectors, sweep, converged)

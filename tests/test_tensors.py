@@ -49,7 +49,7 @@ def einsum_contract(batch, vectors, axis):
     return np.einsum(spec, batch, *(vectors[a] for a in range(k) if a != axis))
 
 
-def einsum_als(batch, restarts, seed, sweeps=200, tol=1e-9):
+def einsum_als(batch, restarts, seed, sweeps, tol):
     """Reference ALS: the engine as it was before the batched contractions, one
     3-operand einsum per axis step and a full contraction after every sweep.
     Returns (values, vectors, sweeps, converged)."""
@@ -260,7 +260,7 @@ class TestAlsAgainstEinsumOracle:
     def test_same_sweeps_and_values(self, monkeypatch, shape, restarts, seed, converges, block_bytes):
         monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
         batch = np.random.default_rng(100 + seed).standard_normal(shape)
-        values, vectors, sweeps, converged = einsum_als(batch, restarts, seed)
+        values, vectors, sweeps, converged = einsum_als(batch, restarts, seed, tensors.SWEEPS, tensors.TOL)
         run = _als(batch, restarts, seed)
         assert (run.sweeps, run.converged) == (sweeps, converged)
         assert converged == converges and (sweeps < tensors.SWEEPS) == converges
@@ -272,7 +272,7 @@ class TestAlsAgainstEinsumOracle:
     def test_same_result_when_a_lower_sweep_limit_stops_the_run(self, monkeypatch, shape):
         monkeypatch.setattr(tensors, "SWEEPS", 2)
         batch = np.random.default_rng(7).standard_normal(shape)
-        values, _, sweeps, converged = einsum_als(batch, 5, 4, sweeps=2)
+        values, _, sweeps, converged = einsum_als(batch, 5, 4, 2, tensors.TOL)
         run = _als(batch, 5, 4)
         assert (run.sweeps, run.converged) == (sweeps, converged) == (2, False)
         assert_close_to(run.values, values, 1e-12)
