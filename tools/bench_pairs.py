@@ -1,12 +1,12 @@
 """Alternated parent/change runs of the benchmark, written to BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --parent REV --change REV --label NAME [--pairs 10] [--first-seed 1]
+    python3 tools/bench_pairs.py --parent REV --change REV --label NAME
 
 Both revisions are exported with `git archive` into a temporary directory.
-Pair p uses seed first_seed + p on both sides; for each workload of
-BENCHMARK.json it runs `perfbench/run.py --trace 0` for the run length that
-BENCHMARK.json fixes, once per side, with the parent first in even pairs and
-the change first in odd ones.  Each run's result line is appended to
+It runs PAIRS pairs, and pair p uses seed FIRST_SEED + p on both sides.  For
+each workload of BENCHMARK.json it runs `perfbench/run.py --trace 0` for the
+run length that BENCHMARK.json fixes, once per side, with the parent first in
+even pairs and the change first in odd ones.  Each run's result line is appended to
 `runs.jsonl` in that directory as it finishes, and the directory is kept, so
 an interrupted session leaves its runs behind.  The summary goes to
 BENCH_<label>.json at the repository root.  For every workload and end-to-end
@@ -30,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs that can back a gain claim
+FIRST_SEED = 1
 
 
 def export(rev: str, dest: Path) -> str:
@@ -101,8 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -112,8 +112,8 @@ def main(argv=None) -> int:
     print(f"runs go to {log}", flush=True)
     runs = []
     started = time.time()
-    for pair in range(args.pairs):
-        seed = args.first_seed + pair
+    for pair in range(PAIRS):
+        seed = FIRST_SEED + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for workload in [w["name"] for w in spec["workloads"]]:
             for side in order:
@@ -125,9 +125,9 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "revisions": {s: {"rev": rev, "sha": shas[s]} for s, rev in zip(SIDES, (args.parent, args.change))},
-        "method": "perfbench/run.py --trace 0, alternated pairs; pair p runs seed first_seed + p on both sides, "
+        "method": "perfbench/run.py --trace 0, alternated pairs; pair p runs seeds[p] on both sides, "
                   "the parent first in even pairs",
-        "seeds": [args.first_seed + p for p in range(args.pairs)],
+        "seeds": [FIRST_SEED + p for p in range(PAIRS)],
         "run_seconds": seconds,
         "wall_clock_s": round(time.time() - started, 1),
         "machine": {
