@@ -9,7 +9,7 @@ clipped to [0, 1]; levels with gamma_k = 0 are excluded from the min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -73,13 +73,15 @@ def _level_rate(t: float, gamma: float, order: float) -> float:
 
 @dataclass
 class TailBound:
-    """Piecewise multilevel bound with levels (order k, scale gamma_k)."""
+    """Piecewise multilevel bound with levels (order k, scale gamma_k);
+    `bound_general` records the regime it applied."""
 
     levels: tuple[tuple[float, float], ...]
     constant: float
     prefactor: float = 2.0
     one_sided: bool = False
     label: str = ""
+    regime: Regime | None = None
 
     def __post_init__(self):
         if not self.constant > 0.0:
@@ -126,7 +128,7 @@ class TailBound:
 
     def scaled_constant(self, factor: float) -> "TailBound":
         """Same levels with the global constant multiplied by `factor`."""
-        return TailBound(self.levels, self.constant * factor, self.prefactor, self.one_sided, self.label)
+        return replace(self, constant=self.constant * factor)
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +153,7 @@ def bound_general(profile: NormProfile, regime: Regime) -> TailBound:
     if profile.d != regime.d:
         raise DomainError(f"profile depth {profile.d} does not match regime order {regime.d}")
     levels = tuple((float(k + 1), float(g)) for k, g in enumerate(profile.gamma))
-    return TailBound(levels, regime.constant, label=f"general-{regime.kind}")
+    return TailBound(levels, regime.constant, label=f"general-{regime.kind}", regime=regime)
 
 
 def bound_suprema(

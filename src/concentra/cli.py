@@ -8,6 +8,7 @@ JSON is dumped with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,8 +19,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import models, verify
 from .diffops import NormProfile, norm_profile
-from .errors import ConcentraError, SchemaError
-from .funcs import function_from_json, fourier_transform
+from .errors import ConcentraError, DomainError, SchemaError
+from .funcs import FunctionSpec, function_from_json, fourier_transform
 from .lsi import OPERATORS, lsi_constant_search
 from .schema import array, boolean, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector
 from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
@@ -91,45 +92,76 @@ def build_model(doc: dict) -> Measure:
     return dispatch(doc, MODEL_KINDS, "model")
 
 
-MODEL = ("model", lambda doc, _: build_model(doc))
-FUNCTION = ("function", lambda doc, _: function_from_json(doc))
+class Inputs:
+    """A config with its `model` and `function`, each built on first use and
+    then kept, so that a command builds each once however many fields use it."""
+
+    def __init__(self, config: dict):
+        self.config = config
+
+    @functools.cached_property
+    def model(self) -> Measure:
+        return field(self.config, "model", lambda doc, _: build_model(doc))
+
+    @functools.cached_property
+    def function(self) -> FunctionSpec:
+        return field(self.config, "function", lambda doc, _: function_from_json(doc))
+
+
+def _lsi_sigma2(mu: Measure, starts: int, seed: int) -> float:
+    best = lsi_constant_search(mu, "d", starts, seed).best_ratio
+    if best <= 0.0:
+        raise DomainError("the ratio search found no usable constant")
+    return best
+
+
+def _sigma2(inputs: Inputs):
+    """A number, or {"search": {"starts", "seed"}}: the d-operator ratio search on the model."""
+    search = reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", COUNT), ("seed", SEED))
+    return lambda value, what: field(value, "search", search) if isinstance(value, dict) else real(value, what)
 
 
 REGIME_KINDS = {
     "independent": reads(bounds_mod.independent, ("d", COUNT)),
-    "dlsi": reads(bounds_mod.dlsi, ("sigma2", real), ("d", COUNT)),
+    "dlsi": lambda doc, inputs: reads(bounds_mod.dlsi, ("sigma2", _sigma2(inputs)), ("d", COUNT))(doc),
 }
 
 
-REGIME = ("regime", lambda doc, _: dispatch(doc, REGIME_KINDS, "regime"))
+def _regime(inputs: Inputs) -> tuple:
+    return ("regime", lambda doc, _: dispatch(doc, REGIME_KINDS, "regime", inputs))
 
 
-def _bound_general(doc: dict, config: dict) -> bounds_mod.TailBound:
-    regime = field(doc, *REGIME)
+def _bound_general(doc: dict, inputs: Inputs) -> bounds_mod.TailBound:
+    regime = field(doc, *_regime(inputs))
     profile = field(doc, "profile", lambda profile, _: NormProfile.from_json(profile), None)
     if profile is None:
-        profile = norm_profile(field(config, *FUNCTION), field(config, *MODEL), regime.d)
+        profile = norm_profile(inputs.function, inputs.model, regime.d)
     return bounds_mod.bound_general(profile, regime)
 
 
-def _bound_polynomial(doc: dict, config: dict) -> bounds_mod.TailBound:
+def _bound_polynomial(doc: dict, inputs: Inputs) -> bounds_mod.TailBound:
     d, sigma, c_user = field(doc, "d", COUNT), field(doc, "sigma", real), field(doc, "c_user", real, None)
-    norms = bounds_mod.polynomial_partition_norms(field(config, *FUNCTION), field(config, *MODEL), d)
+    norms = bounds_mod.polynomial_partition_norms(inputs.function, inputs.model, d)
     return bounds_mod.bound_polynomial(norms, sigma, d, c_user)
 
 
 BOUND_KINDS = {
     "general": _bound_general,
-    "suprema": reads(bounds_mod.bound_suprema, ("expected_w", vector, ()), ("w_top_sup", real), REGIME),
+    "suprema": lambda doc, inputs: reads(
+        bounds_mod.bound_suprema, ("expected_w", vector, ()), ("w_top_sup", real), _regime(inputs)
+    )(doc),
     "chaos": reads(
         bounds_mod.bound_chaos, ("expected_w", vector), ("sigma2", real), ("a", real), ("b", real),
         ("d", COUNT), ("variant", choice(*bounds_mod.CHAOS_VARIANTS), "upper"),
     ),
     "boolean": reads(bounds_mod.bound_boolean, ("weights", vector), ("d", COUNT)),
-    "ustat": reads(
-        bounds_mod.bound_ustat, ("B", real), ("n", COUNT), ("d", COUNT), REGIME, ("normalized", boolean, False)
-    ),
-    "hanson_wright": reads(bounds_mod.hanson_wright, ("matrix", matrix), ("M", real), REGIME),
+    "ustat": lambda doc, inputs: reads(
+        bounds_mod.bound_ustat, ("B", real), ("n", COUNT), ("d", COUNT), _regime(inputs),
+        ("normalized", boolean, False),
+    )(doc),
+    "hanson_wright": lambda doc, inputs: reads(
+        bounds_mod.hanson_wright, ("matrix", matrix), ("M", real), _regime(inputs)
+    )(doc),
     "moment": reads(
         lambda *a: bounds_mod.moment_to_tail(bounds_mod.MomentProfile(*a)),
         ("coefficients", floats), ("shift", real, 0.0),
@@ -141,8 +173,8 @@ BOUND_KINDS = {
 }
 
 
-def build_bound(config: dict) -> bounds_mod.TailBound:
-    return dispatch(field(config, "bound", document), BOUND_KINDS, "bound", config)
+def build_bound(inputs: Inputs) -> bounds_mod.TailBound:
+    return dispatch(field(inputs.config, "bound", document), BOUND_KINDS, "bound", inputs)
 
 
 def build_t_grid(doc, what: str = "t_grid") -> np.ndarray:
@@ -177,8 +209,18 @@ def _bound_rows(bound: bounds_mod.TailBound, grid: np.ndarray) -> list[list]:
     return rows
 
 
+def bound_and_grid(inputs: Inputs) -> tuple[bounds_mod.TailBound, np.ndarray]:
+    """A `verify-tail` config's bound and t grid.  Without a `t_grid`, the
+    grid is `verify.domination_grid` over max |f - Ef| on the support."""
+    bound = build_bound(inputs)
+    grid = field(inputs.config, "t_grid", build_t_grid, None)
+    if grid is None:
+        grid = verify.domination_grid(bound, verify.max_deviation(inputs.model, inputs.function))
+    return bound, grid
+
+
 def cmd_bound(config: dict | None, args) -> int:
-    bound = build_bound(config)
+    bound = build_bound(Inputs(config))
     grid = field(config, "t_grid", build_t_grid)
     out = _out_dir(args)
     _write_csv(out / "bound_curve.csv", ["t", "raw_bound", "clipped_bound", "active_level"], _bound_rows(bound, grid))
@@ -187,9 +229,9 @@ def cmd_bound(config: dict | None, args) -> int:
 
 
 def cmd_verify_tail(config: dict | None, args) -> int:
-    mu, f = field(config, *MODEL), field(config, *FUNCTION)
-    bound = build_bound(config)
-    grid = field(config, "t_grid", build_t_grid)
+    inputs = Inputs(config)
+    mu, f = inputs.model, inputs.function
+    bound, grid = bound_and_grid(inputs)
     mode = args.mode if args.mode is not None else field(config, "mode", choice(*MODES), "exact")
     side = field(config, "side", choice(*verify.TAIL_SIDES), "upper" if bound.one_sided else "two")
     if mode == "exact":
@@ -213,8 +255,9 @@ def cmd_verify_tail(config: dict | None, args) -> int:
 
 
 def cmd_verify_moments(config: dict | None, args) -> int:
-    mu, f = field(config, *MODEL), field(config, *FUNCTION)
-    regime = field(config, *REGIME)
+    inputs = Inputs(config)
+    mu, f = inputs.model, inputs.function
+    regime = field(config, *_regime(inputs))
     p_grid = field(config, "p_grid", vector).tolist()
     report = verify.check_moment_chain(mu, f, regime.d, p_grid, regime)
     out = _out_dir(args)
@@ -229,8 +272,9 @@ def cmd_verify_moments(config: dict | None, args) -> int:
 
 
 def cmd_lsi(config: dict | None, args) -> int:
+    mu = Inputs(config).model
     report = reads(
-        lsi_constant_search, MODEL, ("operator", choice(*OPERATORS), "d"), ("starts", COUNT, 32),
+        lambda *a: lsi_constant_search(mu, *a), ("operator", choice(*OPERATORS), "d"), ("starts", COUNT, 32),
         ("seed", SEED, args.seed),
     )(config)
     out = _out_dir(args)
@@ -240,7 +284,7 @@ def cmd_lsi(config: dict | None, args) -> int:
 
 
 def cmd_fourier(config: dict | None, args) -> int:
-    f = field(config, *FUNCTION)
+    f = Inputs(config).function
     space = hypercube(field(config, "n", COUNT))
     spectrum = fourier_transform(f.evaluate_table(space), space)
     weights = spectrum.weights()
@@ -252,7 +296,7 @@ def cmd_fourier(config: dict | None, args) -> int:
 
 
 def cmd_sample(config: dict | None, args) -> int:
-    mu = field(config, *MODEL)
+    mu = Inputs(config).model
     fmt = field(config, "format", choice("csv", "binary"), "csv")
     samples = reads(
         lambda *a: models.glauber_sample(mu, *a),

@@ -9,15 +9,17 @@ covered by declared slack.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
 
 from . import bounds as bounds_mod
-from .bounds import Regime, TailBound, bound_general, dlsi, independent
+from .bounds import Regime, TailBound, independent
 from .diffops import (
     NormProfile,
     d_squared_field,
@@ -27,9 +29,7 @@ from .diffops import (
 )
 from .errors import DomainError
 from .funcs import (
-    FunctionSpec,
     MultilinearPoly,
-    QuadraticForm,
     SupFamily,
     Tabulated,
     UStatistic,
@@ -37,23 +37,12 @@ from .funcs import (
     function_table,
     spectrum_from_coefficients,
 )
-from .lsi import lsi_constant_search, verify_h_lsi_product, psi2_blowup_study
-from .models import (
-    ErgmSpec,
-    IsingSpec,
-    SINGLE_EDGE,
-    TRIANGLE,
-    build_coloring,
-    build_ergm,
-    build_ising,
-    curie_weiss_spec,
-    triangle_count_tensor,
-)
+from .lsi import indicator_ratio, psi2_blowup_study, verify_h_lsi_product
+from .schema import document, field
 from .space import (
     Measure,
+    ProductMeasure,
     ProductSpace,
-    bernoulli_product,
-    enumerate_configurations,
     hypercube,
     lp_norm,
     rademacher,
@@ -226,6 +215,13 @@ def _bound_half_point(bound: TailBound, start: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def max_deviation(mu: Measure, f) -> float:
+    """max |f - Ef| over the support of mu."""
+    table = function_table(f, mu.space)
+    w = mu.prob_table()
+    return float(np.abs(table[w > 0] - float(np.dot(w, table))).max())
 
 
 def domination_grid(bound: TailBound, max_deviation: float) -> np.ndarray:
@@ -434,189 +430,50 @@ def check_ustat_entry_bound(kernel: UStatistic, n: int, k: int) -> PointwiseRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PreparedEntry:
-    name: str
-    mu: Measure
-    f: FunctionSpec
-    regime: Regime
-    profile: NormProfile
-    bound: TailBound
-    t_grid: np.ndarray
-    sigma2_source: str = ""
-
-
-def _random_symmetric_zero_diag(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    A = rng.uniform(-scale, scale, size=(n, n))
-    A = (A + A.T) / 2.0
-    np.fill_diagonal(A, 0.0)
-    return A
-
-
-def _random_symmetric_tensor3(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    T = rng.uniform(-scale, scale, size=(n, n, n))
-    T = (
-        T
-        + T.transpose(0, 2, 1)
-        + T.transpose(1, 0, 2)
-        + T.transpose(1, 2, 0)
-        + T.transpose(2, 0, 1)
-        + T.transpose(2, 1, 0)
-    ) / 6.0
-    idx = np.indices((n, n, n))
-    diagonal = (idx[0] == idx[1]) | (idx[0] == idx[2]) | (idx[1] == idx[2])
-    T[diagonal] = 0.0
-    return T
-
-
-def _searched_sigma2(mu: Measure, starts: int, seed: int) -> float:
-    report = lsi_constant_search(mu, operator="d", starts=starts, seed=seed)
-    if report.best_ratio <= 0.0:
-        raise DomainError("the ratio search found no usable constant")
-    return report.best_ratio
-
-
-def _prepare(name: str, mu: Measure, f: FunctionSpec, regime: Regime, sigma2_source: str = "") -> PreparedEntry:
-    profile = norm_profile(f, mu, regime.d)
-    bound = bound_general(profile, regime)
-    bound.label = f"{name}:{bound.label}"
-    table = f.evaluate_table(mu.space)
-    w = mu.prob_table()
-    mean = float(np.dot(w, table))
-    max_dev = float(np.abs(table[w > 0] - mean).max())
-    grid = domination_grid(bound, max_dev)
-    return PreparedEntry(name, mu, f, regime, profile, bound, grid, sigma2_source)
-
-
-def _entry_rademacher4_pair() -> PreparedEntry:
-    A = np.zeros((4, 4))
-    A[0, 1] = A[1, 0] = 0.5
-    return _prepare("rademacher4-pair", rademacher(4), QuadraticForm(A), independent(2))
-
-
-def _entry_rademacher6_quadratic() -> PreparedEntry:
-    rng = np.random.default_rng(1001)
-    A = _random_symmetric_zero_diag(6, rng)
-    return _prepare("rademacher6-quadratic", rademacher(6), QuadraticForm(A), independent(2))
-
-
-def _entry_rademacher5_sum() -> PreparedEntry:
-    poly = MultilinearPoly({1: np.ones(5)})
-    return _prepare("rademacher5-sum", rademacher(5), poly, independent(1))
-
-
-def _entry_rademacher4_cubic() -> PreparedEntry:
-    rng = np.random.default_rng(1002)
-    poly = MultilinearPoly({3: _random_symmetric_tensor3(4, rng)})
-    return _prepare("rademacher4-cubic", rademacher(4), poly, independent(3))
-
-
-def _entry_bernoulli_quadratic() -> PreparedEntry:
-    rng = np.random.default_rng(1003)
-    A = _random_symmetric_zero_diag(6, rng)
-    return _prepare("bernoulli07-quadratic", bernoulli_product(6, 0.7), QuadraticForm(A), independent(2))
-
-
-def _entry_ternary_table() -> PreparedEntry:
-    space = ProductSpace(tuple(((0.0, 1.0, 2.0)) for _ in range(4)))
-    rng = np.random.default_rng(1004)
-    f = Tabulated(rng.uniform(-1.0, 1.0, size=space.size))
-    return _prepare("ternary4-table", uniform(space), f, independent(2))
-
-
-def _entry_rademacher4_sum_dlsi() -> PreparedEntry:
-    # Uniform two-point coordinates satisfy the d-operator LSI with constant 1.
-    poly = MultilinearPoly({1: np.ones(4)})
-    return _prepare("rademacher4-sum-dlsi", rademacher(4), poly, dlsi(1.0, 1), "stated")
-
-
-def _entry_ising4_quadratic() -> PreparedEntry:
-    J = np.zeros((4, 4))
-    for i in range(4):
-        J[i, (i + 1) % 4] = J[(i + 1) % 4, i] = 0.2
-    h = np.array([0.1, -0.1, 0.1, -0.1])
-    mu, _ = build_ising(IsingSpec(J, h))
-    rng = np.random.default_rng(1005)
-    A = _random_symmetric_zero_diag(4, rng)
-    sigma2 = _searched_sigma2(mu, starts=48, seed=7)
-    return _prepare("ising4-quadratic", mu, QuadraticForm(A), dlsi(sigma2, 2), "searched")
-
-
-def _entry_ising8_magnetization() -> PreparedEntry:
-    J = np.zeros((8, 8))
-    for i in range(8):
-        J[i, (i + 1) % 8] = J[(i + 1) % 8, i] = 0.15
-    mu, _ = build_ising(IsingSpec(J, np.zeros(8)))
-    poly = MultilinearPoly({1: np.ones(8)})
-    sigma2 = _searched_sigma2(mu, starts=32, seed=11)
-    return _prepare("ising8-magnetization", mu, poly, dlsi(sigma2, 1), "searched")
-
-
-def _entry_curie_weiss6() -> PreparedEntry:
-    mu, _ = build_ising(curie_weiss_spec(6, 0.5))
-    poly = MultilinearPoly({1: np.ones(6)})
-    sigma2 = _searched_sigma2(mu, starts=32, seed=13)
-    return _prepare("curie-weiss6-magnetization", mu, poly, dlsi(sigma2, 1), "searched")
-
-
-def _entry_triangle_coloring() -> PreparedEntry:
-    # Five colors on the triangle: k >= 2*maxdegree + 1, so single-site
-    # resampling is ergodic (with three colors the chain freezes and no
-    # finite LSI constant exists).
-    mu, _ = build_coloring([(0, 1), (0, 2), (1, 2)], 3, 5)
-    configs = enumerate_configurations(mu.space)
-    f = Tabulated((configs == 0.0).sum(axis=1).astype(float))
-    sigma2 = _searched_sigma2(mu, starts=48, seed=17)
-    return _prepare("triangle-coloring-count", mu, f, dlsi(sigma2, 1), "searched")
-
-
-def _entry_ergm4_triangles() -> PreparedEntry:
-    spec = ErgmSpec(4, (SINGLE_EDGE, TRIANGLE), (0.2, 0.15))
-    mu, _ = build_ergm(spec)
-    poly = MultilinearPoly({3: triangle_count_tensor(4)})
-    sigma2 = _searched_sigma2(mu, starts=32, seed=19)
-    return _prepare("ergm4-triangles", mu, poly, dlsi(sigma2, 3), "searched")
-
-
-def _entry_ergm5_edges() -> PreparedEntry:
-    spec = ErgmSpec(5, (SINGLE_EDGE,), (0.4,))
-    mu, _ = build_ergm(spec)
-    poly = MultilinearPoly({1: np.ones(10)})
-    return _prepare("ergm5-edges", mu, poly, independent(1))
-
-
-CORPUS_BUILDERS: dict[str, Callable[[], PreparedEntry]] = {
-    "rademacher4-pair": _entry_rademacher4_pair,
-    "rademacher6-quadratic": _entry_rademacher6_quadratic,
-    "rademacher5-sum": _entry_rademacher5_sum,
-    "rademacher4-cubic": _entry_rademacher4_cubic,
-    "bernoulli07-quadratic": _entry_bernoulli_quadratic,
-    "ternary4-table": _entry_ternary_table,
-    "rademacher4-sum-dlsi": _entry_rademacher4_sum_dlsi,
-    "ising4-quadratic": _entry_ising4_quadratic,
-    "ising8-magnetization": _entry_ising8_magnetization,
-    "curie-weiss6-magnetization": _entry_curie_weiss6,
-    "triangle-coloring-count": _entry_triangle_coloring,
-    "ergm4-triangles": _entry_ergm4_triangles,
-    "ergm5-edges": _entry_ergm5_edges,
-}
+# The files `corpus/<name>.json`, in report order: `verify-tail` configs with a
+# `general` bound and no `t_grid`.  rademacher4-sum-dlsi states sigma2 = 1, the
+# d-operator LSI constant of uniform two-point coordinates.  The coloring has
+# five colors on the triangle, k >= 2 * max degree + 1, so single-site
+# resampling is ergodic (with three it freezes and no finite constant exists).
+CORPUS = (
+    "rademacher4-pair",
+    "rademacher6-quadratic",
+    "rademacher5-sum",
+    "rademacher4-cubic",
+    "bernoulli07-quadratic",
+    "ternary4-table",
+    "rademacher4-sum-dlsi",
+    "ising4-quadratic",
+    "ising8-magnetization",
+    "curie-weiss6-magnetization",
+    "triangle-coloring-count",
+    "ergm4-triangles",
+    "ergm5-edges",
+)
 
 
 def corpus_names() -> list[str]:
-    return list(CORPUS_BUILDERS)
+    return list(CORPUS)
 
 
 def run_corpus_entry(name: str) -> dict:
-    """Build one corpus entry, check domination, non-vacuity and the negative
-    control, and return a plain-dict result (stable across runs)."""
-    entry = CORPUS_BUILDERS[name]()
-    curve = tail_curve(entry.mu, entry.f, entry.t_grid)
-    report = check_domination(curve, entry.bound)
+    """Read one corpus file as `verify-tail` does, check domination,
+    non-vacuity and the negative control, and return a plain-dict result
+    (stable across runs)."""
+    from . import cli  # cli imports this module
+
+    inputs = cli.Inputs(json.loads((resources.files(__package__) / "corpus" / f"{name}.json").read_text()))
+    bound, grid = cli.bound_and_grid(inputs)
+    curve = tail_curve(inputs.model, inputs.function, grid)
+    report = check_domination(curve, bound)
     flipped = False
     if math.isfinite(report.safety_factor):
-        shrunk = entry.bound.scaled_constant(1.0 / (report.safety_factor * 1.05))
+        shrunk = bound.scaled_constant(1.0 / (report.safety_factor * 1.05))
         flipped = not check_domination(curve, shrunk).dominated
     passed = report.dominated and report.nonvacuous and flipped
+    # The sigma2 form, until the result types carry exactness: searched, stated, or none.
+    regime_doc = field(field(inputs.config, "bound", document), "regime", document)
+    source = field(regime_doc, "sigma2", lambda v, _: "searched" if isinstance(v, dict) else "stated", "")
     return {
         "name": name,
         "passed": passed,
@@ -625,11 +482,11 @@ def run_corpus_entry(name: str) -> dict:
         "negative_control_flipped": flipped,
         "min_margin": report.min_margin,
         "safety_factor": report.safety_factor,
-        "regime": entry.regime.kind,
-        "d": entry.regime.d,
-        "sigma2": entry.regime.sigma2,
-        "sigma2_source": entry.sigma2_source,
-        "grid_points": int(entry.t_grid.size),
+        "regime": bound.regime.kind,
+        "d": bound.regime.d,
+        "sigma2": bound.regime.sigma2,
+        "sigma2_source": source,
+        "grid_points": int(grid.size),
     }
 
 
@@ -727,8 +584,6 @@ def _suite_h_lsi_product(seed: int) -> SuiteCheck:
             t = rng.uniform(0.2, 1.0, size=m)
             tables.append(t / t.sum())
         space = ProductSpace(tuple(tuple(float(v) for v in range(m)) for m in sizes))
-        from .space import ProductMeasure
-
         mu = ProductMeasure(space, tables)
         worst = max(worst, verify_h_lsi_product(mu, trials=200, seed=int(rng.integers(1 << 31))))
     return SuiteCheck("h-lsi-product", worst <= 1.0 + 1e-9, {"max_ratio": worst})
@@ -811,8 +666,6 @@ def _suite_clopper_pearson(seed: int) -> SuiteCheck:
 
 
 def _suite_indicator_blowup(_seed: int) -> SuiteCheck:
-    from .lsi import indicator_ratio
-
     passed = True
     checked = {}
     for sigma2 in (1.0, 10.0, 100.0):

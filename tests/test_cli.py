@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from concentra.cli import (
     build_t_grid,
     main,
 )
+from concentra.bounds import INDEPENDENT_C_FACTOR, TailBound
 from concentra.errors import SchemaError
+from concentra.verify import corpus_names, domination_grid, run_corpus_entry
 from concentra.space import enumerate_configurations, hypercube
 
 
@@ -333,6 +336,10 @@ def _bound(bound, **fields):
     return {"bound": bound, "t_grid": [1.0]} | fields
 
 
+def _dlsi(sigma2, d=1):
+    return {"kind": "dlsi", "sigma2": sigma2, "d": d}
+
+
 def _moments(**fields):
     return {"model": _RAD3, "function": _LINEAR3, "regime": {"kind": "independent", "d": 1},
             "p_grid": [2.0]} | fields
@@ -401,6 +408,11 @@ def _moments(**fields):
         ("bound", _bound(dict(_GENERAL_D1, regime={"kind": "dlsi", "sigma2": float("nan"),
                                                    "d": 1}))),
         ("sample", {"model": _RAD3, "sweeps": 1, "format": "bogus"}),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"search": {"starts": 0, "seed": 1}})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"search": "x"})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"starts": 2, "seed": 1})))),
+        ("bound", _bound({"kind": "suprema", "expected_w": [], "w_top_sup": 2.0,
+                          "regime": _dlsi({"search": {"starts": 2, "seed": 1}})})),
     ],
     ids=["table-without-values", "motif-without-edges", "motif-not-an-object", "n-not-a-number",
          "profile-without-gamma", "t-grid-negative-count", "t-grid-zero-count",
@@ -413,7 +425,9 @@ def _moments(**fields):
          "exact-measure-without-table", "measure-n-a-string", "starts-not-a-number",
          "expected-w-entry-a-string", "moment-shift-a-string", "c-user-a-string",
          "profile-stderr-not-a-list", "p-grid-not-a-list", "n-fractional", "n-a-bool",
-         "normalized-a-string", "profile-mode-unknown", "sigma2-nan", "sample-format-unknown"],
+         "normalized-a-string", "profile-mode-unknown", "sigma2-nan", "sample-format-unknown",
+         "sigma2-search-starts-zero", "sigma2-search-not-an-object", "sigma2-object-without-search",
+         "sigma2-search-without-model"],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
@@ -422,6 +436,61 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, d
     assert rc == EXIT_SCHEMA
     assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bound_doc",
+    [
+        {"kind": "general", "regime": {"kind": "independent", "d": 1}},
+        {"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})},
+        {"kind": "polynomial", "d": 1, "sigma": 1.0},
+    ],
+    ids=["general", "general-sigma2-search", "polynomial"],
+)
+def test_verify_tail_builds_the_model_and_function_once(tmp_path, monkeypatch, bound_doc):
+    import concentra.cli as cli
+
+    calls = {"build_model": 0, "function_from_json": 0}
+    for name in calls:
+        def counted(doc, original=getattr(cli, name), name=name):
+            calls[name] += 1
+            return original(doc)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = write_config(tmp_path, "c.json", _tail(bound=bound_doc, t_grid=[0.5, 1.0]))
+    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_VIOLATION)
+    assert calls == {"build_model": 1, "function_from_json": 1}
+
+
+def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
+    point_mass = {"kind": "measure", "document": _MEASURE1 | {"measure": {"kind": "exact", "table": [1.0, 0.0]}}}
+    doc = _tail(model=point_mass, function={"kind": "table", "values": [0.0, 1.0]},
+                bound={"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "no usable constant" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_file_reruns_as_verify_tail(tmp_path, name):
+    config = resources.files("concentra") / "corpus" / f"{name}.json"
+    assert main(["verify-tail", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    doc = json.loads((tmp_path / "domination.json").read_text())
+    entry = run_corpus_entry(name)
+    assert (doc["min_margin"], doc["safety_factor"]) == (entry["min_margin"], entry["safety_factor"])
+    rows = (tmp_path / "tail_curve.csv").read_text().splitlines()
+    assert len(rows) - 1 == entry["grid_points"]
+
+
+def test_verify_tail_default_grid_is_the_domination_grid(tmp_path):
+    doc = _tail()
+    del doc["t_grid"]
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    grid = [float(row.split(",")[0]) for row in (tmp_path / "out" / "tail_curve.csv").read_text().splitlines()[1:]]
+    bound = TailBound(((1.0, 1.0),), INDEPENDENT_C_FACTOR)
+    assert grid == domination_grid(bound, 3.0).tolist()
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

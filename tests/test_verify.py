@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -449,6 +450,29 @@ class TestCorpus:
     def test_has_at_least_ten_entries(self):
         assert len(corpus_names()) >= 10
 
+    def test_names_are_the_shipped_files_in_report_order(self):
+        shipped = {
+            f.name.removesuffix(".json")
+            for f in (resources.files("concentra") / "corpus").iterdir() if f.name.endswith(".json")
+        }
+        assert set(corpus_names()) == shipped
+        assert corpus_names() == [
+            "rademacher4-pair", "rademacher6-quadratic", "rademacher5-sum", "rademacher4-cubic",
+            "bernoulli07-quadratic", "ternary4-table", "rademacher4-sum-dlsi", "ising4-quadratic",
+            "ising8-magnetization", "curie-weiss6-magnetization", "triangle-coloring-count",
+            "ergm4-triangles", "ergm5-edges",
+        ]
+
+    def test_sigma2_source_follows_the_config_form(self):
+        got = {}
+        for name in ("rademacher4-pair", "rademacher4-sum-dlsi", "curie-weiss6-magnetization"):
+            result = run_corpus_entry(name)
+            got[name] = (result["sigma2_source"], result["sigma2"])
+        assert got["rademacher4-pair"] == ("", None)
+        assert got["rademacher4-sum-dlsi"] == ("stated", 1.0)
+        source, sigma2 = got["curie-weiss6-magnetization"]
+        assert source == "searched" and sigma2 > 0.0
+
     def test_single_entry_passes_with_all_flags(self):
         result = run_corpus_entry("rademacher4-pair")
         assert result["passed"]
@@ -464,6 +488,9 @@ class TestSuite:
         r2 = run_suite(seed=3)
         assert r1.all_passed
         assert r1.to_json() == r2.to_json()
+
+    def test_pool_workers_match_serial(self):
+        assert run_suite(seed=0, jobs=2).to_json() == run_suite(seed=0, jobs=1).to_json()
 
     def test_pool_capped_at_corpus_size(self, monkeypatch):
         import concurrent.futures
