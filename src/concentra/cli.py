@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import models, verify
 from .diffops import NormProfile, norm_profile
 from .errors import ConcentraError, DomainError, SchemaError
-from .funcs import FunctionSpec, function_from_json, fourier_transform
+from .funcs import FunctionSpec, function_from_json, function_table, fourier_transform
 from .lsi import OPERATORS, lsi_constant_search
 from .schema import array, boolean, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector
 from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
@@ -93,8 +93,9 @@ def build_model(doc: dict) -> Measure:
 
 
 class Inputs:
-    """A config with its `model` and `function`, each built on first use and
-    then kept, so that a command builds each once however many fields use it."""
+    """A config with its `model`, `function` and the function's table, each
+    built on first use and then kept, so that a command builds each once
+    however many fields use it."""
 
     def __init__(self, config: dict):
         self.config = config
@@ -106,6 +107,12 @@ class Inputs:
     @functools.cached_property
     def function(self) -> FunctionSpec:
         return field(self.config, "function", lambda doc, _: function_from_json(doc))
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The function's values over the model's enumerated space."""
+        self.model.space.check_cap()
+        return function_table(self.function, self.model.space)
 
 
 def _lsi_sigma2(mu: Measure, starts: int, seed: int) -> float:
@@ -135,7 +142,7 @@ def _bound_general(doc: dict, inputs: Inputs) -> bounds_mod.TailBound:
     regime = field(doc, *_regime(inputs))
     profile = field(doc, "profile", lambda profile, _: NormProfile.from_json(profile), None)
     if profile is None:
-        profile = norm_profile(inputs.function, inputs.model, regime.d)
+        profile = norm_profile(inputs.table, inputs.model, regime.d)
     return bounds_mod.bound_general(profile, regime)
 
 
@@ -215,7 +222,7 @@ def bound_and_grid(inputs: Inputs) -> tuple[bounds_mod.TailBound, np.ndarray]:
     bound = build_bound(inputs)
     grid = field(inputs.config, "t_grid", build_t_grid, None)
     if grid is None:
-        grid = verify.domination_grid(bound, verify.max_deviation(inputs.model, inputs.function))
+        grid = verify.domination_grid(bound, verify.max_deviation(inputs.model, inputs.table))
     return bound, grid
 
 
@@ -235,7 +242,7 @@ def cmd_verify_tail(config: dict | None, args) -> int:
     mode = args.mode if args.mode is not None else field(config, "mode", choice(*MODES), "exact")
     side = field(config, "side", choice(*verify.TAIL_SIDES), "upper" if bound.one_sided else "two")
     if mode == "exact":
-        curve = verify.tail_curve(mu, f, grid, mode="exact", side=side)
+        curve = verify.tail_curve(mu, inputs.table, grid, mode="exact", side=side)
     else:
         sample_rows = reads(
             lambda sweeps, burn_in, seed: models.glauber_sample(mu, sweeps, burn_in, seed=seed),

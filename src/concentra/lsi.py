@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, UndefinedRatioError
 from .diffops import d_squared_field, h_field
@@ -109,6 +108,8 @@ class LsiReport:
 
 
 def _search_d_operator(mu: Measure, starts: int, seed: int, max_iter: int) -> tuple[float, np.ndarray | None, int]:
+    from scipy import optimize  # loaded by the searches only: it dominates a CLI import
+
     w = mu.prob_table()
     support = np.nonzero(w > 0.0)[0]
     ws = w[support]
@@ -163,6 +164,8 @@ def _search_d_operator(mu: Measure, starts: int, seed: int, max_iter: int) -> tu
 def _search_h_operator(
     mu: Measure, operator: str, starts: int, seed: int, max_iter: int
 ) -> tuple[float, np.ndarray | None, int]:
+    from scipy import optimize
+
     w = mu.prob_table()
     rng = np.random.default_rng(seed)
     dim = mu.space.size

@@ -16,7 +16,6 @@ from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import bounds as bounds_mod
 from .bounds import Regime, TailBound, independent
@@ -69,7 +68,10 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.999
         raise DomainError("confidence must lie in (0, 1)")
     if successes == trials:
         return 1.0
-    return float(stats.beta.ppf(confidence, successes + 1, trials - successes))
+    # The beta quantile; the same bits as scipy.stats.beta.ppf, without importing scipy.stats.
+    from scipy.special import betaincinv
+
+    return float(betaincinv(successes + 1, trials - successes, confidence))
 
 
 @dataclass
@@ -464,7 +466,7 @@ def run_corpus_entry(name: str) -> dict:
 
     inputs = cli.Inputs(json.loads((resources.files(__package__) / "corpus" / f"{name}.json").read_text()))
     bound, grid = cli.bound_and_grid(inputs)
-    curve = tail_curve(inputs.model, inputs.function, grid)
+    curve = tail_curve(inputs.model, inputs.table, grid)
     report = check_domination(curve, bound)
     flipped = False
     if math.isfinite(report.safety_factor):
@@ -637,6 +639,8 @@ def _suite_moment_chain(seed: int) -> SuiteCheck:
 
 def exact_binomial_coverage(p: float, m: int, confidence: float) -> float:
     """P(upper limit >= p) computed by summing the binomial pmf over all counts."""
+    from scipy import stats
+
     ks = np.arange(m + 1)
     covered = np.array([clopper_pearson_upper(int(k), m, confidence) >= p for k in ks])
     return float(stats.binom.pmf(ks, m, p)[covered].sum())

@@ -462,6 +462,47 @@ def test_verify_tail_builds_the_model_and_function_once(tmp_path, monkeypatch, b
     assert calls == {"build_model": 1, "function_from_json": 1}
 
 
+def _count_table_builds(monkeypatch):
+    from concentra.funcs import FunctionSpec
+
+    calls = []
+    original = FunctionSpec.evaluate_table
+    monkeypatch.setattr(FunctionSpec, "evaluate_table", lambda self, space: calls.append(1) or original(self, space))
+    return calls
+
+
+@pytest.mark.parametrize("t_grid", [[0.5, 1.0], None], ids=["grid", "default-grid"])
+def test_exact_verify_tail_builds_the_function_table_once(tmp_path, monkeypatch, t_grid):
+    calls = _count_table_builds(monkeypatch)
+    doc = _tail(model=_ERGM3, bound={"kind": "general", "regime": {"kind": "independent", "d": 1}})
+    if t_grid is None:
+        del doc["t_grid"]
+    else:
+        doc["t_grid"] = t_grid
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_VIOLATION)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["rademacher4-pair", "ergm4-triangles"])
+def test_corpus_entry_builds_the_function_table_once(monkeypatch, name):
+    calls = _count_table_builds(monkeypatch)
+    run_corpus_entry(name)
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    import concentra
+
+    code = "import sys, concentra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {"PYTHONPATH": str(Path(concentra.__file__).parent.parent), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
     point_mass = {"kind": "measure", "document": _MEASURE1 | {"measure": {"kind": "exact", "table": [1.0, 0.0]}}}
     doc = _tail(model=point_mass, function={"kind": "table", "values": [0.0, 1.0]},

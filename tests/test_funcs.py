@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -20,12 +20,15 @@ from concentra.funcs import (
     gradient_tensor_at,
     spectrum_from_coefficients,
 )
+from concentra.diffops import norm_profile
 from concentra.space import (
+    ProductSpace,
     binary,
     bernoulli_product,
     enumerate_configurations,
     hypercube,
     rademacher,
+    uniform,
 )
 
 
@@ -107,6 +110,105 @@ class TestEvaluate:
         x = [1.0, -1.0, 1.0]
         assert l2.evaluate(x) == pytest.approx(math.sqrt(5.0))
         assert linf.evaluate(x) == pytest.approx(2.0)
+
+
+def ustat_oracle(kernel, digits):
+    """U-statistic at one row of alphabet indices: a scalar loop over d-subsets."""
+    g = np.asarray(digits, dtype=np.intp)
+    d = kernel.ndim
+    if d == 1:
+        return float(kernel[g].sum())
+    if d == 2:
+        block = kernel[np.ix_(g, g)]
+        return float(block.sum() - np.trace(block)) / 2.0
+    total = 0.0
+    for combo in combinations(range(g.size), d):
+        total += float(kernel[tuple(g[list(combo)])])
+    return total
+
+
+def chaos_vector_oracle(chaos, x):
+    """sum over subsets I of x_I t_I at one configuration, scalar products."""
+    out = np.zeros(chaos.codim)
+    for subset, vec in chaos.coefficients.items():
+        out += math.prod(float(x[i]) for i in subset) * vec
+    return out
+
+
+def random_symmetric_kernel(order, m, rng):
+    K = rng.standard_normal((m,) * order)
+    return sum(K.transpose(p) for p in permutations(range(order))) / math.factorial(order)
+
+
+def shared_alphabet(n, m):
+    return ProductSpace(tuple(tuple(float(v) for v in range(m)) for _ in range(n)))
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_ustat_table_equals_per_row_oracle(self, order, m):
+        # Up to 9 coordinates; 3^7 = 2187 rows crosses two row blocks and ends in a partial one.
+        rng = np.random.default_rng(100 * order + m)
+        u = UStatistic(order, random_symmetric_kernel(order, m, rng))
+        for n in range(order, 10):
+            space = shared_alphabet(n, m)
+            if space.size > 2187:
+                break
+            digits = space.digit_rows(enumerate_configurations(space))
+            oracle = np.array([ustat_oracle(u.kernel, g) for g in digits])
+            assert np.array_equal(u.evaluate_table(space), oracle), (order, m, n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_ustat_rows_in_any_order_equal_oracle(self, order):
+        rng = np.random.default_rng(7 + order)
+        space = shared_alphabet(7, 3)
+        u = UStatistic(order, random_symmetric_kernel(order, 3, rng))
+        rows = rng.integers(0, 3, size=(2500, 7)).astype(float)
+        oracle = np.array([ustat_oracle(u.kernel, g) for g in space.digit_rows(rows)])
+        assert np.array_equal(u.evaluate_rows(space, rows), oracle)
+        assert u.evaluate_rows(space, rows[:0]).shape == (0,)
+
+    def test_ustat_monte_carlo_profile_equals_oracle_table(self):
+        # The Monte Carlo profile evaluates f on section grids around each sample
+        # (1300 points x 4 grid rows per pair: several row blocks per call).
+        rng = np.random.default_rng(12)
+        mu = rademacher(6)
+        u = UStatistic(3, random_symmetric_kernel(3, 2, rng))
+        digits = mu.space.digit_rows(enumerate_configurations(mu.space))
+        oracle = Tabulated(np.array([ustat_oracle(u.kernel, g) for g in digits]))
+        samples = rng.choice([-1.0, 1.0], size=(1300, 6))
+        got = norm_profile(u, mu, 2, mode="monte_carlo", samples=samples)
+        want = norm_profile(oracle, mu, 2, mode="monte_carlo", samples=samples)
+        assert (got.gamma, got.stderr) == (want.gamma, want.stderr)
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_chaos_batch_equals_per_row_oracle(self, norm):
+        rng = np.random.default_rng(31)
+        n, order = 6, 3
+        coeffs = {s: rng.standard_normal(4) for s in combinations(range(n), order) if rng.random() < 0.6}
+        chaos = VectorChaos(order, n, coeffs, norm=norm)
+        configs = rng.standard_normal((300, n))
+        vectors = np.array([chaos_vector_oracle(chaos, x) for x in configs])
+        assert np.array_equal(chaos.vector_batch(configs), vectors)
+        assert np.array_equal(chaos.vector_value(configs[5]), vectors[5])
+        values = chaos.evaluate_batch(configs)
+        if norm == "linf":
+            assert np.array_equal(values, np.abs(vectors).max(axis=1))
+        else:
+            # A row norm may sum its squares in another order than a vector's: a few ulps.
+            np.testing.assert_allclose(values, [np.linalg.norm(v) for v in vectors], rtol=1e-15, atol=0)
+        assert chaos.evaluate(configs[5]) == values[5]
+        space = hypercube(n)
+        table = np.array([np.abs(chaos_vector_oracle(chaos, x)).max() if norm == "linf"
+                          else np.linalg.norm(chaos_vector_oracle(chaos, x))
+                          for x in enumerate_configurations(space)])
+        np.testing.assert_allclose(chaos.evaluate_table(space), table, rtol=1e-15, atol=0)
+
+    def test_chaos_dimension_mismatch(self):
+        chaos = VectorChaos(1, 3, {(0,): np.ones(2)})
+        with pytest.raises(DimensionMismatchError):
+            chaos.evaluate_batch(np.zeros((2, 2)))
 
 
 class TestFourier:

@@ -122,6 +122,14 @@ class TestClopperPearson:
         )
         assert failures <= 1  # frozen seed; true failure rate <= 1 - conf per draw
 
+    def test_equals_the_beta_quantile_bit_for_bit(self):
+        from scipy import stats
+
+        for m in (1, 2, 7, 50, 300, 2000, 20000):
+            for k in sorted({0, 1, m // 3, m // 2, m - 1} - {m}):
+                for conf in (0.5, 0.9, 0.99, 0.999):
+                    assert clopper_pearson_upper(k, m, conf) == float(stats.beta.ppf(conf, k + 1, m - k))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             clopper_pearson_upper(5, 0)
