@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .diffops import NormProfile
 from .schema import array, boolean, reads, real, text
-from .tensors import Partition, enumerate_partitions, hs_norm, op_norm
+from .tensors import Partition, check_symmetric, check_zero_diagonal, enumerate_partitions, hs_norm, op_norm
 
 INDEPENDENT_C_FACTOR = 217.0
 DLSI_C_FACTOR = 15.0
@@ -365,10 +365,8 @@ def hanson_wright(A: np.ndarray, M: float, regime: Regime) -> TailBound:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DomainError("need a non-empty square matrix")
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise DomainError("matrix must be symmetric")
-    if np.any(np.diag(A) != 0.0):
-        raise DomainError("matrix must have zero diagonal")
+    check_symmetric(A, "matrix")
+    check_zero_diagonal(A, "matrix")
     if M <= 0.0:
         raise DomainError("M must be positive")
     if regime.d != 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +28,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_VIOLATION = 3
 
-JOBS_ENV_VAR = "CONCENTRA_JOBS"
 MODES = ("exact", "mc")
 COUNT, SEED = integer(1), integer(0)
 EDGES = array((None, 2), int)
@@ -321,7 +319,7 @@ def cmd_sample(config: dict | None, args) -> int:
 
 
 def cmd_suite(config: dict | None, args) -> int:
-    result = verify.run_suite(seed=args.seed, jobs=max(1, args.jobs))
+    result = verify.run_suite(seed=args.seed, jobs=args.jobs)
     out = _out_dir(args)
     _write_json(out / "suite_report.json", result.to_json())
     rows = []
@@ -345,6 +343,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concentra",
@@ -357,9 +361,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=_seed, default=0, help="random seed, a non-negative integer"),
         "--mode": dict(choices=MODES, default=None, help="override the config's mode"),
         "--samples": dict(type=int, default=10_000, help="Monte Carlo sample count"),
-        # argparse converts a string default with `type`, so a bad value exits 2.
-        "--jobs": dict(type=int, default=os.environ.get(JOBS_ENV_VAR, "1"),
-                       help=f"parallel workers (default ${JOBS_ENV_VAR}, else 1)"),
+        "--jobs": dict(type=_jobs, default=1, help="parallel workers, a positive integer"),
     }
     for name, handler, names in [
         ("bound", cmd_bound, ("--config", "--out")),

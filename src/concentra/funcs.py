@@ -17,24 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .schema import array, choice, dispatch, document, field, integer, list_of, matrix, reads, vector
 from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations
-
-
-def _check_symmetric_zero_diagonal(tensor: np.ndarray, what: str) -> None:
-    k = tensor.ndim
-    if k >= 2:
-        for axis in range(1, k):
-            perm = list(range(k))
-            perm[0], perm[axis] = perm[axis], perm[0]
-            if not np.allclose(tensor, tensor.transpose(perm), atol=1e-12):
-                raise DomainError(f"{what} is not symmetric under index permutation")
-        n = tensor.shape[0]
-        idx = np.indices(tensor.shape)
-        repeated = np.zeros(tensor.shape, dtype=bool)
-        for a in range(k):
-            for b in range(a + 1, k):
-                repeated |= idx[a] == idx[b]
-        if np.any(tensor[repeated] != 0.0):
-            raise DomainError(f"{what} has nonzero entries on the generalized diagonal")
+from .tensors import check_symmetric, check_zero_diagonal
 
 
 class FunctionSpec:
@@ -42,16 +25,12 @@ class FunctionSpec:
 
     kind = "abstract"
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        raise NotImplementedError
-
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         """Values at a (k, n) batch of configurations of `space`, one per row.
 
-        The space-aware batch method: tabulated kinds need the space for indexing.
+        The one evaluation method each kind implements; the views below call it.
         """
-        self.check_space(space)
-        return self.evaluate_batch(rows)
+        raise NotImplementedError
 
     def evaluate_on(self, space: ProductSpace, x: Sequence[float]) -> float:
         """The value at one configuration: a one-row view of evaluate_rows."""
@@ -59,10 +38,6 @@ class FunctionSpec:
 
     def evaluate_table(self, space: ProductSpace) -> np.ndarray:
         return self.evaluate_rows(space, enumerate_configurations(space))
-
-    def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
-        """Values at a (k, n) batch of configuration values, one per row."""
-        raise NotImplementedError
 
     def check_space(self, space: ProductSpace) -> None:
         raise NotImplementedError
@@ -80,9 +55,6 @@ class Tabulated(FunctionSpec):
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        raise DimensionMismatchError("tabulated functions are evaluated against a space")
 
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         self.check_space(space)
@@ -124,7 +96,8 @@ class MultilinearPoly(FunctionSpec):
                 dim = t.shape[0]
             if t.shape != (dim,) * k:
                 raise DomainError(f"coefficient tensor for order {k} has shape {t.shape}")
-            _check_symmetric_zero_diagonal(t, f"order-{k} coefficient tensor")
+            check_symmetric(t, f"order-{k} coefficient tensor")
+            check_zero_diagonal(t, f"order-{k} coefficient tensor")
             clean[k] = t
         if not clean:
             raise DomainError("a multilinear polynomial needs at least one coefficient tensor")
@@ -135,18 +108,16 @@ class MultilinearPoly(FunctionSpec):
     def degree(self) -> int:
         return max(self.tensors)
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        return float(self.evaluate_batch(np.asarray(x, dtype=float))[0])
-
-    def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        if configs.shape[1] != self.dim:
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        self.check_space(space)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"polynomial on {self.dim} variables evaluated at {configs.shape[1]} coordinates"
+                f"polynomial on {self.dim} variables evaluated at {rows.shape[1]} coordinates"
             )
-        out = np.zeros(configs.shape[0])
+        out = np.zeros(rows.shape[0])
         for t in self.tensors.values():
-            out += _contract_poly_term(t, configs)
+            out += _contract_poly_term(t, rows)
         return out
 
     def check_space(self, space: ProductSpace) -> None:
@@ -184,23 +155,18 @@ class QuadraticForm(FunctionSpec):
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise DomainError("quadratic form needs a square matrix")
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-12):
-            raise DomainError("quadratic form matrix is not symmetric")
-        if np.any(np.diag(self.matrix) != 0.0):
-            raise DomainError("quadratic form matrix has a nonzero diagonal")
+        check_symmetric(self.matrix, "quadratic form matrix")
+        check_zero_diagonal(self.matrix, "quadratic form matrix")
 
     def as_poly(self) -> MultilinearPoly:
         return MultilinearPoly({2: self.matrix})
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.matrix @ x)
-
-    def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        if configs.shape[1] != self.matrix.shape[0]:
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        self.check_space(space)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != self.matrix.shape[0]:
             raise DimensionMismatchError("quadratic form dimension mismatch")
-        return np.einsum("zi,ij,zj->z", configs, self.matrix, configs)
+        return np.einsum("zi,ij,zj->z", rows, self.matrix, rows)
 
     def check_space(self, space: ProductSpace) -> None:
         if space.n != self.matrix.shape[0]:
@@ -237,11 +203,7 @@ class UStatistic(FunctionSpec):
         m = self.kernel.shape[0]
         if self.kernel.shape != (m,) * self.order:
             raise DomainError("kernel table must be hypercubic over the alphabet")
-        for axis in range(1, self.order):
-            perm = list(range(self.order))
-            perm[0], perm[axis] = perm[axis], perm[0]
-            if not np.allclose(self.kernel, self.kernel.transpose(perm), atol=1e-12):
-                raise DomainError("U-statistic kernel is not symmetric")
+        check_symmetric(self.kernel, "U-statistic kernel")
 
     @property
     def bound(self) -> float:
@@ -302,9 +264,6 @@ class SupFamily(FunctionSpec):
         if len(self.members) == 0:
             raise DomainError("a supremum family needs at least one member")
         self.members = tuple(self.members)
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        return max(abs(m.evaluate(x)) for m in self.members)
 
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         stacked = np.stack([np.abs(m.evaluate_rows(space, rows)) for m in self.members])
@@ -368,17 +327,12 @@ class VectorChaos(FunctionSpec):
             out += math.prod(configs[:, i] for i in subset)[:, None] * vec
         return out
 
-    def vector_value(self, x: Sequence[float]) -> np.ndarray:
-        return self.vector_batch(x)[0]
-
-    def evaluate_batch(self, configs: np.ndarray) -> np.ndarray:
-        vectors = self.vector_batch(configs)
+    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
+        self.check_space(space)
+        vectors = self.vector_batch(rows)
         if self.norm == "l2":
             return np.linalg.norm(vectors, axis=1)
         return np.abs(vectors).max(axis=1)
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        return float(self.evaluate_batch(x)[0])
 
     def check_space(self, space: ProductSpace) -> None:
         if space.n != self.dim:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, UndefinedRatioError
 from .diffops import d_squared_field, h_field
 from .funcs import function_table
-from .space import Measure, ProductMeasure, lp_norm, two_point_measure
+from .space import Measure, ProductMeasure, _entropy, lp_norm, two_point_measure
 
 OPERATORS = ("d", "h", "h_plus")
 
@@ -24,8 +24,7 @@ _TINY = 1e-300
 def dirichlet_form(mu: Measure, f) -> float:
     """E |d f|^2: the Dirichlet form of the single-site resampling dynamics."""
     mu.space.check_cap()
-    table = function_table(f, mu.space)
-    return float(np.dot(mu.prob_table(), d_squared_field(table, mu)))
+    return gamma_squared_mean(mu, f, "d")
 
 
 def gamma_squared_mean(mu: Measure, f, operator: str) -> float:
@@ -40,18 +39,6 @@ def gamma_squared_mean(mu: Measure, f, operator: str) -> float:
     return float(np.dot(w, (field_**2).sum(axis=1)))
 
 
-def _entropy_of_square(w: np.ndarray, table: np.ndarray) -> float:
-    support = w > 0.0
-    g = table[support] ** 2
-    weights = w[support]
-    mean = float(np.dot(weights, g))
-    pos = g > 0.0
-    ent = float(np.dot(weights[pos], g[pos] * np.log(g[pos])))
-    if mean > 0.0:
-        ent -= mean * math.log(mean)
-    return ent
-
-
 def lsi_ratio(mu: Measure, f, operator: str = "d") -> float:
     """Ent(f^2) / (2 E Gamma(f)^2); undefined for f constant on the support."""
     table = function_table(f, mu.space)
@@ -63,7 +50,7 @@ def lsi_ratio(mu: Measure, f, operator: str = "d") -> float:
     denom = 2.0 * gamma_squared_mean(mu, table, operator)
     if denom <= 0.0:
         raise UndefinedRatioError("difference-operator energy vanishes for this function")
-    return _entropy_of_square(w, table) / denom
+    return _entropy(w[support], vals**2) / denom
 
 
 def glauber_quadratic_form(mu: Measure) -> np.ndarray:
@@ -167,6 +154,8 @@ def _search_h_operator(
     from scipy import optimize
 
     w = mu.prob_table()
+    support = w > 0.0
+    ws = w[support]
     rng = np.random.default_rng(seed)
     dim = mu.space.size
     if dim > 4096:
@@ -178,7 +167,7 @@ def _search_h_operator(
             return 1e6
         f = f / norm
         denom = 2.0 * gamma_squared_mean(mu, f, operator)
-        ent = _entropy_of_square(w, f)
+        ent = _entropy(ws, f[support] ** 2)
         if denom <= _TINY or ent <= _TINY:
             return 1e6
         return -math.log(ent / denom)
@@ -230,13 +219,15 @@ def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:
     mu.space.check_cap()
     rng = np.random.default_rng(seed)
     w = mu.prob_table()
+    support = w > 0.0
+    ws = w[support]
     worst = 0.0
     for _ in range(trials):
         f = rng.standard_normal(mu.space.size)
         denom = 2.0 * gamma_squared_mean(mu, f, "h")
         if denom <= _TINY:
             continue
-        worst = max(worst, _entropy_of_square(w, f) / denom)
+        worst = max(worst, _entropy(ws, f[support] ** 2) / denom)
     return worst
 
 

@@ -20,6 +20,7 @@ from .space import (
     binary,
     hypercube,
 )
+from .tensors import check_symmetric, check_zero_diagonal
 
 SAMPLE_MAGIC = b"CONCSAMP"
 
@@ -42,10 +43,8 @@ class IsingSpec:
         n = self.coupling.shape[0]
         if self.coupling.shape != (n, n):
             raise DomainError("coupling matrix must be square")
-        if not np.allclose(self.coupling, self.coupling.T, atol=1e-12):
-            raise DomainError("coupling matrix must be symmetric")
-        if np.any(np.diag(self.coupling) != 0.0):
-            raise DomainError("coupling matrix must have zero diagonal")
+        check_symmetric(self.coupling, "coupling matrix")
+        check_zero_diagonal(self.coupling, "coupling matrix")
         if self.external_field.shape != (n,):
             raise DomainError("external field must have one entry per site")
 
@@ -84,15 +83,12 @@ def build_ising(spec: IsingSpec) -> tuple[GibbsMeasure, IsingConditionReport]:
     J = spec.coupling
     h = spec.external_field
 
-    def log_weight(row: np.ndarray) -> float:
-        s = np.asarray(row, dtype=float)
-        return float(0.5 * s @ J @ s + h @ s)
+    # einsum rounds each row the same way in any batch; `S @ h` does not (BLAS
+    # takes another kernel for one row, or for a few, than for a block).
+    def log_weights(S: np.ndarray) -> np.ndarray:
+        return 0.5 * np.einsum("zi,ij,zj->z", S, J, S) + np.einsum("zi,i->z", S, h)
 
-    def log_weight_batch(rows: np.ndarray) -> np.ndarray:
-        S = np.asarray(rows, dtype=float)
-        return 0.5 * np.einsum("zi,ij,zj->z", S, J, S) + S @ h
-
-    mu = GibbsMeasure(hypercube(spec.n), log_weight, log_weight_batch)
+    mu = GibbsMeasure(hypercube(spec.n), log_weights)
     row_sum = float(np.abs(J).sum(axis=1).max()) if spec.n else 0.0
     alpha = 1.0 - row_sum
     report = IsingConditionReport(
@@ -315,23 +311,14 @@ def build_ergm(spec: ErgmSpec) -> tuple[GibbsMeasure, ErgmConditionReport]:
         scale = beta_i * float(n) ** (2 - motif.n_vertices) / motif.automorphism_count()
         scaled.append((scale, rows, motif.n_edges))
 
-    def log_weight(row: np.ndarray) -> float:
-        x = np.asarray(row, dtype=float)
-        total = 0.0
-        for scale, rows, _ in scaled:
-            if scale != 0.0:
-                total += scale * float(x[rows].prod(axis=1).sum())
-        return total
-
-    def log_weight_batch(rows_batch: np.ndarray) -> np.ndarray:
-        X = np.asarray(rows_batch, dtype=float)
+    def log_weights(X: np.ndarray) -> np.ndarray:
         total = np.zeros(X.shape[0])
         for scale, rows, _ in scaled:
             if scale != 0.0:
                 total += scale * X[:, rows].prod(axis=2).sum(axis=1)
         return total
 
-    mu = GibbsMeasure(binary(n_edges), log_weight, log_weight_batch)
+    mu = GibbsMeasure(binary(n_edges), log_weights)
     phi_prime = sum(
         abs(b) * m.n_edges * (m.n_edges - 1) for b, m in zip(spec.beta, spec.motifs)
     )

@@ -208,9 +208,6 @@ class Measure:
     def to_exact(self) -> "ExactMeasure":
         return ExactMeasure(self.space, self.prob_table())
 
-    def expectation(self, values: np.ndarray) -> float:
-        return float(np.dot(self.prob_table(), values))
-
     def measure_json(self) -> dict:
         raise NotImplementedError
 
@@ -264,11 +261,6 @@ class ExactMeasure(Measure):
         marginal = marg.sum(axis=axes) if axes else marg
         return np.nonzero(marginal > 0.0)[0]
 
-    def marginal(self, i: int) -> np.ndarray:
-        marg = self.table.reshape(self.space.shape)
-        axes = tuple(j for j in range(self.space.n) if j != i)
-        return marg.sum(axis=axes) if axes else marg.copy()
-
     def measure_json(self) -> dict:
         return {"kind": "exact", "table": self.table.tolist()}
 
@@ -320,28 +312,20 @@ class ProductMeasure(Measure):
 class GibbsMeasure(Measure):
     """Measure given by a log-weight over configurations, normalized on demand.
 
-    All declared alphabet values are treated as support.
+    `log_weights` maps a (k, n) batch of configurations to their k log-weights;
+    a row's value must not depend on the other rows of its batch.  All declared
+    alphabet values are treated as support.
     """
 
     kind = "gibbs"
 
-    def __init__(
-        self,
-        space: ProductSpace,
-        log_weight: Callable[[np.ndarray], float],
-        log_weight_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, space: ProductSpace, log_weights: Callable[[np.ndarray], np.ndarray]):
         super().__init__(space)
-        self.log_weight = log_weight
-        self._batch = log_weight_batch
+        self._log_weights = log_weights
         self._table: np.ndarray | None = None
 
     def log_weights(self, configs: np.ndarray) -> np.ndarray:
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        if self._batch is not None:
-            out = np.asarray(self._batch(configs), dtype=float)
-        else:
-            out = np.array([self.log_weight(row) for row in configs], dtype=float)
+        out = np.asarray(self._log_weights(np.atleast_2d(np.asarray(configs, dtype=float))), dtype=float)
         if not np.all(np.isfinite(out)):
             raise DomainError("log-weight is not finite on the declared space")
         return out
@@ -395,10 +379,7 @@ def _gibbs_from_json(doc: dict, space: ProductSpace) -> GibbsMeasure:
     if logw.shape != (space.size,):
         raise SchemaError(f"log_weights has shape {logw.shape}, expected ({space.size},)")
 
-    def lw_batch(rows: np.ndarray) -> np.ndarray:
-        return logw[space.digit_rows(rows) @ np.asarray(space.strides)]
-
-    return GibbsMeasure(space, lambda row: float(lw_batch(np.atleast_2d(row))[0]), lw_batch)
+    return GibbsMeasure(space, lambda rows: logw[space.digit_rows(rows) @ np.asarray(space.strides)])
 
 
 MEASURE_KINDS = {
@@ -447,13 +428,17 @@ def entropy_functional(mu: Measure, g) -> float:
     vals = table[support]
     if np.any(vals < 0.0):
         raise DomainError("entropy functional requires g >= 0 on the support")
-    weights = w[support]
-    pos = vals > 0.0
-    e_g_log_g = float(np.dot(weights[pos], vals[pos] * np.log(vals[pos])))
-    mean = float(np.dot(weights, vals))
+    return _entropy(w[support], vals)
+
+
+def _entropy(weights: np.ndarray, g: np.ndarray) -> float:
+    """Ent(g) from the support weights and the values g >= 0 on the support."""
+    pos = g > 0.0
+    ent = float(np.dot(weights[pos], g[pos] * np.log(g[pos])))
+    mean = float(np.dot(weights, g))
     if mean > 0.0:
-        e_g_log_g -= mean * math.log(mean)
-    return e_g_log_g
+        ent -= mean * math.log(mean)
+    return ent
 
 
 def lp_norm(mu: Measure, f, p: float, centered: bool = True) -> float:

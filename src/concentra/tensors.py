@@ -42,6 +42,26 @@ def hs_norm(tensor: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(tensor, dtype=float).ravel()))
 
 
+def check_symmetric(tensor: np.ndarray, what: str) -> None:
+    """Raise unless `tensor` is invariant, to atol 1e-12, under every swap of axis 0."""
+    for axis in range(1, tensor.ndim):
+        perm = list(range(tensor.ndim))
+        perm[0], perm[axis] = perm[axis], perm[0]
+        if not np.allclose(tensor, tensor.transpose(perm), atol=1e-12):
+            raise DomainError(f"{what} is not symmetric")
+
+
+def check_zero_diagonal(tensor: np.ndarray, what: str) -> None:
+    """Raise unless every entry with a repeated index is exactly zero."""
+    idx = np.indices(tensor.shape)
+    repeated = np.zeros(tensor.shape, dtype=bool)
+    for a in range(tensor.ndim):
+        for b in range(a + 1, tensor.ndim):
+            repeated |= idx[a] == idx[b]
+    if np.any(tensor[repeated] != 0.0):
+        raise DomainError(f"{what} has a nonzero (generalized) diagonal")
+
+
 @dataclass
 class OpNormResult:
     value: float
@@ -243,9 +263,6 @@ class Partition:
 
     def is_single_block(self) -> bool:
         return len(self.blocks) == 1
-
-    def is_all_singletons(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
 
     def __str__(self) -> str:
         return "|".join(",".join(str(i) for i in b) for b in self.blocks)

@@ -554,18 +554,18 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 
 
 @pytest.mark.parametrize(
-    "argv,env",
+    "argv",
     [
-        (["bound", "--config", "c.json", "--mode", "mc"], {}),
-        (["sample", "--config", "c.json", "--seed", "-1"], {}),
-        (["suite", "--seed", "x"], {}),
-        (["suite"], {"CONCENTRA_JOBS": "x"}),
+        ["bound", "--config", "c.json", "--mode", "mc"],
+        ["sample", "--config", "c.json", "--seed", "-1"],
+        ["suite", "--seed", "x"],
+        ["suite", "--jobs", "0"],
+        ["suite", "--jobs", "-1"],
+        ["suite", "--jobs", "x"],
     ],
-    ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-env-not-a-number"],
+    ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-zero", "jobs-negative", "jobs-not-a-number"],
 )
-def test_bad_usage_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_bad_usage_exits_2_before_any_work(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == EXIT_SCHEMA

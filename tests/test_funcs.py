@@ -6,6 +6,7 @@ import pytest
 
 from concentra.errors import DimensionMismatchError, DomainError
 from concentra.funcs import (
+    FUNCTION_KINDS,
     MultilinearPoly,
     QuadraticForm,
     SupFamily,
@@ -55,7 +56,7 @@ def random_symmetric_zero_diag(n, rng, order=2):
 class TestEvaluate:
     def test_quadratic_form_pair(self):
         f = QuadraticForm(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert f.evaluate([1.0, 1.0]) == pytest.approx(1.0)
+        assert f.evaluate_on(hypercube(2), [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_ustat_constant_kernel_counts_subsets(self):
         u = UStatistic(2, np.ones((2, 2)))
@@ -69,7 +70,7 @@ class TestEvaluate:
                 MultilinearPoly({1: np.array([-1.0])}),
             )
         )
-        assert f.evaluate([-1.0]) == pytest.approx(1.0)
+        assert f.evaluate_on(hypercube(1), [-1.0]) == pytest.approx(1.0)
 
     def test_poly_matches_permutation_oracle(self):
         # contraction shortcut vs explicit sum over ordered distinct tuples
@@ -88,12 +89,12 @@ class TestEvaluate:
             for k, tensor in poly.tensors.items():
                 for combo in permutations(range(n), k):
                     oracle += tensor[combo] * math.prod(row[i] for i in combo)
-            assert poly.evaluate(row) == pytest.approx(oracle, abs=1e-10)
+            assert poly.evaluate_on(space, row) == pytest.approx(oracle, abs=1e-10)
 
     def test_dimension_mismatch(self):
         f = QuadraticForm(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatchError):
-            f.evaluate_batch(np.zeros((2, 2)))
+            f.evaluate_rows(hypercube(3), np.zeros((2, 2)))
 
     def test_symmetry_validation(self):
         bad = np.zeros((2, 2))
@@ -108,8 +109,8 @@ class TestEvaluate:
         l2 = VectorChaos(2, 3, coeffs, norm="l2")
         linf = VectorChaos(2, 3, coeffs, norm="linf")
         x = [1.0, -1.0, 1.0]
-        assert l2.evaluate(x) == pytest.approx(math.sqrt(5.0))
-        assert linf.evaluate(x) == pytest.approx(2.0)
+        assert l2.evaluate_on(hypercube(3), x) == pytest.approx(math.sqrt(5.0))
+        assert linf.evaluate_on(hypercube(3), x) == pytest.approx(2.0)
 
 
 def ustat_oracle(kernel, digits):
@@ -188,18 +189,19 @@ class TestBatchedEvaluation:
         n, order = 6, 3
         coeffs = {s: rng.standard_normal(4) for s in combinations(range(n), order) if rng.random() < 0.6}
         chaos = VectorChaos(order, n, coeffs, norm=norm)
+        # The chaos reads only the width of its space, so any real rows evaluate.
+        space = hypercube(n)
         configs = rng.standard_normal((300, n))
         vectors = np.array([chaos_vector_oracle(chaos, x) for x in configs])
         assert np.array_equal(chaos.vector_batch(configs), vectors)
-        assert np.array_equal(chaos.vector_value(configs[5]), vectors[5])
-        values = chaos.evaluate_batch(configs)
+        assert np.array_equal(chaos.vector_batch(configs[5])[0], vectors[5])
+        values = chaos.evaluate_rows(space, configs)
         if norm == "linf":
             assert np.array_equal(values, np.abs(vectors).max(axis=1))
         else:
             # A row norm may sum its squares in another order than a vector's: a few ulps.
             np.testing.assert_allclose(values, [np.linalg.norm(v) for v in vectors], rtol=1e-15, atol=0)
-        assert chaos.evaluate(configs[5]) == values[5]
-        space = hypercube(n)
+        assert chaos.evaluate_on(space, configs[5]) == values[5]
         table = np.array([np.abs(chaos_vector_oracle(chaos, x)).max() if norm == "linf"
                           else np.linalg.norm(chaos_vector_oracle(chaos, x))
                           for x in enumerate_configurations(space)])
@@ -208,7 +210,33 @@ class TestBatchedEvaluation:
     def test_chaos_dimension_mismatch(self):
         chaos = VectorChaos(1, 3, {(0,): np.ones(2)})
         with pytest.raises(DimensionMismatchError):
-            chaos.evaluate_batch(np.zeros((2, 2)))
+            chaos.evaluate_rows(hypercube(3), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", sorted(FUNCTION_KINDS))
+    def test_table_rows_and_points_agree_bit_for_bit(self, kind):
+        # evaluate_rows is each kind's only evaluation method; the table and
+        # the one-point value are views of it.
+        rng = np.random.default_rng(41)
+        n = 4
+        space = ProductSpace(((-1.0, 0.5, 2.0),) * n)
+        ustat = UStatistic(3, random_symmetric_kernel(3, 3, rng))
+        table = Tabulated(rng.standard_normal(space.size))
+        chaos = VectorChaos(2, n, {s: rng.standard_normal(3) for s in combinations(range(n), 2)}, norm="linf")
+        examples = {
+            "table": table,
+            "poly": MultilinearPoly({1: rng.standard_normal(n), 3: random_symmetric_zero_diag(n, rng, 3)}),
+            "quadform": QuadraticForm(random_symmetric_zero_diag(n, rng)),
+            "ustat": ustat,
+            "sup": SupFamily((ustat, table, chaos)),
+            "chaos": chaos,
+        }
+        f = examples[kind]
+        assert f.kind == kind
+        assert not any(hasattr(f, name) for name in ("evaluate", "evaluate_batch", "vector_value"))
+        configs = enumerate_configurations(space)
+        values = f.evaluate_table(space)
+        assert np.array_equal(f.evaluate_rows(space, configs), values)
+        assert np.array_equal([f.evaluate_on(space, x) for x in configs], values)
 
 
 class TestFourier:
@@ -307,10 +335,13 @@ class TestGradientTensors:
         )
         x = rng.standard_normal(n)
         grad = gradient_tensor_at(poly, 1, x)
+        space = hypercube(n)  # a polynomial reads only the width of its space
         for i in range(n):
             up, down = x.copy(), x.copy()
             up[i], down[i] = x[i] + 0.5, x[i] - 0.5
-            assert grad[i] == pytest.approx(poly.evaluate(up) - poly.evaluate(down), rel=1e-9)
+            assert grad[i] == pytest.approx(
+                poly.evaluate_on(space, up) - poly.evaluate_on(space, down), rel=1e-9
+            )
 
     def test_order_above_degree_rejected(self):
         poly = MultilinearPoly({1: np.ones(2)})

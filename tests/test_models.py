@@ -30,6 +30,7 @@ from concentra.space import (
     ExactMeasure,
     ProductSpace,
     bernoulli_product,
+    binary,
     enumerate_configurations,
     rademacher,
 )
@@ -126,7 +127,7 @@ class TestErgm:
         index = edge_index_map(n)
         for _ in range(20):
             x = rng.integers(0, 2, size=len(index)).astype(float)
-            assert poly.evaluate(x) == pytest.approx(
+            assert poly.evaluate_on(binary(len(index)), x) == pytest.approx(
                 subgraph_copy_count(x, TRIANGLE, n), abs=1e-9
             )
 

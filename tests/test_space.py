@@ -215,17 +215,27 @@ class TestSerialization:
         np.testing.assert_allclose(back.prob_table(), mu.prob_table(), atol=1e-12)
 
     def test_gibbs_log_weight_batch_matches_rows(self):
+        # The enumerated log-weights are evaluated in blocks, so a row's value
+        # must not depend on the batch it comes in.
+        from concentra.models import SINGLE_EDGE, TRIANGLE, ErgmSpec, IsingSpec, build_ergm, build_ising
+
         space = ProductSpace(((0.0, 1.0, 2.0), (-1.0, 1.0), (0.5, 1.5, 2.5, 3.5)))
         logw = np.random.default_rng(2).normal(size=space.size)
         doc = space.to_json()
         doc["measure"] = {"kind": "gibbs", "log_weights": logw.tolist()}
-        mu = measure_from_json(doc)
-        configs = enumerate_configurations(space)
-        batch = mu.log_weights(configs)
-        np.testing.assert_array_equal(batch, [mu.log_weight(row) for row in configs])
-        np.testing.assert_array_equal(batch, logw)
+        from_json = measure_from_json(doc)
+        coupling = np.zeros((5, 5))
+        for a in range(4):
+            coupling[a, a + 1] = coupling[a + 1, a] = 0.3
+        ising, _ = build_ising(IsingSpec(coupling, np.linspace(-0.2, 0.2, 5)))
+        ergm, _ = build_ergm(ErgmSpec(4, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.4)))
+        for mu in (from_json, ising, ergm):
+            configs = enumerate_configurations(mu.space)
+            batch = mu.log_weights(configs)
+            np.testing.assert_array_equal(batch, [mu.log_weights(row)[0] for row in configs])
+        np.testing.assert_array_equal(from_json.log_weights(enumerate_configurations(space)), logw)
         with pytest.raises(DomainError):
-            mu.log_weights(configs + 0.25)
+            from_json.log_weights(enumerate_configurations(space) + 0.25)
 
     def test_gibbs_enumeration_spans_blocks(self):
         # 2^11 configurations take two blocks of the enumerated log-weights;

@@ -329,7 +329,7 @@ class TestMomentDisplays:
         mu = rademacher(n)
         w = mu.prob_table()
         configs = enumerate_configurations(mu.space)
-        table = chaos.evaluate_batch(configs)
+        table = chaos.evaluate_rows(mu.space, configs)
         mean = float(np.dot(w, table))
         expected_w = [
             sum(weight * chaos_w(chaos, k, row) for weight, row in zip(w, configs))
