@@ -224,15 +224,18 @@ class TestSerialization:
         doc = space.to_json()
         doc["measure"] = {"kind": "gibbs", "log_weights": logw.tolist()}
         from_json = measure_from_json(doc)
-        coupling = np.zeros((5, 5))
-        for a in range(4):
+        coupling = np.zeros((8, 8))
+        for a in range(7):
             coupling[a, a + 1] = coupling[a + 1, a] = 0.3
-        ising, _ = build_ising(IsingSpec(coupling, np.linspace(-0.2, 0.2, 5)))
+        ising, _ = build_ising(IsingSpec(coupling, np.linspace(-0.2, 0.2, 8)))
         ergm, _ = build_ergm(ErgmSpec(4, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.4)))
         for mu in (from_json, ising, ergm):
             configs = enumerate_configurations(mu.space)
             batch = mu.log_weights(configs)
             np.testing.assert_array_equal(batch, [mu.log_weights(row)[0] for row in configs])
+            # `conditional` passes one section at a time: here, pairs of rows.
+            pairs = [mu.log_weights(configs[s:s + 2]) for s in range(0, len(configs), 2)]
+            np.testing.assert_array_equal(batch, np.concatenate(pairs))
         np.testing.assert_array_equal(from_json.log_weights(enumerate_configurations(space)), logw)
         with pytest.raises(DomainError):
             from_json.log_weights(enumerate_configurations(space) + 0.25)
