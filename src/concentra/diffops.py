@@ -91,15 +91,18 @@ def _tensor_cap_check(mu: Measure, combo: tuple[int, ...]) -> None:
 
 def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarray:
     """Every coordinate of h^variant (osc, plus or minus) at every configuration,
-    shape (size, n)."""
+    shape (size, n); a batch of tables, shape (..., size), gives (..., size, n)."""
     _check_variant(variant)
     space = mu.space
-    F = np.asarray(f_table, dtype=float).reshape(space.shape)
+    table = np.asarray(f_table, dtype=float)
+    lead = table.shape[:-1]
+    F = table.reshape(lead + space.shape)
     supports = _support_index_sets(mu)
-    out = np.empty((space.size, space.n))
+    out = np.empty(lead + (space.size, space.n))
     for i in range(space.n):
-        part = _h_reduce(np.take(F, supports[i], axis=i), F, i, variant)
-        out[:, i] = np.broadcast_to(part, space.shape).reshape(-1)
+        axis = len(lead) + i
+        part = _h_reduce(np.take(F, supports[i], axis=axis), F, axis, variant)
+        out[..., i] = np.broadcast_to(part, F.shape).reshape(lead + (space.size,))
     return out
 
 

@@ -503,6 +503,24 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("operator", ["d", "h"])
+def test_lsi_command_loads_no_scipy(tmp_path, operator):
+    import subprocess
+    import sys
+
+    import concentra
+
+    cfg = write_config(tmp_path, "l.json", {"model": _RAD3, "operator": operator, "starts": 4})
+    code = (
+        "import sys; from concentra.cli import main; "
+        f"rc = main(['lsi', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {"PYTHONPATH": str(Path(concentra.__file__).parent.parent), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == f"{EXIT_OK} []"
+
+
 def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
     point_mass = {"kind": "measure", "document": _MEASURE1 | {"measure": {"kind": "exact", "table": [1.0, 0.0]}}}
     doc = _tail(model=point_mass, function={"kind": "table", "values": [0.0, 1.0]},
