@@ -368,8 +368,9 @@ def lsi_constant_search(
 ) -> LsiReport:
     """Multi-start ascent of the defining ratio over function tables.
 
-    All starts advance in lockstep as one (starts, dim) array, so each
-    iteration is a few array operations over every start.  The d operator
+    The starts advance in lockstep as one (starts, dim) array, so each
+    iteration is a few array operations over every start; only where the
+    arrays would pass _BATCH_BYTES do the starts go in several groups.  The d operator
     runs L-BFGS on log E|d f|^2 - log Ent(f^2) from `starts` random tables
     plus `starts // 4` indicator-like ones; h and h_plus run Nelder-Mead on
     the normalized ratio from `starts` random tables.  The ratio is

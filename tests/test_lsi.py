@@ -17,7 +17,6 @@ from concentra.lsi import (
     psi2_blowup_study,
     verify_h_lsi_product,
 )
-from concentra.verify import run_corpus_entry
 from concentra.space import (
     ExactMeasure,
     ProductSpace,
@@ -28,6 +27,7 @@ from concentra.space import (
     two_point_measure,
     uniform,
 )
+from concentra.verify import run_corpus_entry
 
 
 def two_point_h_ratio_oracle(p, grid=4001):
