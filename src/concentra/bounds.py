@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 from .diffops import NormProfile
-from .schema import array, boolean, reads, real, text
-from .tensors import Partition, check_symmetric, check_zero_diagonal, enumerate_partitions, hs_norm, op_norm
+from .funcs import expected_gradient_tensor
+from .schema import Record, array, boolean, reads, real, text
+from .tensors import Partition, check_symmetric, check_zero_diagonal, enumerate_partitions, hs_norm, op_norm, partition_norm
 
 INDEPENDENT_C_FACTOR = 217.0
 DLSI_C_FACTOR = 15.0
@@ -25,7 +26,7 @@ CHAOS_VARIANTS = ("upper", "two_sided")
 
 
 @dataclass(frozen=True)
-class Regime:
+class Regime(Record):
     """Which main tail theorem applies: independent coordinates, or a
     d-operator LSI with constant sigma2."""
 
@@ -48,12 +49,6 @@ class Regime:
             return INDEPENDENT_C_FACTOR * self.d**2
         return DLSI_C_FACTOR * self.sigma2 * self.d**2
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "d": self.d}
-        if self.sigma2 is not None:
-            doc["sigma2"] = self.sigma2
-        return doc
-
 
 def independent(d: int) -> Regime:
     return Regime("independent", d)
@@ -72,7 +67,7 @@ def _level_rate(t: float, gamma: float, order: float) -> float:
 
 
 @dataclass
-class TailBound:
+class TailBound(Record):
     """Piecewise multilevel bound with levels (order k, scale gamma_k);
     `bound_general` records the regime it applied."""
 
@@ -129,15 +124,6 @@ class TailBound:
     def scaled_constant(self, factor: float) -> "TailBound":
         """Same levels with the global constant multiplied by `factor`."""
         return replace(self, constant=self.constant * factor)
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [[k, g] for k, g in self.levels],
-            "constant": self.constant,
-            "prefactor": self.prefactor,
-            "one_sided": self.one_sided,
-            "label": self.label,
-        }
 
     @staticmethod
     def from_json(doc: dict) -> "TailBound":
@@ -285,9 +271,6 @@ def polynomial_partition_norms(
     poly, mu, d: int, restarts: int = 16, seed: int = 0
 ) -> dict[int, dict[Partition, float]]:
     """All ||E grad^(k) f||_I for k <= d, evaluated from the expected gradients."""
-    from .funcs import expected_gradient_tensor
-    from .tensors import partition_norm
-
     out: dict[int, dict[Partition, float]] = {}
     for k in range(1, d + 1):
         tensor = expected_gradient_tensor(poly, k, mu)
@@ -316,7 +299,7 @@ def bound_ergm_triangle(
 
 
 @dataclass
-class MomentProfile:
+class MomentProfile(Record):
     """Moment growth ||f - Ef||_p <= sum_k C_k (p - s)^(k/2) with shift s in [0, 2)."""
 
     coefficients: tuple[float, ...]
@@ -337,9 +320,6 @@ class MomentProfile:
         if p < self.shift:
             raise DomainError(f"p={p} below shift {self.shift}")
         return sum(c * (p - self.shift) ** ((k + 1) / 2.0) for k, c in enumerate(self.coefficients))
-
-    def to_json(self) -> dict:
-        return {"coefficients": list(self.coefficients), "shift": self.shift}
 
 
 def moment_to_tail(profile: MomentProfile) -> TailBound:

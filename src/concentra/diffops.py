@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
 from .funcs import FunctionSpec, function_table
-from .schema import boolean, choice, floats, integer, reads
+from .schema import Record, boolean, choice, floats, integer, reads
 from .space import ENUMERATION_CAP, Measure
 from .tensors import op_norm_batch
 
@@ -236,7 +236,7 @@ def d_operator(f: FunctionSpec, mu: Measure, x: Sequence[float]) -> tuple[np.nda
 
 
 @dataclass
-class NormProfile:
+class NormProfile(Record):
     """Norms of the difference tensors of one function: gamma[k-1] holds the
     level-k scale, the top level being an essential supremum."""
 
@@ -251,14 +251,6 @@ class NormProfile:
             raise DomainError(f"profile of depth {self.d} needs {self.d} levels")
         if not all(g >= 0 for g in self.gamma):
             raise DomainError("norm profile levels must be nonnegative")
-
-    def to_json(self) -> dict:
-        doc = {"d": self.d, "gamma": list(self.gamma), "mode": self.mode}
-        if self.stderr is not None:
-            doc["stderr"] = list(self.stderr)
-        if self.sup_is_lower_estimate:
-            doc["sup_is_lower_estimate"] = True
-        return doc
 
     @staticmethod
     def from_json(doc: dict) -> "NormProfile":

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .schema import array, choice, dispatch, document, field, integer, list_of, matrix, reads, vector
 from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations
-from .tensors import check_symmetric, check_zero_diagonal
+from .tensors import check_symmetric, check_zero_diagonal, op_norm, op_norm_batch
 
 
 class FunctionSpec:
@@ -516,18 +516,8 @@ def expected_gradient_tensor(poly: MultilinearPoly | QuadraticForm, k: int, mu: 
         raise DomainError(f"order {k} exceeds polynomial degree {poly.degree}")
     if isinstance(mu, ProductMeasure):
         # Independent coordinates with distinct-index products: moments factorize.
-        means = np.array(
-            [float(np.dot(mu.tables[i], mu.space.value_grid(i))) for i in range(mu.space.n)]
-        )
-        out = np.zeros((poly.dim,) * k)
-        for m, tensor in poly.tensors.items():
-            if m < k:
-                continue
-            contracted = tensor
-            for _ in range(m - k):
-                contracted = np.tensordot(contracted, means, axes=([contracted.ndim - 1], [0]))
-            out += _falling_factorial(m, k) * contracted
-        return out
+        means = [float(np.dot(mu.tables[i], mu.space.value_grid(i))) for i in range(mu.space.n)]
+        return gradient_tensor_at(poly, k, means)
     configs = enumerate_configurations(mu.space)
     w = mu.prob_table()
     out = np.zeros((poly.dim,) * k)
@@ -563,8 +553,6 @@ def chaos_gradient_field(chaos: VectorChaos, k: int, x: Sequence[float]) -> np.n
 
 def chaos_w(chaos: VectorChaos, k: int, x: Sequence[float], restarts: int = 16, seed: int = 0) -> float:
     """W_k at x: the operator-type supremum over unit direction vectors and the dual ball."""
-    from .tensors import op_norm, op_norm_batch  # local import to avoid a cycle
-
     field_ = chaos_gradient_field(chaos, k, x)
     if chaos.norm == "l2":
         # The l2 dual ball is the Euclidean ball: one extra contraction axis.
@@ -577,8 +565,6 @@ def chaos_w(chaos: VectorChaos, k: int, x: Sequence[float], restarts: int = 16, 
 
 def chaos_w_tilde(chaos: VectorChaos, k: int, x: Sequence[float], restarts: int = 16, seed: int = 0) -> float:
     """W~_k at x: the Banach norm is applied entrywise before the direction supremum."""
-    from .tensors import op_norm
-
     field_ = chaos_gradient_field(chaos, k, x)
     if chaos.norm == "l2":
         entrywise = np.linalg.norm(field_, axis=-1)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError, UndefinedRatioError
 from .diffops import d_squared_field, h_field
 from .funcs import function_table
+from .schema import Record
 from .space import Measure, ProductMeasure, _entropy, lp_norm, two_point_measure
 
 OPERATORS = ("d", "h", "h_plus")
@@ -96,7 +97,7 @@ def glauber_quadratic_form(mu: Measure) -> np.ndarray:
 
 
 @dataclass
-class LsiReport:
+class LsiReport(Record):
     """Best ratio found by a heuristic search: a lower bound on the optimal constant.
 
     `iterations` counts the objective rows the search evaluated, over all starts.
@@ -108,16 +109,6 @@ class LsiReport:
     starts: int
     iterations: int
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "operator": self.operator,
-            "best_ratio": self.best_ratio,
-            "witness": None if self.witness is None else self.witness.tolist(),
-            "starts": self.starts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-        }
 
 
 # Lockstep L-BFGS: scipy's L-BFGS-B defaults for memory and stopping, with
@@ -408,19 +399,11 @@ def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:
 
 
 @dataclass
-class Psi2Row:
+class Psi2Row(Record):
     p: float
     sigma2: float
     psi2_value: float
     orlicz_moment_estimate: float
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "sigma2": self.sigma2,
-            "psi2_value": self.psi2_value,
-            "orlicz_moment_estimate": self.orlicz_moment_estimate,
-        }
 
 
 def psi2_blowup_study(

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .schema import Record
 from .space import (
     ExactMeasure,
     GibbsMeasure,
@@ -61,21 +62,13 @@ class IsingSpec:
 
 
 @dataclass
-class IsingConditionReport:
+class IsingConditionReport(Record):
     """Row-sum weak-dependence check: max_i sum_j |J_ij| <= 1 - alpha with alpha > 0."""
 
     max_row_sum: float
     alpha: float
     max_field: float
     satisfied: bool
-
-    def to_json(self) -> dict:
-        return {
-            "max_row_sum": self.max_row_sum,
-            "alpha": self.alpha,
-            "max_field": self.max_field,
-            "satisfied": self.satisfied,
-        }
 
 
 def build_ising(spec: IsingSpec) -> tuple[GibbsMeasure, IsingConditionReport]:
@@ -114,17 +107,10 @@ def curie_weiss_spec(n: int, beta: float, external_field: float = 0.0) -> IsingS
 
 
 @dataclass
-class ColoringConditionReport:
+class ColoringConditionReport(Record):
     max_degree: int
     colors: int
     satisfied: bool  # colors >= 2 * max_degree + 1
-
-    def to_json(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "colors": self.colors,
-            "satisfied": self.satisfied,
-        }
 
 
 def _normalize_edges(edges, n_vertices: int) -> list[tuple[int, int]]:
@@ -285,17 +271,11 @@ def subgraph_copy_count(edge_indicator: np.ndarray, motif: Motif, n_vertices: in
 
 
 @dataclass
-class ErgmConditionReport:
+class ErgmConditionReport(Record):
     """Weak dependence holds when half the derivative Phi'_{|beta|}(1) stays below 1."""
 
     phi_prime_abs_at_one: float
     satisfied: bool
-
-    def to_json(self) -> dict:
-        return {
-            "phi_prime_abs_at_one": self.phi_prime_abs_at_one,
-            "satisfied": self.satisfied,
-        }
 
 
 def build_ergm(spec: ErgmSpec) -> tuple[GibbsMeasure, ErgmConditionReport]:

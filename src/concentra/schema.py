@@ -1,12 +1,14 @@
-"""The config reader: the only code that reads a value from a JSON config.
+"""The config reader, the only code that reads a value from a JSON config,
+and `Record`, the only JSON writer of a result.
 
 A type is a callable `(value, what)` that returns the checked value or raises
 SchemaError.  Nothing is coerced: an integer is a JSON int (not a bool, not
 2.0), and a string is never a number.  Imports only numpy and the errors, so
-that every module that parses a document can use it.
+that every module that parses or writes a document can use it.
 """
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Callable, NoReturn
 
@@ -15,6 +17,32 @@ import numpy as np
 from .errors import SchemaError
 
 REQUIRED = object()
+
+
+class Record:
+    """A result dataclass written to JSON by field name.
+
+    Arrays and tuples become lists and a nested Record its own document;
+    dicts and scalars are written as they are.  A field whose default is None
+    is left out while it is None; a required field that is None is null.
+    """
+
+    def to_json(self) -> dict:
+        return {
+            f.name: _json_value(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+            if not (f.default is None and getattr(self, f.name) is None)
+        }
+
+
+def _json_value(value):
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def _fail(what: str, must: str, value) -> NoReturn:

@@ -437,8 +437,10 @@ def _entropy(weights: np.ndarray, g: np.ndarray):
 
     Every term is >= 0 and the form is stationary in E g, so it keeps its
     relative accuracy near constant g, where E g log g - E g log E g cancels.
+    g is made C-contiguous, so each row is summed in one order whatever its
+    batch: numpy sums a Fortran-ordered batch column by column, one row pairwise.
     """
-    g = np.asarray(g, dtype=float)
+    g = np.ascontiguousarray(g, dtype=float)
     mean = (weights * g).sum(axis=-1) / weights.sum()
     safe = np.where(mean > 0.0, mean, 1.0)
     r = g / np.expand_dims(safe, -1)

@@ -37,7 +37,7 @@ from .funcs import (
     spectrum_from_coefficients,
 )
 from .lsi import indicator_ratio, psi2_blowup_study, verify_h_lsi_product
-from .schema import document, field
+from .schema import Record, document, field
 from .space import (
     Measure,
     ProductMeasure,
@@ -75,7 +75,7 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.999
 
 
 @dataclass
-class TailCurve:
+class TailCurve(Record):
     """P(|f - Ef| >= t) (or the upper deviation) on a grid, with upper limits."""
 
     t_grid: np.ndarray
@@ -85,17 +85,6 @@ class TailCurve:
     mode: str = "exact"
     n_samples: int = 0
     center: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "prob": self.prob.tolist(),
-            "upper": self.upper.tolist(),
-            "side": self.side,
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "center": self.center,
-        }
 
 
 def tail_curve(
@@ -149,23 +138,13 @@ def tail_curve(
 
 
 @dataclass
-class DominationReport:
+class DominationReport(Record):
     bound_label: str
     dominated: bool
     violations: list[float]
     min_margin: float
     nonvacuous: bool
     safety_factor: float
-
-    def to_json(self) -> dict:
-        return {
-            "bound_label": self.bound_label,
-            "dominated": self.dominated,
-            "violations": list(self.violations),
-            "min_margin": self.min_margin,
-            "nonvacuous": self.nonvacuous,
-            "safety_factor": self.safety_factor,
-        }
 
 
 def measure_safety_factor(curve: TailCurve, bound: TailBound) -> float:
@@ -263,7 +242,7 @@ def suprema_profile(
 
 
 @dataclass
-class MomentChainReport:
+class MomentChainReport(Record):
     regime: str
     d: int
     p_grid: tuple[float, ...]
@@ -271,17 +250,6 @@ class MomentChainReport:
     rhs: tuple[float, ...]
     passed: bool
     worst_margin: float
-
-    def to_json(self) -> dict:
-        return {
-            "regime": self.regime,
-            "d": self.d,
-            "p_grid": list(self.p_grid),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-        }
 
 
 def check_moment_chain(
@@ -354,19 +322,11 @@ def check_d_moment_inequality(
 
 
 @dataclass
-class PointwiseReport:
+class PointwiseReport(Record):
     name: str
     passed: bool
     worst_margin: float
     checked: int
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "checked": self.checked,
-        }
 
 
 def _op_norm_field(table: np.ndarray, mu: Measure, k: int, restarts: int = 8) -> np.ndarray:
@@ -498,17 +458,14 @@ def run_corpus_entry(name: str) -> dict:
 
 
 @dataclass
-class SuiteCheck:
+class SuiteCheck(Record):
     name: str
     passed: bool
     detail: dict
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
-class SuiteResult:
+class SuiteResult(Record):
     seed: int
     checks: list[SuiteCheck] = dataclass_field(default_factory=list)
 
@@ -517,11 +474,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {**super().to_json(), "all_passed": self.all_passed}
 
 
 def _suite_recursion(seed: int) -> SuiteCheck:

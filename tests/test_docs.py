@@ -41,3 +41,26 @@ def test_readme_kinds_match_the_reader_tables():
         "regime": set(REGIME_KINDS),
         "bound": set(BOUND_KINDS),
     }
+
+
+def test_readme_result_keys_match_the_dataclass_fields():
+    import dataclasses
+    import re
+
+    from concentra.lsi import LsiReport
+    from concentra.verify import DominationReport, MomentChainReport
+
+    formats = README.read_text().split("## File formats")[1].split("\n## ")[0]
+    keys = {}
+    for bullet in formats.split("\n- "):
+        named = re.search(r"`(\w+\.json)` with (.*)", bullet, re.S)
+        if named:
+            keys[named[1]] = set(re.findall(r"`(\w+)`", named[2]))
+    assert keys == {
+        name: {f.name for f in dataclasses.fields(cls)}
+        for name, cls in [
+            ("domination.json", DominationReport),
+            ("moments.json", MomentChainReport),
+            ("lsi_report.json", LsiReport),
+        ]
+    }
