@@ -19,7 +19,7 @@ from .errors import DomainError, EnumerationTooLargeError
 from .funcs import FunctionSpec, function_table
 from .schema import Record, boolean, choice, floats, integer, reads
 from .space import ENUMERATION_CAP, Measure
-from .tensors import op_norm_batch
+from .tensors import CONSTANT_LEVEL_TOL, op_norm_batch
 
 H_VARIANTS = ("osc", "plus", "minus")
 
@@ -106,27 +106,34 @@ def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarra
     return out
 
 
-def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
-    """Order-k difference tensors at every configuration, shape (size,) + (n,)*k.
+def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Each order-k index combination with its difference-tensor entry at every
+    section, an array of space.shape without the combination's axes.
 
-    Each entry depends on the configuration only through the coordinates
-    outside its index set, so the maxima are computed once per section and
-    broadcast back over the configuration axis.
+    An entry depends on the configuration only through the coordinates outside
+    its index set, so each is computed once per section.
     """
     if k < 1:
         raise DomainError("tensor order must be >= 1")
     space = mu.space
-    n = space.n
     F = np.asarray(f_table, dtype=float).reshape(space.shape)
     supports = _support_index_sets(mu)
-    out = np.zeros((space.size,) + (n,) * k)
-    for combo in combinations(range(n), k):
+    entries = []
+    for combo in combinations(range(space.n), k):
         _tensor_cap_check(mu, combo)
         sub = F
         for i in combo:
             sub = np.take(sub, supports[i], axis=i)
-        entry = _combo_entries(sub, combo)
-        # Broadcast the per-section entry over the collapsed combo axes.
+        entries.append((combo, _combo_entries(sub, combo)))
+    return entries
+
+
+def _assemble(entries: list[tuple[tuple[int, ...], np.ndarray]], mu: Measure, k: int) -> np.ndarray:
+    """The dense field of `_section_entries`: each entry broadcast back over the
+    configuration axis and written at every permutation of its combination."""
+    space = mu.space
+    out = np.zeros((space.size,) + (space.n,) * k)
+    for combo, entry in entries:
         expanded = entry
         for i in combo:
             expanded = np.expand_dims(expanded, i)
@@ -134,6 +141,45 @@ def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
         for perm in permutations(combo):
             out[(slice(None),) + perm] = expanded
     return out
+
+
+def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
+    """Order-k difference tensors at every configuration, shape (size,) + (n,)*k."""
+    return _assemble(_section_entries(f_table, mu, k), mu, k)
+
+
+def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
+                 restarts: int, seed: int) -> float | np.ndarray:
+    """Operator norms of the order-k difference tensors at the `support`
+    configurations, or one float when the level is constant.
+
+    Every tensor lies entrywise in [lo, hi], the minima and maxima of each
+    entry over its sections, and is nonnegative; the operator norm is monotone
+    on nonnegative tensors, so each norm lies in [|hi|_op - |hi - lo|_F, |hi|_op].
+    For k <= 2, where |hi|_op is exact, a spread of at most CONSTANT_LEVEL_TOL
+    relative makes |hi|_op the level: a certified upper end of every norm.
+    Order 3 and up stays per configuration: one ALS run on hi would replace
+    the best of many runs by a single lower estimate.
+    """
+    entries = _section_entries(f_table, mu, k)
+    if k <= 2:
+        hi = np.zeros((mu.space.n,) * k)
+        lo = np.zeros_like(hi)
+        for combo, entry in entries:
+            extremes = entry.max(), entry.min()
+            for perm in permutations(combo):
+                hi[perm], lo[perm] = extremes
+        top = float(op_norm_batch(hi[None])[0])
+        if np.linalg.norm(hi - lo) <= CONSTANT_LEVEL_TOL * top:
+            return top
+    return op_norm_batch(_assemble(entries, mu, k)[support], restarts=restarts, seed=seed)
+
+
+def _level_scale(norms: float | np.ndarray, weights: np.ndarray, top: bool) -> float:
+    """The support supremum (top) or the weighted mean of one level's norms."""
+    if np.ndim(norms) == 0:
+        return float(norms)
+    return float(norms.max()) if top else float(np.dot(weights, norms))
 
 
 def d_squared_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
@@ -271,9 +317,11 @@ def norm_profile(
 ) -> NormProfile:
     """gamma[k] = E |h^(k) f|_op for k < d and the support supremum at k = d.
 
-    Exact mode enumerates the space; Monte Carlo mode evaluates the tensors at
-    caller-provided sample configurations, reports standard errors, and flags
-    the top level as a lower estimate (a max over sampled points).
+    Exact mode enumerates the space; a level of order <= 2 that is one tensor
+    at every configuration, up to rounding, is that tensor's norm, an upper end
+    of every configuration's (`_level_norms`).  Monte Carlo mode evaluates the
+    tensors at caller-provided sample configurations, reports standard errors,
+    and flags the top level as a lower estimate (a max over sampled points).
     """
     if d < 1:
         raise DomainError("profile depth must be >= 1")
@@ -282,14 +330,10 @@ def norm_profile(
         table = function_table(f, mu.space)
         w = mu.prob_table()
         support = w > 0.0
-        gammas = []
-        for k in range(1, d + 1):
-            field_ = h_tensor_field(table, mu, k)[support]
-            norms = op_norm_batch(field_, restarts=restarts, seed=seed)
-            if k < d:
-                gammas.append(float(np.dot(w[support], norms)))
-            else:
-                gammas.append(float(norms.max()))
+        gammas = [
+            _level_scale(_level_norms(table, mu, k, support, restarts, seed), w[support], k == d)
+            for k in range(1, d + 1)
+        ]
         return NormProfile(d, tuple(gammas), mode="exact")
     if mode != "monte_carlo":
         raise DomainError(f"unknown mode {mode!r}")

@@ -32,6 +32,10 @@ DEFAULT_RESTARTS = 32
 # value moved by at most TOL relative (absolute below 1) in the last sweep.
 SWEEPS = 200
 TOL = 1e-9
+# An exact norm-profile level of order <= 2 whose entrywise spread over the
+# configurations, |hi - lo|_F, is at most this times |hi|_op is computed as the
+# one tensor hi (diffops._level_norms).
+CONSTANT_LEVEL_TOL = 1e-12
 # `_contract` works through the batch in blocks whose first-stage product,
 # (block, R, n1*...*nk / n_first) floats, stays near this many bytes.
 BLOCK_BYTES = 1 << 21

@@ -56,3 +56,9 @@ def test_a_run_that_exits_nonzero_drops_its_pair(bench_pairs):
     row = bench_pairs.summarise(runs, SPEC)["w"]
     assert row["runs_exited_nonzero"] == {"parent": 0, "change": 1}
     assert row["metrics"]["wall_s"]["pairs"] == 1
+
+
+def test_machine_block_records_the_calibration(bench_pairs):
+    calibration = bench_pairs.machine()["calibration"]
+    assert set(calibration) == {"python_loop_s", "matmul_256_s"}
+    assert all(0.0 < seconds < 10.0 for seconds in calibration.values())

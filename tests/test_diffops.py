@@ -466,3 +466,124 @@ class TestOneEvaluationPerSectionGrid:
         del calls[:]
         norm_profile(f, mu, 2, mode="monte_carlo", samples=samples, restarts=1)
         assert len(calls) == one == 5 + math.comb(5, 2)
+
+
+def old_h_tensor_field(table, mu, k):
+    """The dense field as one loop that assembles each combination's entries
+    as it computes them: the reference for the shared section entries."""
+    from itertools import combinations, permutations
+
+    from concentra.diffops import _combo_entries, _support_index_sets
+
+    space = mu.space
+    F = np.asarray(table, dtype=float).reshape(space.shape)
+    supports = _support_index_sets(mu)
+    out = np.zeros((space.size,) + (space.n,) * k)
+    for combo in combinations(range(space.n), k):
+        sub = F
+        for i in combo:
+            sub = np.take(sub, supports[i], axis=i)
+        expanded = _combo_entries(sub, combo)
+        for i in combo:
+            expanded = np.expand_dims(expanded, i)
+        expanded = np.broadcast_to(expanded, space.shape).reshape(-1)
+        for perm in permutations(combo):
+            out[(slice(None),) + perm] = expanded
+    return out
+
+
+def oracle_profile(f, mu, d, restarts=8, seed=0):
+    """One norm per support configuration at every level, then E or sup."""
+    from concentra.tensors import op_norm_batch
+
+    table = f.evaluate_table(mu.space)
+    w = mu.prob_table()
+    support = w > 0.0
+    gammas = []
+    for k in range(1, d + 1):
+        norms = op_norm_batch(old_h_tensor_field(table, mu, k)[support], restarts=restarts, seed=seed)
+        gammas.append(float(np.dot(w[support], norms)) if k < d else float(norms.max()))
+    return gammas
+
+
+def _symmetric_zero_diagonal(rng, n):
+    A = rng.standard_normal((n, n))
+    A = (A + A.T) / 2
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+def _ising_ring(n, rng):
+    from concentra.models import IsingSpec, build_ising
+
+    J = np.zeros((n, n))
+    for i in range(n):
+        J[i, (i + 1) % n] = J[(i + 1) % n, i] = rng.uniform(0.1, 0.2)
+    return build_ising(IsingSpec(J, np.zeros(n)))[0]
+
+
+def _constant_top_cases():
+    """Degree-2 functionals: the order-2 tensor is the same at every configuration."""
+    from concentra.funcs import UStatistic
+    from concentra.space import ProductSpace, uniform
+
+    rng = np.random.default_rng(40)
+    A = _symmetric_zero_diagonal(rng, 7)
+    poly = MultilinearPoly({1: rng.standard_normal(6), 2: _symmetric_zero_diagonal(rng, 6)})
+    H = rng.uniform(-1.0, 1.0, size=(3, 3))
+    return {
+        "quadform": (rademacher(7), QuadraticForm(A)),
+        "poly-rademacher": (rademacher(6), poly),
+        "poly-bernoulli": (bernoulli_product(6, 0.3), poly),
+        "ustat": (uniform(ProductSpace(((0.0, 1.0, 2.0),) * 5)), UStatistic(2, (H + H.T) / 2)),
+        "ising-quadform": (_ising_ring(7, rng), QuadraticForm(_symmetric_zero_diagonal(rng, 7))),
+    }
+
+
+class TestConstantLevels:
+    @pytest.mark.parametrize("case", list(_constant_top_cases()))
+    def test_constant_level_is_a_certified_upper_end(self, case):
+        from concentra.diffops import _level_norms
+
+        mu, f = _constant_top_cases()[case]
+        table = f.evaluate_table(mu.space)
+        support = mu.prob_table() > 0.0
+        assert np.ndim(_level_norms(table, mu, 2, support, 8, 0)) == 0  # collapsed
+        assert np.ndim(_level_norms(table, mu, 1, support, 8, 0)) == 1  # real spread
+        for d in (2, 3):  # level 2 as the supremum, then as the mean
+            got, want = norm_profile(f, mu, d).gamma, oracle_profile(f, mu, d)
+            assert got[0] == want[0]
+            # at most a few ulps below the per-configuration norms, never 1e-12 above
+            assert want[1] * (1.0 - 8 * np.finfo(float).eps) <= got[1] <= want[1] * (1.0 + 1e-12)
+            assert got[2:] == tuple(want[2:])
+
+    def test_random_table_matches_the_per_configuration_norms(self):
+        rng = np.random.default_rng(41)
+        for mu in (rademacher(5), bernoulli_product(5, 0.3), _ising_ring(5, rng)):
+            f = Tabulated(rng.standard_normal(mu.space.size))
+            for d in (2, 3):
+                assert list(norm_profile(f, mu, d).gamma) == oracle_profile(f, mu, d)
+
+    def test_h_tensor_field_matches_the_old_loop(self):
+        rng = np.random.default_rng(42)
+        cases = [ORACLE_CASES[name]() for name in ORACLE_CASES]
+        cases.append((bernoulli_product(5, 0.3), Tabulated(rng.standard_normal(32))))
+        for mu, f in cases:
+            table = f.evaluate_table(mu.space)
+            for k in (1, 2, 3):
+                assert np.array_equal(h_tensor_field(table, mu, k), old_h_tensor_field(table, mu, k))
+
+    def test_profile_of_a_quadratic_form_does_not_build_the_dense_field(self):
+        import tracemalloc
+
+        n = 14
+        A = _symmetric_zero_diagonal(np.random.default_rng(43), n)
+        mu, f = rademacher(n), QuadraticForm(A)
+        dense_bytes = mu.space.size * n * n * 8  # the order-2 field, 24.5 MiB
+        tracemalloc.start()
+        try:
+            norm_profile(f, mu, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2

@@ -312,6 +312,21 @@ class TestUstatEntryBound:
             for k in (1, 2):
                 assert check_ustat_entry_bound(kernel, n, k).passed
 
+    def test_report_matches_the_dense_field(self):
+        from concentra.diffops import h_tensor_field
+        from concentra.space import ProductSpace, uniform
+
+        rng = np.random.default_rng(9)
+        H = rng.uniform(-1.0, 1.0, size=(3, 3, 3))
+        H = sum(H.transpose(p) for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))) / 6
+        kernel = UStatistic(3, H)
+        for n, k in ((3, 3), (4, 1), (4, 2), (5, 3)):
+            mu = uniform(ProductSpace(((0.0, 1.0, 2.0),) * n))
+            field = h_tensor_field(kernel.evaluate_table(mu.space), mu, k)
+            limit = math.comb(3, k) * 2.0**k * kernel.bound * float(n) ** (3 - k)
+            report = check_ustat_entry_bound(kernel, n, k)
+            assert (report.worst_margin, report.checked) == (float(field.max()) - limit, field.size)
+
 
 class TestMomentDisplays:
     def test_chaos_one_sided_moment_chain(self):
@@ -382,6 +397,40 @@ class TestEndToEndMomentToTail:
         curve = tail_curve(mu, f, grid)
         report = check_domination(curve, bound)
         assert report.dominated
+
+
+class TestSupremaProfile:
+    def test_matches_the_per_configuration_family_supremum(self):
+        from concentra.diffops import h_tensor_field
+        from concentra.space import bernoulli_product
+        from concentra.tensors import op_norm_batch
+        from concentra.verify import suprema_profile
+
+        rng = np.random.default_rng(22)
+        n = 4
+        A = rng.standard_normal((n, n))
+        A = (A + A.T) / 2
+        np.fill_diagonal(A, 0.0)
+        # level 2 of the quadratic form is one tensor everywhere; the table's is not
+        family = SupFamily((QuadraticForm(A), Tabulated(rng.standard_normal(2**n))))
+        for mu in (rademacher(n), bernoulli_product(n, 0.3)):
+            w = mu.prob_table()
+            support = w > 0.0
+            sup_norms = [
+                np.max([op_norm_batch(h_tensor_field(m.evaluate_table(mu.space), mu, j)[support])
+                        for m in family.members], axis=0)
+                for j in (1, 2, 3)
+            ]
+            expected_w, top = suprema_profile(family, mu, d=3)
+            want = [float(np.dot(w[support], s)) for s in sup_norms[:2]]
+            assert expected_w[0] == want[0]
+            # the quadratic form's level-2 norm is its certified upper end where it is the larger
+            assert want[1] * (1.0 - 8 * np.finfo(float).eps) <= expected_w[1] <= want[1] * (1.0 + 1e-12)
+            assert top == float(sup_norms[2].max())
+            for members in ((family.members[0],), (family.members[0],) * 2):
+                # a family of one quadratic form is that form's profile
+                expected_w, top = suprema_profile(SupFamily(members), mu, d=2)
+                assert (*expected_w, top) == norm_profile(members[0], mu, 2).gamma
 
 
 class TestSupremaEndToEnd:

@@ -12,7 +12,10 @@ an interrupted session leaves its runs behind.  The summary goes to
 BENCH_<label>.json at the repository root.  For every workload and end-to-end
 metric the summary gives each side's runs, median and quartiles, the change's
 wins over its pair partner (ties count for neither) and the median ratio.
-Standard library only; run it from a quiet machine, one run at a time.
+The machine block also holds a short calibration, timed before the runs: a
+Python loop and a 256x256 matmul, to compare machines; it is never gated.
+Standard library only (the calibration imports numpy in a child process);
+run it from a quiet machine, one run at a time.
 """
 from __future__ import annotations
 
@@ -98,6 +101,45 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+# A fixed workload for a fresh interpreter: a pure-Python loop and a 256x256
+# matmul, each timed as the best of REPEATS.
+CALIBRATION = """
+import json, time
+import numpy as np
+REPEATS = 20
+def best(fn):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+a = np.random.default_rng(0).standard_normal((256, 256))
+print(json.dumps({"python_loop_s": best(lambda: sum(i * i for i in range(100_000))),
+                  "matmul_256_s": best(lambda: a @ a)}))
+"""
+
+
+def calibration() -> dict:
+    """Seconds of CALIBRATION's loop and matmul, with one BLAS thread as in the
+    benchmark.  Recorded so runs on different machines can be set side by side;
+    nothing is gated on it."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def machine() -> dict:
+    return {
+        "cpu": cpu_model(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "platform": platform.platform(),
+        "calibration": calibration(),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -108,6 +150,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     shas = {side: export(rev, work / side) for side, rev in zip(SIDES, (args.parent, args.change))}
+    host = machine()
     log = work / "runs.jsonl"
     print(f"runs go to {log}", flush=True)
     runs = []
@@ -130,13 +173,7 @@ def main(argv=None) -> int:
         "seeds": [FIRST_SEED + p for p in range(PAIRS)],
         "run_seconds": seconds,
         "wall_clock_s": round(time.time() - started, 1),
-        "machine": {
-            "cpu": cpu_model(),
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": metadata.version("numpy"),
-            "platform": platform.platform(),
-        },
+        "machine": host,
         "workloads": summarise(runs, spec),
     }
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")
