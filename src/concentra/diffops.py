@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,8 +34,18 @@ def _support_values(mu: Measure, i: int) -> np.ndarray:
     return mu.space.value_grid(i)[idx]
 
 
-def _support_index_sets(mu: Measure) -> list[np.ndarray]:
-    return [np.asarray(mu.coordinate_support(i), dtype=np.intp) for i in range(mu.space.n)]
+def _support_index_sets(mu: Measure) -> list[np.ndarray | None]:
+    """Each coordinate's support as alphabet indices, or None for the whole
+    alphabet, where a section needs no copy."""
+    sets = []
+    for i, m in enumerate(mu.space.shape):
+        idx = np.asarray(mu.coordinate_support(i), dtype=np.intp)
+        sets.append(None if np.array_equal(idx, np.arange(m)) else idx)
+    return sets
+
+
+def _on_support(arr: np.ndarray, idx: np.ndarray | None, axis: int) -> np.ndarray:
+    return arr if idx is None else np.take(arr, idx, axis=axis)
 
 
 # Section kernel: the only code that turns function values into operator values.
@@ -58,10 +68,24 @@ def _h_reduce(section: np.ndarray, here, axis: int, variant: str) -> np.ndarray:
 
 
 def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Replace one axis by the two-axis array of pairwise differences along it."""
-    a = np.expand_dims(arr, axis + 1)
-    b = np.expand_dims(arr, axis)
-    return a - b
+    """Replace one axis of length m by a (P, 1) doubled axis holding
+    arr[p] - arr[q] for the P = m(m-1)/2 unordered pairs p < q.
+
+    The ordered pairs add nothing to a max of absolute values: the diagonal
+    is exactly 0, and in round-to-nearest (q, p) gives the exact negation of
+    (p, q), as does every later difference of negated operands.  A one-value
+    axis has no pair and keeps its diagonal 0.
+    """
+    m = arr.shape[axis]
+    if m == 1:
+        diff = np.zeros_like(arr)
+    elif m == 2:
+        head = (slice(None),) * axis
+        diff = arr[head + (slice(0, 1),)] - arr[head + (slice(1, 2),)]
+    else:
+        p, q = np.triu_indices(m, 1)
+        diff = np.take(arr, p, axis=axis) - np.take(arr, q, axis=axis)
+    return np.expand_dims(diff, axis + 1)
 
 
 def _combo_entries(section: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -101,14 +125,15 @@ def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarra
     out = np.empty(lead + (space.size, space.n))
     for i in range(space.n):
         axis = len(lead) + i
-        part = _h_reduce(np.take(F, supports[i], axis=axis), F, axis, variant)
+        part = _h_reduce(_on_support(F, supports[i], axis), F, axis, variant)
         out[..., i] = np.broadcast_to(part, F.shape).reshape(lead + (space.size,))
     return out
 
 
-def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Each order-k index combination with its difference-tensor entry at every
-    section, an array of space.shape without the combination's axes.
+    section, an array of space.shape without the combination's axes, yielded
+    one at a time.
 
     An entry depends on the configuration only through the coordinates outside
     its index set, so each is computed once per section.
@@ -118,17 +143,20 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> list[tuple[tup
     space = mu.space
     F = np.asarray(f_table, dtype=float).reshape(space.shape)
     supports = _support_index_sets(mu)
-    entries = []
-    for combo in combinations(range(space.n), k):
+    combos = list(combinations(range(space.n), k))
+    for combo in combos:
         _tensor_cap_check(mu, combo)
+
+    def entry(combo: tuple[int, ...]) -> np.ndarray:
         sub = F
         for i in combo:
-            sub = np.take(sub, supports[i], axis=i)
-        entries.append((combo, _combo_entries(sub, combo)))
-    return entries
+            sub = _on_support(sub, supports[i], i)
+        return _combo_entries(sub, combo)
+
+    return ((combo, entry(combo)) for combo in combos)
 
 
-def _assemble(entries: list[tuple[tuple[int, ...], np.ndarray]], mu: Measure, k: int) -> np.ndarray:
+def _assemble(entries: Iterable[tuple[tuple[int, ...], np.ndarray]], mu: Measure, k: int) -> np.ndarray:
     """The dense field of `_section_entries`: each entry broadcast back over the
     configuration axis and written at every permutation of its combination."""
     space = mu.space
@@ -159,20 +187,21 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     For k <= 2, where |hi|_op is exact, a spread of at most CONSTANT_LEVEL_TOL
     relative makes |hi|_op the level: a certified upper end of every norm.
     Order 3 and up stays per configuration: one ALS run on hi would replace
-    the best of many runs by a single lower estimate.
+    the best of many runs by a single lower estimate.  The entries are reduced
+    as they are made; a level with real spread builds its field anew.
     """
-    entries = _section_entries(f_table, mu, k)
     if k <= 2:
         hi = np.zeros((mu.space.n,) * k)
         lo = np.zeros_like(hi)
-        for combo, entry in entries:
+        for combo, entry in _section_entries(f_table, mu, k):
             extremes = entry.max(), entry.min()
             for perm in permutations(combo):
                 hi[perm], lo[perm] = extremes
         top = float(op_norm_batch(hi[None])[0])
         if np.linalg.norm(hi - lo) <= CONSTANT_LEVEL_TOL * top:
             return top
-    return op_norm_batch(_assemble(entries, mu, k)[support], restarts=restarts, seed=seed)
+    field = h_tensor_field(f_table, mu, k)
+    return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 
 
 def _level_scale(norms: float | np.ndarray, weights: np.ndarray, top: bool) -> float:

@@ -738,3 +738,21 @@ def test_one_mutated_field_exits_0_2_or_3_without_traceback(data):
     rc, err = _run_quietly(command, _replaced(doc, path, data.draw(_FUZZ_VALUES)))
     assert rc in (EXIT_OK, EXIT_SCHEMA, EXIT_VIOLATION)
     assert "Traceback" not in err
+
+
+def test_verify_tail_on_a_degenerate_bernoulli_has_a_zero_profile(tmp_path):
+    # p = 1 leaves every coordinate one letter of support: no pair to difference
+    from concentra.diffops import norm_profile
+    from concentra.funcs import function_from_json
+
+    model = {"kind": "bernoulli", "n": 3, "p": 1.0}
+    function = {"kind": "quadform", "matrix": [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]]}
+    cfg = write_config(tmp_path, "t.json", {
+        "model": model, "function": function,
+        "bound": {"kind": "general", "regime": {"kind": "independent", "d": 2}},
+        "t_grid": [0.0, 0.5, 1.0],
+    })
+    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert norm_profile(function_from_json(function), build_model(model), 2).gamma == (0.0, 0.0)
+    rows = (tmp_path / "out" / "tail_curve.csv").read_text().splitlines()[2:]
+    assert rows and all(float(row.split(",")[3]) == 0.0 for row in rows)  # raw bound 0 for t > 0

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -468,27 +468,65 @@ class TestOneEvaluationPerSectionGrid:
         assert len(calls) == one == 5 + math.comb(5, 2)
 
 
-def old_h_tensor_field(table, mu, k):
-    """The dense field as one loop that assembles each combination's entries
-    as it computes them: the reference for the shared section entries."""
-    from itertools import combinations, permutations
+# ---------------------------------------------------------------------------
+# An independent oracle for the section kernel: the full ordered m x m grid of
+# (original, prime) differences on every axis, as the kernel first computed it
+# ---------------------------------------------------------------------------
 
-    from concentra.diffops import _combo_entries, _support_index_sets
+
+def ordered_pair_difference(arr, axis):
+    """Replace one axis by the two-axis array of all ordered pairwise differences."""
+    return np.expand_dims(arr, axis + 1) - np.expand_dims(arr, axis)
+
+
+def ordered_combo_entries(section, axes):
+    axes = sorted(axes)
+    for axis in reversed(axes):
+        section = ordered_pair_difference(section, axis)
+    doubled = tuple(p for j, axis in enumerate(axes) for p in (axis + j, axis + j + 1))
+    return np.abs(section).max(axis=doubled)
+
+
+def old_h_tensor_field(table, mu, k):
+    """The dense field as one loop over the ordered grids that assembles each
+    combination's entries as it computes them."""
+    from itertools import combinations
 
     space = mu.space
     F = np.asarray(table, dtype=float).reshape(space.shape)
-    supports = _support_index_sets(mu)
+    supports = [np.asarray(mu.coordinate_support(i), dtype=np.intp) for i in range(space.n)]
     out = np.zeros((space.size,) + (space.n,) * k)
     for combo in combinations(range(space.n), k):
         sub = F
         for i in combo:
             sub = np.take(sub, supports[i], axis=i)
-        expanded = _combo_entries(sub, combo)
+        expanded = ordered_combo_entries(sub, combo)
         for i in combo:
             expanded = np.expand_dims(expanded, i)
         expanded = np.broadcast_to(expanded, space.shape).reshape(-1)
         for perm in permutations(combo):
             out[(slice(None),) + perm] = expanded
+    return out
+
+
+def old_h_tensors(f, mu, points, k):
+    """Pointwise tensors over the ordered grids, one evaluate_on call per row."""
+    from itertools import combinations
+
+    space = mu.space
+    n = space.n
+    out = np.zeros((len(points),) + (n,) * k)
+    for combo in combinations(range(n), k):
+        supports = [space.value_grid(i)[mu.coordinate_support(i)] for i in combo]
+        for row, x in enumerate(points):
+            values = np.empty(tuple(s.size for s in supports))
+            for idx in np.ndindex(values.shape):
+                point = np.array(x, dtype=float)
+                point[list(combo)] = [s[j] for s, j in zip(supports, idx)]
+                values[idx] = f.evaluate_on(space, point)
+            entry = ordered_combo_entries(values, range(k))
+            for perm in permutations(combo):
+                out[(row,) + perm] = entry
     return out
 
 
@@ -587,3 +625,105 @@ class TestConstantLevels:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
+
+
+def _alphabet_space(shape):
+    from concentra.space import ProductSpace
+
+    return ProductSpace(tuple(tuple(float(v) for v in range(m)) for m in shape))
+
+
+def _random_product(shape, rng, zero_letter=None):
+    """A product measure on alphabets of the given sizes; `zero_letter`, a
+    (coordinate, letter) pair, gets probability 0."""
+    from concentra.space import ProductMeasure
+
+    tables = [rng.uniform(0.1, 1.0, m) for m in shape]
+    if zero_letter is not None:
+        i, letter = zero_letter
+        tables[i][letter] = 0.0
+    return ProductMeasure(_alphabet_space(shape), [t / t.sum() for t in tables])
+
+
+KERNEL_SHAPES = {
+    "m1": (1, 1, 1),
+    "m2": (2,) * 5,
+    "m3": (3,) * 4,
+    "m4": (4,) * 3,
+    "mixed": (1, 2, 3, 4),
+    "mixed-zero-letter": (3, 2, 4, 2),
+}
+
+
+class TestUnorderedPairs:
+    """The kernel differences only the unordered pairs p < q of each axis; the
+    ordered grid of the oracle must give the same bits."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_SHAPES))
+    def test_field_matches_the_ordered_grid(self, case):
+        rng = np.random.default_rng(50)
+        shape = KERNEL_SHAPES[case]
+        mu = _random_product(shape, rng, (1, 0) if case == "mixed-zero-letter" else None)
+        for _ in range(3):
+            table = rng.standard_normal(mu.space.size)
+            for k in (1, 2, 3):
+                assert np.array_equal(h_tensor_field(table, mu, k), old_h_tensor_field(table, mu, k))
+
+    @pytest.mark.parametrize("case", list(KERNEL_SHAPES))
+    def test_pointwise_tensors_match_the_ordered_grid(self, case):
+        from concentra.diffops import _h_tensors
+
+        rng = np.random.default_rng(51)
+        shape = KERNEL_SHAPES[case]
+        mu = _random_product(shape, rng, (1, 0) if case == "mixed-zero-letter" else None)
+        f = Tabulated(rng.standard_normal(mu.space.size))
+        points = enumerate_configurations(mu.space)[rng.choice(mu.space.size, size=4)]
+        for k in (1, 2, 3):
+            assert np.array_equal(_h_tensors(f, mu, points, k), old_h_tensors(f, mu, points, k))
+
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_ustat_worst_entry_matches_the_ordered_grid(self, alphabet):
+        from concentra.funcs import UStatistic
+        from concentra.space import uniform
+        from concentra.verify import check_ustat_entry_bound
+
+        rng = np.random.default_rng(52)
+        kernel = rng.uniform(-1.0, 1.0, (alphabet,) * 3)
+        kernel = sum(kernel.transpose(p) for p in permutations(range(3))) / 6
+        ustat, n = UStatistic(3, kernel), 4
+        mu = uniform(_alphabet_space((alphabet,) * n))
+        table = ustat.evaluate_table(mu.space)
+        for k in (1, 2, 3):
+            report = check_ustat_entry_bound(ustat, n, k)
+            limit = math.comb(3, k) * 2.0**k * ustat.bound * float(n) ** (3 - k)
+            assert report.worst_margin == float(old_h_tensor_field(table, mu, k).max()) - limit
+
+
+class TestSizeOneSupports:
+    """A coordinate whose support is one letter has no pair to difference:
+    every entry on it is 0, as the ordered grid's diagonal gave."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(53)
+        mu = _random_product((2, 2, 3, 2), rng, (1, 1))  # coordinate 1 lives on letter 0
+        return rng, mu, Tabulated(rng.standard_normal(mu.space.size))
+
+    def test_field_and_pointwise_entries_vanish(self):
+        from concentra.diffops import _h_tensors
+
+        _, mu, f = self._case()
+        table = f.evaluate_table(mu.space)
+        points = enumerate_configurations(mu.space)
+        for k in (1, 2, 3):
+            for tensors in (h_tensor_field(table, mu, k), _h_tensors(f, mu, points, k)):
+                assert tensors.any()
+                for axis in range(1, k + 1):
+                    assert not np.take(tensors, 1, axis=axis).any()
+
+    def test_norm_profile_ignores_the_fixed_coordinate(self):
+        rng, mu, f = self._case()
+        assert list(norm_profile(f, mu, 2).gamma) == oracle_profile(f, mu, 2)
+        # a function of the fixed coordinate alone has a zero profile
+        only = Tabulated(np.broadcast_to(rng.standard_normal((1, 2, 1, 1)), mu.space.shape).reshape(-1))
+        assert norm_profile(only, mu, 3).gamma == (0.0, 0.0, 0.0)
