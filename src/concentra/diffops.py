@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,10 +156,12 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     return ((combo, entry(combo)) for combo in combos)
 
 
-def _assemble(entries: Iterable[tuple[tuple[int, ...], np.ndarray]], mu: Measure, k: int) -> np.ndarray:
-    """The dense field of `_section_entries`: each entry broadcast back over the
-    configuration axis and written at every permutation of its combination."""
+def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
+    """Order-k difference tensors at every configuration, shape (size,) + (n,)*k:
+    each section entry broadcast back over the configuration axis and written
+    at every permutation of its combination."""
     space = mu.space
+    entries = _section_entries(f_table, mu, k)
     out = np.zeros((space.size,) + (space.n,) * k)
     for combo, entry in entries:
         expanded = entry
@@ -169,11 +171,6 @@ def _assemble(entries: Iterable[tuple[tuple[int, ...], np.ndarray]], mu: Measure
         for perm in permutations(combo):
             out[(slice(None),) + perm] = expanded
     return out
-
-
-def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
-    """Order-k difference tensors at every configuration, shape (size,) + (n,)*k."""
-    return _assemble(_section_entries(f_table, mu, k), mu, k)
 
 
 def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
@@ -188,7 +185,8 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     relative makes |hi|_op the level: a certified upper end of every norm.
     Order 3 and up stays per configuration: one ALS run on hi would replace
     the best of many runs by a single lower estimate.  The entries are reduced
-    as they are made; a level with real spread builds its field anew.
+    as they are made, so the check holds one entry at a time; a level with
+    real spread builds its field anew.
     """
     if k <= 2:
         hi = np.zeros((mu.space.n,) * k)
@@ -200,7 +198,7 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
         top = float(op_norm_batch(hi[None])[0])
         if np.linalg.norm(hi - lo) <= CONSTANT_LEVEL_TOL * top:
             return top
-    field = h_tensor_field(f_table, mu, k)
+    field = h_tensor_field(f_table, mu, k)  # the public name: perfbench/tracing.py wraps it
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 
 
