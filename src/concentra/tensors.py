@@ -10,16 +10,18 @@ the normalized contraction, so every sub-step is exact and the final
 contraction value is a certified lower bound.  Multi-start makes that lower
 bound reliable at desk scale.
 
-Each ALS axis step contracts all other axes of the whole batch in
+Each tensor of an ALS batch leaves the active set once all its starts have
+converged, so a tensor's result does not depend on the rest of its batch.
+Each axis step contracts all other axes of the active tensors in
 `_contract`: one batched matmul on a reshape of the batch (no transposed
-copy), then two-operand einsums on the much smaller result.  A sweep of a
-batch of B order-k tensors with R starts costs about k*B*R*n1*...*nk
-multiply-adds, and its workspace is one block of about BLOCK_BYTES plus a few
-(B, R, n_a) arrays, whatever B is.
+copy), then two-operand einsums on the much smaller result.  A sweep of A
+active order-k tensors with R starts costs about k*A*R*n1*...*nk
+multiply-adds.  Its workspace is one block of about BLOCK_BYTES (the active
+tensors are gathered block by block, never all at once) plus a few
+(B, R, n_a) arrays, whatever the batch size B is.
 """
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,8 +30,8 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_RESTARTS = 32
-# Every ALS run stops after SWEEPS sweeps, or earlier once each (tensor, start)
-# value moved by at most TOL relative (absolute below 1) in the last sweep.
+# Each tensor of an ALS run stops after SWEEPS sweeps, or earlier once each of
+# its start values moved by at most TOL relative (absolute below 1) in a sweep.
 SWEEPS = 200
 TOL = 1e-9
 # An exact norm-profile level of order <= 2 whose entrywise spread over the
@@ -37,7 +39,8 @@ TOL = 1e-9
 # one tensor hi (diffops._level_norms).
 CONSTANT_LEVEL_TOL = 1e-12
 # `_contract` works through the batch in blocks whose first-stage product,
-# (block, R, n1*...*nk / n_first) floats, stays near this many bytes.
+# (block, R, n1*...*nk / n_first) floats, and gathered tensors, if any, stay
+# near this many bytes.
 BLOCK_BYTES = 1 << 21
 
 
@@ -94,23 +97,28 @@ def _checked(tensors, restarts: int) -> np.ndarray:
 
 @dataclass
 class _AlsRun:
-    values: np.ndarray  # (B, restarts): contraction against the final vectors
+    values: np.ndarray  # (B, restarts): the norms of each tensor's last axis step
     vectors: list[np.ndarray]  # one (B, restarts, n_axis) array of unit vectors per axis
-    sweeps: int
-    converged: bool
+    sweeps: int  # the most sweeps any tensor ran
+    converged: bool  # every tensor stopped before the SWEEPS cap
 
 
-def _contract(tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int) -> np.ndarray:
+def _contract(
+    tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Contract a batch (B, n1, ..., nk) against (B, R, n_a) vectors on every axis but `axis`.
 
-    Returns shape (B, R, n_axis).  The first stage is one batched matmul on a
-    plain reshape of the batch, so the batch is never copied: it contracts the
-    first axis, or the last when `axis` is the first, in B*R*n1*...*nk
-    multiply-adds.  (The first axis is preferred because its product needs no
-    transposed operand and runs faster.)  Two-operand einsums then contract
-    the other axes of the smaller (B, R, ...) result, one axis each.  The
-    batch goes through in blocks whose first-stage product stays near
-    BLOCK_BYTES.
+    Returns shape (B, R, n_axis), or (len(rows), R, n_axis) for the tensors
+    `rows` of the batch alone.  The first stage is one batched matmul on a
+    plain reshape of the batch: it contracts the first axis, or the last when
+    `axis` is the first, in B*R*n1*...*nk multiply-adds.  (The first axis is
+    preferred because its product needs no transposed operand and runs
+    faster.)  Two-operand einsums then contract the other axes of the smaller
+    (B, R, ...) result, one axis each.  The batch goes through in blocks whose
+    first-stage product stays near BLOCK_BYTES.  Without `rows` a block is a
+    slice of the batch, so nothing is copied; with `rows` each block's tensors
+    are gathered into one workspace, which counts against BLOCK_BYTES too, and
+    only that block's vectors are gathered.
     """
     shape = tensors.shape[1:]
     k, restarts = len(shape), vectors[0].shape[1]
@@ -118,38 +126,48 @@ def _contract(tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int) -> 
     kept = [a for a in range(k) if a != first]
     here = kept.index(axis)
     rest = int(np.prod([shape[a] for a in kept]))
-    block = max(1, BLOCK_BYTES // max(1, 8 * restarts * rest))
-    out = np.empty((tensors.shape[0], restarts, shape[axis]))
-    for lo in range(0, tensors.shape[0], block):
+    floats = restarts * rest + (0 if rows is None else rest * shape[first])
+    block = max(1, BLOCK_BYTES // max(1, 8 * floats))
+    count = len(tensors) if rows is None else len(rows)
+    if rows is not None:
+        workspace = np.empty((min(block, count),) + shape)
+    out = np.empty((count, restarts, shape[axis]))
+    for lo in range(0, count, block):
         part = slice(lo, lo + block)
-        t = tensors[part]
-        if first == 0:
-            w = vectors[0][part] @ t.reshape(len(t), shape[0], rest)
+        if rows is None:
+            t, pick = tensors[part], part
         else:
-            w = vectors[first][part] @ t.reshape(len(t), rest, shape[first]).transpose(0, 2, 1)
+            pick = rows[part]
+            t = np.take(tensors, pick, axis=0, out=workspace[: len(pick)], mode="clip")
+        if first == 0:
+            w = vectors[0][pick] @ t.reshape(len(t), shape[0], rest)
+        else:
+            w = vectors[first][pick] @ t.reshape(len(t), rest, shape[first]).transpose(0, 2, 1)
         w = w.reshape((len(t), restarts) + tuple(shape[a] for a in kept))
         for a in reversed(kept[here + 1 :]):
-            w = np.einsum("zy...j,zyj->zy...", w, vectors[a][part])
+            w = np.einsum("zy...j,zyj->zy...", w, vectors[a][pick])
         for a in kept[:here]:
-            w = np.einsum("zyj...,zyj->zy...", w, vectors[a][part])
+            w = np.einsum("zyj...,zyj->zy...", w, vectors[a][pick])
         out[part] = w
     return out
 
 
 def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
-    """Multi-start ALS on a batch of shape (B, n1, ..., nk), k >= 3, all at once.
+    """Multi-start ALS on a batch of shape (B, n1, ..., nk), k >= 3.
 
     Start 0 of every tensor is the all-ones direction, the others are
-    Gaussian.  The batch stops together, when every (tensor, start) value has
-    converged or after SWEEPS sweeps.
+    Gaussian.  The tensors run together, but each leaves the active set after
+    the first sweep in which all its start values converged, or after SWEEPS
+    sweeps; its values and vectors then stay as that sweep left them.  So a
+    tensor's result does not depend on the other tensors of its batch.
 
-    A sweep is k calls to `_contract`, one per axis: about k*B*R*n1*...*nk
-    multiply-adds, with a workspace of one block of about BLOCK_BYTES plus the
-    (B, R, n_a) contraction and vectors.  After the last axis step the norm of
-    the contraction is the value against the new vectors, which is what the
-    stopping rule compares.  The returned values are one full contraction of
-    the batch against the returned vectors, so each stays a certified lower
-    bound.
+    A sweep is k calls to `_contract`, one per axis, on the active tensors:
+    about k*A*R*n1*...*nk multiply-adds for A of them, with a workspace of one
+    block of about BLOCK_BYTES plus the (A, R, n_a) contraction.  The new
+    vectors go into the active rows of the (B, R, n_a) arrays in place.  After
+    the last axis step the norm of the contraction is the value against the
+    new vectors (the contraction dotted with its own normalization), so the
+    returned values, these norms, are certified lower bounds up to rounding.
     """
     rng = np.random.default_rng(seed)
     batch = tensors.shape[0]
@@ -162,21 +180,20 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
         vectors.append(v)
 
     value = np.einsum("zyi,zyi->zy", _contract(tensors, vectors, k - 1), vectors[k - 1])
+    live = np.arange(batch)
     for sweep in range(1, SWEEPS + 1):
+        rows = None if len(live) == batch else live
         for axis in range(k):
-            contraction = _contract(tensors, vectors, axis)
+            contraction = _contract(tensors, vectors, axis, rows)
             norms = np.linalg.norm(contraction, axis=2)
             safe = np.where(norms == 0.0, 1.0, norms)
-            vectors[axis] = contraction / safe[:, :, None]
-        converged = bool(np.all(np.abs(norms - value) <= TOL * np.maximum(1.0, norms)))
-        value = norms
-        if converged:
+            vectors[axis][live] = contraction / safe[:, :, None]
+        settled = np.all(np.abs(norms - value[live]) <= TOL * np.maximum(1.0, norms), axis=1)
+        value[live] = norms
+        live = live[~settled]
+        if len(live) == 0:
             break
-    # The last step's <contraction, vectors[-1]> is this value up to rounding,
-    # but its last digits differ, and they reach suite_report.json.
-    letters = string.ascii_lowercase[:k]
-    full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
-    return _AlsRun(np.einsum(full_spec, tensors, *vectors), vectors, sweep, converged)
+    return _AlsRun(value, vectors, sweep, len(live) == 0)
 
 
 def op_norm(tensor: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OpNormResult:
@@ -230,7 +247,16 @@ def op_norm_batch(tensors: np.ndarray, restarts: int = 8, seed: int = 0) -> np.n
     if k < 1:
         raise DomainError("expected a batch of tensors")
     if k == 1:
-        return np.linalg.norm(tensors, axis=1)
+        # np.linalg.norm(tensors, axis=1)'s own formula, in row blocks of about
+        # BLOCK_BYTES so that no temporary is as large as the batch.  Each block
+        # is C-ordered (a view for a C-ordered batch), so a row sums in one
+        # order whatever the layout of its batch.
+        norms = np.empty(len(tensors))
+        block = max(1, BLOCK_BYTES // max(1, 8 * tensors.shape[1]))
+        for lo in range(0, len(tensors), block):
+            x = np.ascontiguousarray(tensors[lo : lo + block])
+            norms[lo : lo + block] = np.sqrt(np.add.reduce(x * x, axis=1))
+        return norms
     if k == 2:
         return np.linalg.svd(tensors, compute_uv=False)[:, 0]
     return np.maximum(_als(tensors, restarts, seed).values.max(axis=1), 0.0)

@@ -50,9 +50,11 @@ def einsum_contract(batch, vectors, axis):
 
 
 def einsum_als(batch, restarts, seed, sweeps, tol):
-    """Reference ALS: the engine as it was before the batched contractions, one
-    3-operand einsum per axis step and a full contraction after every sweep.
-    Returns (values, vectors, sweeps, converged)."""
+    """Reference ALS: the batch's starts drawn as the engine draws them, then
+    the engine as it was before the batched contractions (one 3-operand
+    einsum per axis step and a full contraction after every sweep) run on
+    each tensor alone, stopping on its own.
+    Returns (values, vectors, the most sweeps any tensor ran, all converged)."""
     rng = np.random.default_rng(seed)
     size = batch.shape[0]
     k = batch.ndim - 1
@@ -65,19 +67,27 @@ def einsum_als(batch, restarts, seed, sweeps, tol):
         vectors.append(v)
 
     full_spec = "z" + letters + "," + ",".join(f"zy{c}" for c in letters) + "->zy"
-    value = np.einsum(full_spec, batch, *vectors)
-    for sweep in range(1, sweeps + 1):
-        for axis in range(k):
-            contraction = einsum_contract(batch, vectors, axis)
-            norms = np.linalg.norm(contraction, axis=2, keepdims=True)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            vectors[axis] = contraction / safe
-        new_value = np.einsum(full_spec, batch, *vectors)
-        converged = bool(np.all(np.abs(new_value - value) <= tol * np.maximum(1.0, np.abs(new_value))))
-        value = new_value
-        if converged:
-            break
-    return value, vectors, sweep, converged
+    values, most, all_converged = np.empty((size, restarts)), 0, True
+    for i in range(size):
+        tensor = batch[i : i + 1]
+        mine = [v[i : i + 1] for v in vectors]
+        value = np.einsum(full_spec, tensor, *mine)
+        for sweep in range(1, sweeps + 1):
+            for axis in range(k):
+                contraction = einsum_contract(tensor, mine, axis)
+                norms = np.linalg.norm(contraction, axis=2, keepdims=True)
+                safe = np.where(norms == 0.0, 1.0, norms)
+                mine[axis] = contraction / safe
+            new_value = np.einsum(full_spec, tensor, *mine)
+            converged = bool(np.all(np.abs(new_value - value) <= tol * np.maximum(1.0, np.abs(new_value))))
+            value = new_value
+            if converged:
+                break
+        values[i] = value[0]
+        for v, got in zip(vectors, mine):
+            v[i] = got[0]
+        most, all_converged = max(most, sweep), all_converged and converged
+    return values, vectors, most, all_converged
 
 
 def assert_close_to(actual, expected, rel):
@@ -218,6 +228,23 @@ class TestOpNormBatch:
                 op_norm_batch(np.ones(shape), restarts=0)
 
 
+class TestOrderOneNorms:
+    @pytest.mark.parametrize("shape", [(0, 4), (7, 3), (1, 40), (9000, 70)])
+    @pytest.mark.parametrize("block_bytes", [256, BLOCK_BYTES])
+    def test_equal_to_numpy_norm(self, monkeypatch, shape, block_bytes):
+        # (9000, 70) is about 2.4 blocks of BLOCK_BYTES; 256 bytes makes blocks of a few rows.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(shape[0])
+        field = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        np.testing.assert_array_equal(op_norm_batch(field), np.linalg.norm(field, axis=1))
+
+    def test_a_row_sums_in_one_order_in_any_layout(self, monkeypatch):
+        # Blocks of 7 rows; a Fortran-ordered batch reduces in another order unless copied per block.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", 7 * 8 * 600)
+        field = np.random.default_rng(0).standard_normal((40, 600))
+        np.testing.assert_array_equal(op_norm_batch(np.asfortranarray(field)), op_norm_batch(field))
+
+
 class TestContract:
     @pytest.mark.parametrize("shape", [(3, 1, 4), (2, 3, 4, 1), (1, 2, 3, 2, 2), (2, 2, 1, 3, 2)])
     @pytest.mark.parametrize("size", [1, 5])
@@ -243,6 +270,22 @@ class TestContract:
         vectors = [rng.standard_normal((size, restarts, n)) for _ in range(3)]
         for axis in range(3):
             assert_close_to(_contract(batch, vectors, axis), einsum_contract(batch, vectors, axis), 1e-12)
+
+
+    @pytest.mark.parametrize("shape", [(3, 1, 4), (2, 3, 4, 1), (2, 2, 1, 3, 2)])
+    @pytest.mark.parametrize("rows", [[4], [0, 2, 5], [5, 1, 1, 3, 0, 2], []])
+    @pytest.mark.parametrize("block_bytes", [1, 64, BLOCK_BYTES])
+    def test_rows_match_einsum_on_the_gathered_subset(self, monkeypatch, shape, rows, block_bytes):
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(sum(shape) + len(rows))
+        batch = rng.standard_normal((6,) + shape)
+        vectors = [rng.standard_normal((6, 3, m)) for m in shape]
+        rows = np.array(rows, dtype=int)
+        for axis in range(len(shape)):
+            out = _contract(batch, vectors, axis, rows)
+            assert out.shape == (len(rows), 3, shape[axis])
+            want = einsum_contract(batch[rows], [v[rows] for v in vectors], axis)
+            assert_close_to(out, want, 1e-12)
 
 
 class TestAlsAgainstEinsumOracle:
@@ -276,6 +319,87 @@ class TestAlsAgainstEinsumOracle:
         run = _als(batch, 5, 4)
         assert (run.sweeps, run.converged) == (sweeps, converged) == (2, False)
         assert_close_to(run.values, values, 1e-12)
+
+
+def rank_one(rng, shape):
+    """A rank-one tensor: ALS finds its norm in one sweep and stops after the second."""
+    out = rng.standard_normal(shape[0])
+    for m in shape[1:]:
+        out = np.multiply.outer(out, rng.standard_normal(m))
+    return out
+
+
+def live_sweeps(monkeypatch, size):
+    """Count, per tensor, the sweeps in which `_als` still contracts it (one axis-0 call a sweep)."""
+    counts = np.zeros(size, dtype=int)
+    contract = tensors._contract
+
+    def spy(batch, vectors, axis, rows=None):
+        if axis == 0:
+            counts[slice(None) if rows is None else rows] += 1
+        return contract(batch, vectors, axis, rows)
+
+    monkeypatch.setattr(tensors, "_contract", spy)
+    return counts
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 2, 3, 3)])
+    @pytest.mark.parametrize("block_bytes", [64, BLOCK_BYTES])
+    def test_a_tensor_does_not_depend_on_the_rest_of_its_batch(self, monkeypatch, shape, block_bytes):
+        # Batch `fast` holds rank-one tensors that stop after two sweeps, batch
+        # `slow` random ones that run longer; both share tensor 3 and the seed,
+        # so tensor 3 has the same starts in both.  In a lockstep run tensor 3
+        # would keep sweeping until the slowest tensor of `slow` stopped.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(len(shape))
+        fast = np.stack([rank_one(rng, shape) for _ in range(8)])
+        slow = rng.standard_normal((8,) + shape)
+        fast[3] = slow[3] = rng.standard_normal(shape)
+        counts = live_sweeps(monkeypatch, 8)
+        run_fast = _als(fast, 5, 7)
+        fast_counts = counts.copy()
+        counts[:] = 0
+        run_slow = _als(slow, 5, 7)
+        assert run_fast.converged and run_slow.converged
+        assert fast_counts[3] == counts[3] == run_fast.sweeps < run_slow.sweeps
+        np.testing.assert_array_equal(run_fast.values[3], run_slow.values[3])
+        for got, want in zip(run_fast.vectors, run_slow.vectors):
+            np.testing.assert_array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize(
+        "shape, spec",
+        [((50, 5, 4, 6), "zijk,zyi,zyj,zyk->zy"), ((30, 3, 4, 2, 3), "zijkl,zyi,zyj,zyk,zyl->zy")],
+    )
+    def test_each_value_is_its_contraction_against_the_returned_vectors(self, monkeypatch, shape, spec):
+        # Small blocks, so that later sweeps gather the active tensors across blocks.
+        monkeypatch.setattr(tensors, "BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(shape[0])
+        batch = rng.standard_normal(shape)
+        batch[::3] = [rank_one(rng, shape[1:]) for _ in range(len(batch[::3]))]
+        counts = live_sweeps(monkeypatch, shape[0])
+        run = _als(batch, 4, 5)
+        assert counts.min() < counts.max()
+        contraction = np.einsum(spec, batch, *run.vectors)
+        np.testing.assert_allclose(run.values, contraction, rtol=1e-12, atol=0.0)
+        for vec in run.vectors:
+            np.testing.assert_allclose(np.linalg.norm(vec, axis=2), 1.0, atol=1e-12)
+
+    def test_a_capped_batch_keeps_the_early_values_of_its_converged_tensors(self, monkeypatch):
+        monkeypatch.setattr(tensors, "SWEEPS", 3)
+        rng = np.random.default_rng(13)
+        ones = np.stack([rank_one(rng, (4, 4, 4)) for _ in range(6)])
+        mixed = ones.copy()
+        mixed[1::2] = rng.standard_normal((3, 4, 4, 4))
+        counts = live_sweeps(monkeypatch, 6)
+        run_mixed = _als(mixed, 4, 2)
+        assert (run_mixed.sweeps, run_mixed.converged) == (3, False)
+        np.testing.assert_array_equal(counts, [2, 3, 2, 3, 2, 3])
+        run_ones = _als(ones, 4, 2)
+        assert (run_ones.sweeps, run_ones.converged) == (2, True)
+        np.testing.assert_array_equal(run_mixed.values[::2], run_ones.values[::2])
+        norms = [np.linalg.norm(t.ravel()) for t in ones[::2]]
+        np.testing.assert_allclose(run_mixed.values[::2].max(axis=1), norms, rtol=1e-12)
 
 
 class TestPartitions:
