@@ -202,9 +202,9 @@ def op_norm(tensor: np.ndarray, restarts: int = DEFAULT_RESTARTS, seed: int = 0)
     Exact for d <= 2: the closed form for scalars and vectors, the top
     singular triple for matrices.  For d >= 3 it is the best start of the
     batched ALS on this one tensor, and a certified lower bound.  The value
-    is the contraction against the returned unit vectors.  Nonnegative
-    tensors get entrywise-nonnegative maximizers |v| and the value recomputed
-    against them, which can only rise up to rounding.  So for d >= 3 the value
+    is the contraction against the returned unit vectors, up to rounding.
+    Nonnegative tensors get entrywise-nonnegative maximizers |v| and the value
+    recomputed against them, which can only rise up to rounding.  So for d >= 3 the value
     is `op_norm_batch(tensor[None], restarts, seed)[0]` for a tensor with a
     negative entry, and the value against |v| for a nonnegative one.
     """
