@@ -181,22 +181,25 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     Every tensor lies entrywise in [lo, hi], the minima and maxima of each
     entry over its sections, and is nonnegative; the operator norm is monotone
     on nonnegative tensors, so each norm lies in [|hi|_op - |hi - lo|_F, |hi|_op].
-    For k <= 2, where |hi|_op is exact, a spread of at most CONSTANT_LEVEL_TOL
-    relative makes |hi|_op the level: a certified upper end of every norm.
-    Order 3 and up stays per configuration: one ALS run on hi would replace
-    the best of many runs by a single lower estimate.  The entries are reduced
-    as they are made, so the check holds one entry at a time; a level with
-    real spread builds its field anew.
+    A spread of at most CONSTANT_LEVEL_TOL times |hi|_op makes the norm of hi
+    the level, computed once: for k <= 2 it is exact, a certified upper end of
+    every norm; for k >= 3 it is the ALS lower estimate of |hi|_op, which lies
+    within that spread of every configuration's norm.  The spread is first
+    held against |hi|_F >= |hi|_op, so a level that fails goes to its field
+    without a norm of hi.  The entries are reduced as they are made, so the
+    check holds one entry at a time; a level with real spread builds its
+    field anew.
     """
-    if k <= 2:
-        hi = np.zeros((mu.space.n,) * k)
-        lo = np.zeros_like(hi)
-        for combo, entry in _section_entries(f_table, mu, k):
-            extremes = entry.max(), entry.min()
-            for perm in permutations(combo):
-                hi[perm], lo[perm] = extremes
-        top = float(op_norm_batch(hi[None])[0])
-        if np.linalg.norm(hi - lo) <= CONSTANT_LEVEL_TOL * top:
+    hi = np.zeros((mu.space.n,) * k)
+    lo = np.zeros_like(hi)
+    for combo, entry in _section_entries(f_table, mu, k):
+        extremes = entry.max(), entry.min()
+        for perm in permutations(combo):
+            hi[perm], lo[perm] = extremes
+    spread = np.linalg.norm(hi - lo)
+    if spread <= CONSTANT_LEVEL_TOL * np.linalg.norm(hi):
+        top = float(op_norm_batch(hi[None], restarts=restarts, seed=seed)[0])
+        if spread <= CONSTANT_LEVEL_TOL * top:
             return top
     field = h_tensor_field(f_table, mu, k)  # the public name: perfbench/tracing.py wraps it
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
@@ -344,9 +347,10 @@ def norm_profile(
 ) -> NormProfile:
     """gamma[k] = E |h^(k) f|_op for k < d and the support supremum at k = d.
 
-    Exact mode enumerates the space; a level of order <= 2 that is one tensor
-    at every configuration, up to rounding, is that tensor's norm, an upper end
-    of every configuration's (`_level_norms`).  Monte Carlo mode evaluates the
+    Exact mode enumerates the space; a level that is one tensor at every
+    configuration, up to rounding, is that tensor's norm, computed once
+    (`_level_norms`): an upper end of every configuration's for order <= 2,
+    the ALS lower estimate for order >= 3.  Monte Carlo mode evaluates the
     tensors at caller-provided sample configurations, reports standard errors,
     and flags the top level as a lower estimate (a max over sampled points).
     """

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .schema import array, choice, dispatch, document, field, integer, list_of, matrix, reads, vector
-from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations
+from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations, enumeration_blocks
 from .tensors import check_symmetric, check_zero_diagonal, op_norm, op_norm_batch
 
 
@@ -37,7 +37,9 @@ class FunctionSpec:
         return float(self.evaluate_rows(space, np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def evaluate_table(self, space: ProductSpace) -> np.ndarray:
-        return self.evaluate_rows(space, enumerate_configurations(space))
+        """Values over the enumeration, evaluated block by block
+        (`enumeration_blocks`); a row's value does not depend on its batch."""
+        return np.concatenate([self.evaluate_rows(space, block) for block in enumeration_blocks(space)])
 
     def check_space(self, space: ProductSpace) -> None:
         raise NotImplementedError

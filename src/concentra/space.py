@@ -22,6 +22,9 @@ from .errors import (
 from .schema import dispatch, document, field, floats, integer, list_of, vector
 
 ENUMERATION_CAP = 1 << 24
+# `enumeration_blocks` yields blocks of at most about this many bytes of
+# configurations.
+ENUMERATION_BLOCK_BYTES = 1 << 23
 
 # A configuration is a point of the product space, one value per coordinate.
 Configuration = tuple[float, ...]
@@ -151,6 +154,30 @@ def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) ->
         reps_outer = space.size // (reps_inner * space.shape[i])
         columns[:, i] = np.tile(np.repeat(grid, reps_inner), reps_outer)
     return columns
+
+
+def enumeration_blocks(space: ProductSpace, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
+    """`enumerate_configurations` as consecutive blocks of rows, so that no
+    caller holds every configuration at once.
+
+    A block fixes the leading coordinates and runs the trailing ones through
+    their own enumeration: as few trailing coordinates as keep a block within
+    ENUMERATION_BLOCK_BYTES, and at least the last.  A space that fits is one
+    block, `enumerate_configurations` itself.
+    """
+    space.check_cap(cap)
+    row_bytes = 8 * space.n
+    lead = next((i for i in range(space.n)
+                 if space.strides[i] * space.shape[i] * row_bytes <= ENUMERATION_BLOCK_BYTES), space.n - 1)
+    if lead == 0:
+        yield enumerate_configurations(space, cap)
+        return
+    tail = enumerate_configurations(ProductSpace(space.alphabets[lead:]))
+    for start in range(0, space.size, len(tail)):
+        block = np.empty((len(tail), space.n))
+        block[:, :lead] = space.configuration(start)[:lead]
+        block[:, lead:] = tail
+        yield block
 
 
 def _sections(flat: np.ndarray, space: ProductSpace, i: int) -> np.ndarray:
@@ -333,16 +360,16 @@ class GibbsMeasure(Measure):
     def _enumerated_log_weights(self) -> np.ndarray:
         """`log_weights` of every configuration, in enumeration order.
 
-        Evaluated in blocks of 1024 configurations, which bounds the
-        temporaries of a batch log-weight (an ERGM's motif products take
-        rows x embeddings x edges floats); a row's value does not depend on
-        its batch.  The enumeration is freed on return.
+        Evaluated in batches of 1024 configurations of each enumeration
+        block, which bounds the temporaries of a batch log-weight (an ERGM's
+        motif products take rows x embeddings x edges floats); a row's value
+        does not depend on its batch.
         """
-        configs = enumerate_configurations(self.space)
-        block = 1 << 10
-        return np.concatenate(
-            [self.log_weights(configs[s:s + block]) for s in range(0, len(configs), block)]
-        )
+        batch = 1 << 10
+        return np.concatenate([
+            self.log_weights(configs[s:s + batch])
+            for configs in enumeration_blocks(self.space) for s in range(0, len(configs), batch)
+        ])
 
     def prob_table(self) -> np.ndarray:
         if self._table is None:

@@ -34,7 +34,7 @@ DEFAULT_RESTARTS = 32
 # its start values moved by at most TOL relative (absolute below 1) in a sweep.
 SWEEPS = 200
 TOL = 1e-9
-# An exact norm-profile level of order <= 2 whose entrywise spread over the
+# An exact norm-profile level of any order whose entrywise spread over the
 # configurations, |hi - lo|_F, is at most this times |hi|_op is computed as the
 # one tensor hi (diffops._level_norms).
 CONSTANT_LEVEL_TOL = 1e-12

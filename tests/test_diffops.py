@@ -727,3 +727,135 @@ class TestSizeOneSupports:
         # a function of the fixed coordinate alone has a zero profile
         only = Tabulated(np.broadcast_to(rng.standard_normal((1, 2, 1, 1)), mu.space.shape).reshape(-1))
         assert norm_profile(only, mu, 3).gamma == (0.0, 0.0, 0.0)
+
+
+def _symmetric_order(rng, n, k):
+    """A symmetric order-k tensor with zero generalized diagonal: one uniform
+    value per k-subset, written at each of its permutations."""
+    from itertools import combinations
+
+    T = np.zeros((n,) * k)
+    for combo in combinations(range(n), k):
+        value = rng.uniform(-1.0, 1.0)
+        for perm in permutations(combo):
+            T[perm] = value
+    return T
+
+
+def _corpus_case(name):
+    import json
+    from importlib import resources
+
+    from concentra import cli
+
+    inputs = cli.Inputs(json.loads((resources.files("concentra") / "corpus" / f"{name}.json").read_text()))
+    return inputs.model, inputs.table
+
+
+def _cubic_cases():
+    """Degree-3 functionals: the order-3 tensor is the same at every configuration."""
+    rng = np.random.default_rng(60)
+    n = 10
+    cubic = MultilinearPoly({1: rng.uniform(-1.0, 1.0, n), 3: _symmetric_order(rng, n, 3)})
+    return {
+        "higher-order-cubic": (rademacher(n), cubic),
+        "ergm4-triangles": _corpus_case("ergm4-triangles"),
+        "rademacher4-cubic": _corpus_case("rademacher4-cubic"),
+    }
+
+
+def _count_fields(monkeypatch):
+    """Record the order of every h_tensor_field call made by the profiles."""
+    import concentra.diffops as diffops
+
+    orders = []
+    real = diffops.h_tensor_field
+
+    def counted(table, mu, k):
+        orders.append(k)
+        return real(table, mu, k)
+
+    monkeypatch.setattr(diffops, "h_tensor_field", counted)
+    return orders
+
+
+class TestConstantLevelsOfAnyOrder:
+    """A constant level of order >= 3 is one ALS run on hi, not one per configuration."""
+
+    @staticmethod
+    def _per_configuration(f, mu, k):
+        from concentra.funcs import function_table
+        from concentra.tensors import op_norm_batch
+
+        table = function_table(f, mu.space)
+        support = mu.prob_table() > 0.0
+        return op_norm_batch(h_tensor_field(table, mu, k)[support], restarts=8, seed=0)
+
+    @pytest.mark.parametrize("case", list(_cubic_cases()))
+    def test_collapsed_order_three_level_meets_every_configuration_estimate(self, case, monkeypatch):
+        mu, f = _cubic_cases()[case]
+        want = self._per_configuration(f, mu, 3).max()
+        orders = _count_fields(monkeypatch)
+        got = norm_profile(f, mu, 3).gamma[2]
+        assert 3 not in orders
+        assert got >= want * (1.0 - 1e-13)
+
+    def test_constant_order_three_level_builds_no_field(self, monkeypatch):
+        mu, f = _cubic_cases()["higher-order-cubic"]
+        orders = _count_fields(monkeypatch)
+        norm_profile(f, mu, 3)
+        assert orders == [1, 2]  # levels 1 and 2 of a cubic vary with x
+
+    def test_constant_order_four_level_takes_the_rule(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        n = 6
+        mu = rademacher(n)
+        quartic = MultilinearPoly({2: _symmetric_order(rng, n, 2), 4: _symmetric_order(rng, n, 4)})
+        want = self._per_configuration(quartic, mu, 4)
+        assert want.max() > 0.0
+        orders = _count_fields(monkeypatch)
+        got = norm_profile(quartic, mu, 4).gamma[3]
+        assert orders == [1, 2, 3]
+        assert got >= want.max() * (1.0 - 1e-13)
+
+    @pytest.mark.parametrize("kind", ["quartic", "table"])
+    def test_varying_order_three_level_keeps_the_field_path(self, kind, monkeypatch):
+        import concentra.diffops as diffops
+
+        rng = np.random.default_rng(62)
+        n = 6
+        mu = bernoulli_product(n, 0.3)
+        f = (MultilinearPoly({3: _symmetric_order(rng, n, 3), 4: _symmetric_order(rng, n, 4)})
+             if kind == "quartic" else Tabulated(rng.standard_normal(mu.space.size)))
+        want = oracle_profile(f, mu, 3)
+        batches = []
+        real = diffops.op_norm_batch
+
+        def counted(tensors, **options):
+            batches.append(len(tensors))
+            return real(tensors, **options)
+
+        monkeypatch.setattr(diffops, "op_norm_batch", counted)
+        orders = _count_fields(monkeypatch)
+        assert list(norm_profile(f, mu, 3).gamma) == want
+        assert orders == [1, 2, 3]
+        assert batches == [mu.space.size] * 3  # no norm of hi at any level
+
+    def test_suprema_profile_of_cubic_members(self, monkeypatch):
+        from concentra.funcs import SupFamily
+        from concentra.verify import suprema_profile
+
+        rng = np.random.default_rng(63)
+        n = 6
+        members = tuple(MultilinearPoly({1: rng.uniform(-1.0, 1.0, n), 3: _symmetric_order(rng, n, 3)})
+                        for _ in range(2))
+        for mu in (rademacher(n), bernoulli_product(n, 0.3)):
+            w = mu.prob_table()
+            sup_norms = [np.max([self._per_configuration(m, mu, j) for m in members], axis=0)
+                         for j in (1, 2, 3)]
+            orders = _count_fields(monkeypatch)
+            expected_w, top = suprema_profile(SupFamily(members), mu, d=3)
+            monkeypatch.undo()
+            assert orders == [1, 1, 2, 2]  # the members' order-3 levels collapse
+            assert expected_w == [float(np.dot(w, s)) for s in sup_norms[:2]]
+            assert top >= float(sup_norms[2].max()) * (1.0 - 1e-13)

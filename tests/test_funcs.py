@@ -212,10 +212,9 @@ class TestBatchedEvaluation:
         with pytest.raises(DimensionMismatchError):
             chaos.evaluate_rows(hypercube(3), np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("kind", sorted(FUNCTION_KINDS))
-    def test_table_rows_and_points_agree_bit_for_bit(self, kind):
-        # evaluate_rows is each kind's only evaluation method; the table and
-        # the one-point value are views of it.
+    @staticmethod
+    def _example(kind):
+        """One function of each kind on a three-letter space, n = 4."""
         rng = np.random.default_rng(41)
         n = 4
         space = ProductSpace(((-1.0, 0.5, 2.0),) * n)
@@ -230,13 +229,32 @@ class TestBatchedEvaluation:
             "sup": SupFamily((ustat, table, chaos)),
             "chaos": chaos,
         }
-        f = examples[kind]
+        return space, examples[kind]
+
+    @pytest.mark.parametrize("kind", sorted(FUNCTION_KINDS))
+    def test_table_rows_and_points_agree_bit_for_bit(self, kind):
+        # evaluate_rows is each kind's only evaluation method; the table and
+        # the one-point value are views of it.
+        space, f = self._example(kind)
         assert f.kind == kind
         assert not any(hasattr(f, name) for name in ("evaluate", "evaluate_batch", "vector_value"))
         configs = enumerate_configurations(space)
         values = f.evaluate_table(space)
         assert np.array_equal(f.evaluate_rows(space, configs), values)
         assert np.array_equal([f.evaluate_on(space, x) for x in configs], values)
+
+    @pytest.mark.parametrize("kind", sorted(FUNCTION_KINDS))
+    def test_table_in_enumeration_blocks_equals_one_call(self, kind, monkeypatch):
+        import concentra.space as space_mod
+        from concentra.space import enumeration_blocks
+
+        space, f = self._example(kind)
+        whole = f.evaluate_rows(space, enumerate_configurations(space))
+        assert np.array_equal(f.evaluate_table(space), whole)
+        # blocks of the last coordinate's three letters
+        monkeypatch.setattr(space_mod, "ENUMERATION_BLOCK_BYTES", 3 * 8 * space.n)
+        assert len(list(enumeration_blocks(space))) == space.size // 3
+        assert np.array_equal(f.evaluate_table(space), whole)
 
 
 class TestFourier:

@@ -16,6 +16,7 @@ from concentra.space import (
     binary,
     entropy_functional,
     enumerate_configurations,
+    enumeration_blocks,
     hypercube,
     lp_norm,
     lp_norm_mc,
@@ -65,6 +66,20 @@ class TestEnumeration:
                 space.digit_rows(rows)
         with pytest.raises(DomainError, match="expected"):
             space.digit_rows(configs[:, :2])
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 7, 24, 48, 10**6])
+    def test_blocks_concatenate_to_the_enumeration(self, monkeypatch, rows):
+        import concentra.space as space_mod
+
+        space = ProductSpace(((2.0, 0.0, 1.0), (3.0,), (0.5, -0.5, 9.0, 1.5), (-1.0, 1.0)))
+        monkeypatch.setattr(space_mod, "ENUMERATION_BLOCK_BYTES", rows * 8 * space.n)
+        blocks = list(enumeration_blocks(space))
+        # the fewest trailing coordinates, at least the last, that fit `rows`
+        want = {1: 2, 2: 2, 4: 2, 7: 2, 24: 24, 48: 24, 10**6: 24}[rows]
+        assert all(len(block) == want for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), enumerate_configurations(space))
+        with pytest.raises(EnumerationTooLargeError):
+            next(enumeration_blocks(space, cap=10))
 
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
@@ -254,6 +269,22 @@ class TestSerialization:
         np.testing.assert_array_equal(mu.measure_json()["log_weights"], logw)
         w = np.exp(logw - logw.max())
         np.testing.assert_array_equal(mu.prob_table(), w / w.sum())
+
+    def test_gibbs_log_weights_in_enumeration_blocks_equal_one_batch(self, monkeypatch):
+        import concentra.space as space_mod
+        from concentra.models import SINGLE_EDGE, TRIANGLE, ErgmSpec, IsingSpec, build_ergm, build_ising
+
+        coupling = np.zeros((7, 7))
+        for a in range(6):
+            coupling[a, a + 1] = coupling[a + 1, a] = 0.3
+        ising, _ = build_ising(IsingSpec(coupling, np.linspace(-0.2, 0.2, 7)))
+        ergm, _ = build_ergm(ErgmSpec(4, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.4)))
+        for mu in (ising, ergm):
+            whole = mu.log_weights(enumerate_configurations(mu.space))
+            monkeypatch.setattr(space_mod, "ENUMERATION_BLOCK_BYTES", 4 * 8 * mu.space.n)
+            assert len(next(enumeration_blocks(mu.space))) == 4
+            np.testing.assert_array_equal(mu._enumerated_log_weights(), whole)
+            monkeypatch.undo()
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
