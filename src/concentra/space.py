@@ -156,7 +156,7 @@ def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) ->
     return columns
 
 
-def enumeration_blocks(space: ProductSpace, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
+def enumeration_blocks(space: ProductSpace) -> Iterator[np.ndarray]:
     """`enumerate_configurations` as consecutive blocks of rows, so that no
     caller holds every configuration at once.
 
@@ -165,12 +165,12 @@ def enumeration_blocks(space: ProductSpace, cap: int = ENUMERATION_CAP) -> Itera
     ENUMERATION_BLOCK_BYTES, and at least the last.  A space that fits is one
     block, `enumerate_configurations` itself.
     """
-    space.check_cap(cap)
+    space.check_cap()
     row_bytes = 8 * space.n
     lead = next((i for i in range(space.n)
                  if space.strides[i] * space.shape[i] * row_bytes <= ENUMERATION_BLOCK_BYTES), space.n - 1)
     if lead == 0:
-        yield enumerate_configurations(space, cap)
+        yield enumerate_configurations(space)
         return
     tail = enumerate_configurations(ProductSpace(space.alphabets[lead:]))
     for start in range(0, space.size, len(tail)):

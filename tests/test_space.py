@@ -79,7 +79,7 @@ class TestEnumeration:
         assert all(len(block) == want for block in blocks)
         assert np.array_equal(np.concatenate(blocks), enumerate_configurations(space))
         with pytest.raises(EnumerationTooLargeError):
-            next(enumeration_blocks(space, cap=10))
+            next(enumeration_blocks(binary(25)))
 
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
