@@ -2,8 +2,9 @@
 
 Six function kinds share one interface: tabulated values, multilinear
 polynomials (symmetric coefficient tensors vanishing on the generalized
-diagonal), quadratic forms, U-statistics with a symmetric kernel, suprema of
-finite families, and vector-valued chaos with an l2 or linf norm on R^m.
+diagonal), quadratic forms (the degree-2 polynomials, given by their matrix),
+U-statistics with a symmetric kernel, suprema of finite families, and
+vector-valued chaos with an l2 or linf norm on R^m.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .schema import array, choice, dispatch, document, field, integer, list_of, matrix, reads, vector
-from .space import Measure, ProductMeasure, ProductSpace, enumerate_configurations, enumeration_blocks
+from .space import Measure, ProductMeasure, ProductSpace, enumeration_blocks
 from .tensors import check_symmetric, check_zero_diagonal, op_norm, op_norm_batch
 
 
@@ -146,36 +147,14 @@ def _contract_poly_term(tensor: np.ndarray, configs: np.ndarray) -> np.ndarray:
     return np.einsum(spec, *operands)
 
 
-@dataclass
-class QuadraticForm(FunctionSpec):
-    """f(x) = x^T A x for a symmetric matrix A with zero diagonal."""
+class QuadraticForm(MultilinearPoly):
+    """f(x) = x^T A x for a symmetric matrix A with zero diagonal: the degree-2
+    polynomial with coefficient tensor A, given by its matrix."""
 
-    matrix: np.ndarray
     kind = "quadform"
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise DomainError("quadratic form needs a square matrix")
-        check_symmetric(self.matrix, "quadratic form matrix")
-        check_zero_diagonal(self.matrix, "quadratic form matrix")
-
-    def as_poly(self) -> MultilinearPoly:
-        return MultilinearPoly({2: self.matrix})
-
-    def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
-        self.check_space(space)
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.matrix.shape[0]:
-            raise DimensionMismatchError("quadratic form dimension mismatch")
-        return np.einsum("zi,ij,zj->z", rows, self.matrix, rows)
-
-    def check_space(self, space: ProductSpace) -> None:
-        if space.n != self.matrix.shape[0]:
-            raise DimensionMismatchError("quadratic form dimension mismatch")
-
-    def to_json(self) -> dict:
-        return {"kind": "quadform", "matrix": self.matrix.tolist()}
+    def __init__(self, matrix: np.ndarray):
+        super().__init__({2: matrix})
 
 
 # Rows per U-statistic gather block: bounds the (rows, n, n) kernel blocks of
@@ -485,15 +464,13 @@ def _falling_factorial(m: int, k: int) -> int:
     return out
 
 
-def gradient_tensor_at(poly: MultilinearPoly | QuadraticForm, k: int, x: Sequence[float]) -> np.ndarray:
+def gradient_tensor_at(poly: MultilinearPoly, k: int, x: Sequence[float]) -> np.ndarray:
     """The k-tensor of order-k partial derivatives of the polynomial at x.
 
     Because every coefficient tensor vanishes on the generalized diagonal,
     contracting the trailing axes with x over the full index range equals the
     sum over distinct completion indices.
     """
-    if isinstance(poly, QuadraticForm):
-        poly = poly.as_poly()
     if k > poly.degree:
         raise DomainError(f"order {k} exceeds polynomial degree {poly.degree}")
     x = np.asarray(x, dtype=float)
@@ -510,22 +487,40 @@ def gradient_tensor_at(poly: MultilinearPoly | QuadraticForm, k: int, x: Sequenc
     return out
 
 
-def expected_gradient_tensor(poly: MultilinearPoly | QuadraticForm, k: int, mu: Measure) -> np.ndarray:
-    """Entrywise expectation of the order-k gradient tensor under mu."""
-    if isinstance(poly, QuadraticForm):
-        poly = poly.as_poly()
+def expected_gradient_tensor(poly: MultilinearPoly, k: int, mu: Measure) -> np.ndarray:
+    """Entrywise expectation of the order-k gradient tensor under mu.
+
+    The gradient is linear in the products x^{(x)j}, so its expectation is
+    the sum over m >= k of m!/(m-k)! T_m contracted on its last j = m - k
+    axes with the moment tensor M_j = E X^{(x)j}.  A measure that is not a product
+    accumulates each M_j over the enumeration blocks, so T_m is contracted
+    once instead of once per configuration.
+    """
     if k > poly.degree:
         raise DomainError(f"order {k} exceeds polynomial degree {poly.degree}")
     if isinstance(mu, ProductMeasure):
         # Independent coordinates with distinct-index products: moments factorize.
         means = [float(np.dot(mu.tables[i], mu.space.value_grid(i))) for i in range(mu.space.n)]
         return gradient_tensor_at(poly, k, means)
-    configs = enumerate_configurations(mu.space)
-    w = mu.prob_table()
+    top = poly.degree - k
+    probs = mu.prob_table()
+    moments = [0.0] * (top + 1)
+    start = 0
+    for block in enumeration_blocks(mu.space):
+        rows = len(block)
+        # Row z of `power` holds w_z x_z^{(x)(j-1)}, flattened.
+        power = probs[start:start + rows, None]
+        start += rows
+        moments[0] += power.sum()
+        for j in range(1, top + 1):
+            moments[j] = moments[j] + (power.T @ block).reshape((poly.dim,) * j)
+            if j < top:
+                power = (power[:, :, None] * block[:, None, :]).reshape(rows, -1)
     out = np.zeros((poly.dim,) * k)
-    for weight, row in zip(w, configs):
-        if weight > 0.0:
-            out += weight * gradient_tensor_at(poly, k, row)
+    for m, tensor in poly.tensors.items():
+        if m >= k:
+            contracted = np.tensordot(tensor, moments[m - k], axes=(list(range(k, m)), list(range(m - k))))
+            out += _falling_factorial(m, k) * contracted
     return out
 
 

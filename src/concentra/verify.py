@@ -330,12 +330,12 @@ class PointwiseReport(Record):
     checked: int
 
 
-def _op_norm_field(table: np.ndarray, mu: Measure, k: int, restarts: int = 8) -> np.ndarray:
+def _op_norm_field(table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
     # Per configuration, never a constant level's upper end (`_level_norms`):
     # the recursion lemma is checked pointwise, and an upper end on its right
     # side could hide a configuration where it fails.
     field_ = h_tensor_field(table, mu, k)
-    return op_norm_batch(field_, restarts=restarts)
+    return op_norm_batch(field_)
 
 
 def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> PointwiseReport:
@@ -347,9 +347,9 @@ def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> Pointwi
     if d < 2:
         raise DomainError("the recursion lemma needs d >= 2")
     table = function_table(f, mu.space)
-    inner = _op_norm_field(table, mu, d - 1, restarts=8 if d - 1 >= 3 else 1)
+    inner = _op_norm_field(table, mu, d - 1)
     lhs = np.linalg.norm(h_field(inner, mu, "plus"), axis=1)
-    rhs = _op_norm_field(table, mu, d, restarts=8 if d >= 3 else 1)
+    rhs = _op_norm_field(table, mu, d)
     support = mu.support_mask()
     margins = lhs[support] - rhs[support]
     worst = float(margins.max())
@@ -595,12 +595,21 @@ def _suite_moment_chain(seed: int) -> SuiteCheck:
 
 
 def exact_binomial_coverage(p: float, m: int, confidence: float) -> float:
-    """P(upper limit >= p) computed by summing the binomial pmf over all counts."""
-    from scipy import stats
+    """P(upper limit >= p) for K ~ Binomial(m, p).
 
-    ks = np.arange(m + 1)
-    covered = np.array([clopper_pearson_upper(int(k), m, confidence) >= p for k in ks])
-    return float(stats.binom.pmf(ks, m, p)[covered].sum())
+    The upper limit increases with the count, so the covered counts form an
+    upper set {k >= k*} (checked, not assumed), and the coverage is the
+    binomial tail P(K >= k*) = I_p(k*, m - k* + 1), a regularized beta.
+    """
+    from scipy.special import betainc
+
+    covered = [clopper_pearson_upper(k, m, confidence) >= p for k in range(m + 1)]
+    k_star = covered.index(True) if any(covered) else m + 1
+    if not all(covered[k_star:]):
+        raise AssertionError(f"the counts whose upper limit covers p={p} are not an upper set")
+    if k_star in (0, m + 1):
+        return float(k_star == 0)  # every count covers, or none; I_p needs positive parameters
+    return float(betainc(k_star, m - k_star + 1, p))
 
 
 def _suite_clopper_pearson(seed: int) -> SuiteCheck:

@@ -366,6 +366,121 @@ class TestGradientTensors:
         with pytest.raises(DomainError):
             gradient_tensor_at(poly, 2, [0.0, 0.0])
 
+    @staticmethod
+    def _ising_ring_cubic(n, seed):
+        from concentra.models import IsingSpec, build_ising
+
+        rng = np.random.default_rng(seed)
+        J = np.zeros((n, n))
+        for i in range(n):
+            J[i, (i + 1) % n] = J[(i + 1) % n, i] = rng.uniform(0.1, 0.2)
+        mu = build_ising(IsingSpec(J, rng.uniform(-0.3, 0.3, n)))[0]
+        poly = MultilinearPoly({
+            1: rng.standard_normal(n),
+            2: random_symmetric_zero_diag(n, rng),
+            3: random_symmetric_zero_diag(n, rng, 3),
+        })
+        return mu, poly
+
+    @staticmethod
+    def _loop_oracle(poly, k, mu):
+        """The expectation as a weighted sum of one gradient per configuration."""
+        out = np.zeros((poly.dim,) * k)
+        for weight, row in zip(mu.prob_table(), enumerate_configurations(mu.space)):
+            out += weight * gradient_tensor_at(poly, k, row)
+        return out
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_expected_on_a_gibbs_measure_matches_the_loop(self, k):
+        # An Ising ring is not a product measure: the moments do not factorize.
+        mu, poly = self._ising_ring_cubic(8, seed=12)
+        oracle = self._loop_oracle(poly, k, mu)
+        np.testing.assert_allclose(expected_gradient_tensor(poly, k, mu), oracle,
+                                   rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_expected_on_a_gibbs_measure_sums_its_enumeration_blocks(self, k, monkeypatch):
+        import concentra.space as space_mod
+        from concentra.space import enumeration_blocks
+
+        mu, poly = self._ising_ring_cubic(7, seed=13)
+        monkeypatch.setattr(space_mod, "ENUMERATION_BLOCK_BYTES", 4 * 8 * mu.space.n)
+        assert len(list(enumeration_blocks(mu.space))) == mu.space.size // 4
+        blocked = expected_gradient_tensor(poly, k, mu)
+        oracle = self._loop_oracle(poly, k, mu)
+        np.testing.assert_allclose(blocked, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+    def test_expected_on_an_exact_measure_with_zero_masses(self):
+        from concentra.space import ExactMeasure
+
+        rng = np.random.default_rng(14)
+        space = ProductSpace(((-1.0, 0.5, 2.0),) * 3)
+        table = rng.uniform(size=space.size) * (rng.uniform(size=space.size) < 0.6)
+        mu = ExactMeasure(space, table / table.sum())
+        poly = MultilinearPoly({2: random_symmetric_zero_diag(3, rng), 3: random_symmetric_zero_diag(3, rng, 3)})
+        for k in (1, 2):
+            oracle = self._loop_oracle(poly, k, mu)
+            np.testing.assert_allclose(expected_gradient_tensor(poly, k, mu), oracle,
+                                       rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+class TestQuadformIsDegreeTwoPoly:
+    """A `quadform` is the degree-2 `poly` given by its matrix: one implementation."""
+
+    @staticmethod
+    def _measures():
+        three = ProductSpace(((-1.0, 0.5, 2.0),) * 4)
+        return {
+            "rademacher": rademacher(5),
+            "bernoulli": bernoulli_product(5, 0.3),
+            "three-letter": uniform(three),
+        }
+
+    @pytest.mark.parametrize("name", ["rademacher", "bernoulli", "three-letter"])
+    def test_same_table_fields_and_profile_bit_for_bit(self, name):
+        from concentra.diffops import h_tensor_field
+
+        mu = self._measures()[name]
+        A = random_symmetric_zero_diag(mu.space.n, np.random.default_rng(21))
+        quad, poly = QuadraticForm(A), MultilinearPoly({2: A})
+        table = quad.evaluate_table(mu.space)
+        assert np.array_equal(table, poly.evaluate_table(mu.space))
+        for k in (1, 2):
+            assert np.array_equal(h_tensor_field(table, mu, k), h_tensor_field(poly.evaluate_table(mu.space), mu, k))
+        assert norm_profile(quad, mu, 2) == norm_profile(poly, mu, 2)
+
+    def test_is_a_poly_that_defines_only_its_kind(self):
+        rng = np.random.default_rng(22)
+        A = random_symmetric_zero_diag(4, rng)
+        f = QuadraticForm(A)
+        assert isinstance(f, MultilinearPoly)
+        assert f.kind == "quadform" and f.degree == 2 and f.dim == 4
+        assert np.array_equal(f.tensors[2], A) and list(f.tensors) == [2]
+        assert {name for name in vars(QuadraticForm) if not name.startswith("__")} == {"kind"}
+        assert not hasattr(f, "as_poly")
+
+    def test_gradient_helpers_take_it_unconverted(self, monkeypatch):
+        import concentra.funcs as funcs_mod
+
+        rng = np.random.default_rng(23)
+        A = random_symmetric_zero_diag(4, rng)
+        f, poly = QuadraticForm(A), MultilinearPoly({2: A})
+        # Building another polynomial inside the helpers would be a conversion.
+        monkeypatch.setattr(funcs_mod.MultilinearPoly, "__post_init__", lambda self: pytest.fail("converted"))
+        x = rng.standard_normal(4)
+        for k in (1, 2):
+            assert np.array_equal(gradient_tensor_at(f, k, x), gradient_tensor_at(poly, k, x))
+            mu = bernoulli_product(4, 0.3)
+            assert np.array_equal(expected_gradient_tensor(f, k, mu), expected_gradient_tensor(poly, k, mu))
+
+    def test_matrix_validation_is_the_poly_validation(self):
+        with pytest.raises(DomainError, match="order 2 has shape"):
+            QuadraticForm(np.zeros((2, 3)))
+        with pytest.raises(DomainError, match="ndim"):
+            QuadraticForm(np.zeros(3))
+        with pytest.raises(DomainError, match="symmetric"):
+            QuadraticForm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestChaosQuantities:
     def test_single_coefficient_t1_below_hs(self):

@@ -132,6 +132,39 @@ class TestErgm:
             )
 
 
+class TestSpecWriters:
+    """`to_json` of a model spec reads back through the CLI's model reader."""
+
+    def test_ising_spec_round_trips_through_build_model(self):
+        from concentra.cli import build_model
+
+        rng = np.random.default_rng(31)
+        J = np.zeros((5, 5))
+        for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]:
+            J[i, j] = J[j, i] = rng.uniform(-0.4, 0.4)
+        spec = IsingSpec(J, rng.uniform(-0.5, 0.5, 5))
+        doc = spec.to_json()
+        assert doc["kind"] == "ising"
+        assert np.array_equal(build_model(doc).prob_table(), build_ising(spec)[0].prob_table())
+
+    def test_curie_weiss_spec_round_trips_through_build_model(self):
+        from concentra.cli import build_model
+
+        spec = curie_weiss_spec(6, 0.8, 0.2)
+        assert np.array_equal(build_model(spec.to_json()).prob_table(), build_ising(spec)[0].prob_table())
+
+    def test_ergm_spec_and_motifs_round_trip_through_build_model(self):
+        from concentra.cli import build_model
+
+        # A motif given on vertices {2, 5, 7} is written on range(3).
+        star = Motif(((5, 2), (5, 7)))
+        assert star.to_json() == {"edges": [[0, 1], [1, 2]]}
+        spec = ErgmSpec(4, (SINGLE_EDGE, TRIANGLE, star), (-0.3, 0.2, -0.1))
+        doc = spec.to_json()
+        assert doc["kind"] == "ergm" and doc["motifs"][1] == TRIANGLE.to_json()
+        assert np.array_equal(build_model(doc).prob_table(), build_ergm(spec)[0].prob_table())
+
+
 class TestSubgraphCounts:
     @staticmethod
     def edge_subset_oracle(x, motif, n):

@@ -114,6 +114,42 @@ class TestClopperPearson:
         for p, m, conf in [(0.2, 300, 0.999), (0.5, 30, 0.99), (0.02, 500, 0.999)]:
             assert exact_binomial_coverage(p, m, conf) >= conf
 
+    def test_exact_coverage_equals_the_pmf_sum(self):
+        from scipy import stats
+
+        from concentra.verify import exact_binomial_coverage
+
+        for p, m, conf in [(0.3, 400, 0.999), (0.05, 200, 0.999), (0.5, 50, 0.999), (0.2, 300, 0.99),
+                           (1e-9, 10, 0.999), (1.0, 10, 0.999)]:
+            ks = np.arange(m + 1)
+            covered = np.array([clopper_pearson_upper(int(k), m, conf) >= p for k in ks])
+            oracle = float(stats.binom.pmf(ks, m, p)[covered].sum())
+            assert exact_binomial_coverage(p, m, conf) == pytest.approx(oracle, rel=1e-14, abs=0)
+
+    def test_exact_coverage_checks_the_covered_counts_form_an_upper_set(self, monkeypatch):
+        import concentra.verify as verify_mod
+
+        # A limit that covers at k = 0 but not at k = 1 breaks the tail formula.
+        monkeypatch.setattr(verify_mod, "clopper_pearson_upper", lambda k, m, conf: 1.0 if k != 1 else 0.0)
+        with pytest.raises(AssertionError, match="upper set"):
+            verify_mod.exact_binomial_coverage(0.5, 5, 0.999)
+
+    def test_suite_coverage_check_loads_no_scipy_stats(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import concentra
+
+        code = (
+            "import sys; from concentra.verify import _suite_clopper_pearson; "
+            "check = _suite_clopper_pearson(0); "
+            "print(check.passed, sorted(m for m in sys.modules if m in ('scipy.special', 'scipy.stats')))"
+        )
+        env = {"PYTHONPATH": str(Path(concentra.__file__).parent.parent), "PATH": ""}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "True ['scipy.special']"
+
     def test_coverage_on_synthetic_streams(self):
         rng = np.random.default_rng(1234)
         p, m, reps, conf = 0.2, 300, 1000, 0.999
