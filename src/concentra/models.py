@@ -339,6 +339,20 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 _SECTION_TABLE_LIMIT = 1 << 16
 
 
+def _cdf_rows(p: np.ndarray) -> array:
+    """The first m - 1 CDF entries of every section of one coordinate's
+    (pre, m, stride) `section_conditionals` array, section (pre, post) in
+    row pre * stride + post.  The sums run letter by letter, in the order of
+    `np.cumsum` on one section's conditional."""
+    pre, m, stride = p.shape
+    rows = np.empty((pre, stride, m - 1))
+    if m > 1:
+        cdf = rows[:, :, 0] = p[:, 0]
+        for j in range(1, m - 1):
+            cdf = rows[:, :, j] = cdf + p[:, j]
+    return array("d", rows.tobytes())
+
+
 @dataclass
 class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
@@ -391,11 +405,7 @@ class GlauberChain:
     def sweep(self) -> None:
         space = self.measure.space
         if self._cdfs is None and space.size <= _SECTION_TABLE_LIMIT:
-            # Row r of site i holds the first m_i - 1 CDF entries of section r.
-            self._cdfs = [
-                array("d", np.cumsum(p, axis=1)[:, :-1].tobytes())
-                for p in self.measure.section_conditionals()
-            ]
+            self._cdfs = [_cdf_rows(p) for p in self.measure.section_conditionals()]
         cdfs, memo, digits, index = self._cdfs, self._memo, self._digits, self._index
         strides, shape = space.strides, space.shape
         state = self.state if cdfs is None else None

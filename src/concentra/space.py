@@ -180,20 +180,29 @@ def enumeration_blocks(space: ProductSpace) -> Iterator[np.ndarray]:
         yield block
 
 
-def _sections(flat: np.ndarray, space: ProductSpace, i: int) -> np.ndarray:
-    """A flat enumeration-ordered array as one row per section along coordinate i.
+def _letter_sum(w: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of a (pre, m, post) array, added letter by letter in
+    alphabet order, with that axis kept.
 
-    Rows follow the enumeration order of the sections.  The result is
-    C-contiguous, so row reductions round exactly as on a standalone section.
+    Every normalisation of a section, one section (`conditional`) or all of
+    them (`section_conditionals`), sums with it, so the two agree bit for bit
+    at every alphabet size.
     """
-    m = space.shape[i]
-    return np.ascontiguousarray(flat.reshape(-1, m, space.strides[i]).swapaxes(1, 2)).reshape(-1, m)
+    total = w[:, 0].copy()
+    for j in range(1, w.shape[1]):
+        total += w[:, j]
+    return total[:, None]
 
 
 def _softmax(logw: np.ndarray) -> np.ndarray:
-    """Normalised exponential along the last axis, shifted by its maximum."""
-    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    """Normalised exponential over axis 1 of a (pre, m, post) array, shifted
+    by the maximum of each section, letter by letter as in `_letter_sum`."""
+    shift = logw[:, 0]
+    for j in range(1, logw.shape[1]):
+        shift = np.maximum(shift, logw[:, j])
+    w = np.exp(logw - shift[:, None])
+    w /= _letter_sum(w)
+    return w
 
 
 def _axis_indices(space: ProductSpace, base_digits: np.ndarray, i: int) -> np.ndarray:
@@ -220,8 +229,12 @@ class Measure:
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
         """For each coordinate i in turn, `conditional(x, i)` on every section
-        along i: shape (size // m_i, m_i), one row per section in enumeration
-        order, with the same arithmetic as `conditional`.  Yielded one
+        along i, with the same arithmetic as `conditional`.
+
+        Coordinate i's array has the shape (size // (m_i * stride_i), m_i,
+        stride_i) of the enumeration order's view `flat.reshape(-1, m_i,
+        stride_i)`: entry (pre, j, post) is letter j's probability on the
+        section through flat index pre * m_i * stride_i + post.  Yielded one
         coordinate at a time to bound memory."""
         raise NotImplementedError
 
@@ -267,7 +280,7 @@ class ExactMeasure(Measure):
         digits = self.space.digits_of(x)
         idx = _axis_indices(self.space, digits, i)
         slice_ = self.table[idx]
-        mass = float(slice_.sum())
+        mass = _letter_sum(slice_.reshape(1, -1, 1)).item()
         if mass <= 0.0:
             raise UndefinedConditionalError(
                 f"section through {tuple(x)} along coordinate {i} has zero marginal mass"
@@ -275,12 +288,12 @@ class ExactMeasure(Measure):
         return slice_ / mass
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
-        for i in range(self.space.n):
-            rows = _sections(self.table, self.space, i)
-            # Zero-mass sections become NaN rows; a chain started on the
-            # support never visits them.
+        for m, stride in zip(self.space.shape, self.space.strides):
+            sections = self.table.reshape(-1, m, stride)
+            # Zero-mass sections become NaN; a chain started on the support
+            # never visits them.
             with np.errstate(invalid="ignore"):
-                yield rows / rows.sum(axis=1, keepdims=True)
+                yield sections / _letter_sum(sections)
 
     def coordinate_support(self, i: int) -> np.ndarray:
         marg = self.table.reshape(self.space.shape)
@@ -326,8 +339,8 @@ class ProductMeasure(Measure):
         return self.tables[i].copy()
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
-        for t in self.tables:
-            yield np.tile(t, (self.space.size // len(t), 1))
+        for t, stride in zip(self.tables, self.space.strides):
+            yield np.broadcast_to(t[:, None], (self.space.size // (len(t) * stride), len(t), stride))
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.nonzero(self.tables[i] > 0.0)[0]
@@ -384,12 +397,12 @@ class GibbsMeasure(Measure):
         grid = self.space.value_grid(i)
         rows = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
         rows[:, i] = grid
-        return _softmax(self.log_weights(rows))
+        return _softmax(self.log_weights(rows).reshape(1, -1, 1)).reshape(-1)
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
         logw = self._enumerated_log_weights()
-        for i in range(self.space.n):
-            yield _softmax(_sections(logw, self.space, i))
+        for m, stride in zip(self.space.shape, self.space.strides):
+            yield _softmax(logw.reshape(-1, m, stride))
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.arange(self.space.shape[i])

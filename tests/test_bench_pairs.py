@@ -23,10 +23,11 @@ SPEC = {
 }
 
 
-def record(pair, side, wall, rate, failed=0, returncode=0):
+def record(pair, side, wall, rate, failed=0, returncode=0, artifacts=None):
     metrics = {"wall_s": {"value": wall}, "rate": {"value": rate}}
     result = {"attempted": 2, "failed": failed, "metrics": metrics} if returncode == 0 else {}
-    return {"pair": pair, "workload": "w", "side": side, "returncode": returncode, "result": result}
+    return {"pair": pair, "seed": pair + 1, "workload": "w", "side": side, "returncode": returncode,
+            "result": result, "artifacts": artifacts or {}}
 
 
 def test_summary_counts_wins_ties_and_quartiles(bench_pairs):
@@ -56,6 +57,32 @@ def test_a_run_that_exits_nonzero_drops_its_pair(bench_pairs):
     row = bench_pairs.summarise(runs, SPEC)["w"]
     assert row["runs_exited_nonzero"] == {"parent": 0, "change": 1}
     assert row["metrics"]["wall_s"]["pairs"] == 1
+
+
+def test_artifact_digests_are_read_from_the_sha256_lines(bench_pairs):
+    lines = [
+        "sha256 w/sample/samples.bin 00ff",
+        "sha256 w/sample/tail.json abcd",
+        "w seed=1 trace=0 ops_failed_frac=0/4 record=perfbench/_runs/w-seed1-trace0.json",
+        '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}',
+    ]
+    assert bench_pairs.artifact_digests(lines) == {"sample/samples.bin": "00ff", "sample/tail.json": "abcd"}
+
+
+def test_summary_compares_artifacts_seed_by_seed(bench_pairs):
+    same, moved = {"a/x.bin": "11", "a/y.csv": "22"}, {"a/x.bin": "11", "a/y.csv": "23"}
+    runs = [
+        record(0, "parent", 2.0, 1.0, artifacts=same), record(0, "change", 1.0, 1.0, artifacts=same),
+        record(1, "change", 2.0, 3.0, artifacts=moved), record(1, "parent", 2.0, 2.0, artifacts=same),
+        record(2, "parent", 2.0, 1.0, artifacts=same), record(2, "change", 1.0, 1.0, artifacts={"a/x.bin": "11"}),
+        record(3, "parent", 2.0, 1.0, artifacts=same), record(3, "change", 0.0, 0.0, returncode=1),
+    ]
+    agrees = bench_pairs.summarise(runs, SPEC)["w"]["artifact_sha256_agrees"]
+    assert agrees == {
+        "1": {"a/x.bin": True, "a/y.csv": True},
+        "2": {"a/x.bin": True, "a/y.csv": False},
+        "3": {"a/x.bin": True, "a/y.csv": False},  # written by one side only
+    }
 
 
 def test_machine_block_records_the_calibration(bench_pairs):

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from concentra.errors import DomainError, SchemaError
+from concentra.errors import DomainError, SchemaError, UndefinedConditionalError
 from concentra.models import (
     ErgmSpec,
     GlauberChain,
@@ -28,6 +28,8 @@ from concentra.models import (
 from concentra.funcs import MultilinearPoly
 from concentra.space import (
     ExactMeasure,
+    GibbsMeasure,
+    ProductMeasure,
     ProductSpace,
     bernoulli_product,
     binary,
@@ -316,7 +318,43 @@ def _ternary_exact():
     return ExactMeasure(space, table / table.sum())
 
 
+def _nine_letter_space():
+    """Nine-letter coordinates at the leading, a middle and the last stride,
+    a binary one and a one-letter one."""
+    nine = tuple(float(v) for v in range(9))
+    return ProductSpace((nine, (0.0, 1.0), nine, (5.0,), nine))
+
+
+def _nine_letter_gibbs():
+    space = _nine_letter_space()
+    logw = np.random.default_rng(6).normal(scale=2.0, size=space.size)
+    strides = np.asarray(space.strides)
+    return GibbsMeasure(space, lambda rows: logw[space.digit_rows(rows) @ strides])
+
+
+def _nine_letter_exact():
+    # One section along coordinate 2 has no mass.
+    space = _nine_letter_space()
+    table = np.random.default_rng(7).random(space.size)
+    base = space.index_of((4.0, 1.0, 0.0, 5.0, 3.0))
+    table[base + space.strides[2] * np.arange(9)] = 0.0
+    return ExactMeasure(space, table / table.sum())
+
+
+def _nine_letter_product():
+    rng = np.random.default_rng(8)
+    tables = [rng.random(m) for m in _nine_letter_space().shape]
+    return ProductMeasure(_nine_letter_space(), [t / t.sum() for t in tables])
+
+
+NINE_LETTER_CASES = {
+    "gibbs-nine-letters": _nine_letter_gibbs,
+    "exact-nine-letters": _nine_letter_exact,
+    "product-nine-letters": _nine_letter_product,
+}
+
 BIT_IDENTITY_CASES = {
+    **NINE_LETTER_CASES,
     "curie-weiss-field": lambda: build_ising(curie_weiss_spec(5, 0.8, 0.3))[0],
     "ergm-triangle": lambda: build_ergm(ErgmSpec(5, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.8)))[0],
     "coloring": lambda: build_coloring([(0, 1), (1, 2), (2, 3), (3, 0)], 4, 3)[0],
@@ -364,7 +402,7 @@ class TestTableDrivenSweep:
                 np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 0.0]]),
                 np.array([0.1, -0.4, 0.2]),
             ))[0],
-            # nine colors: section sums of m >= 8 entries take numpy's pairwise path
+            # nine colors, whose sections' nonzero entries are all equal
             build_coloring([(0, 1), (1, 2), (0, 2)], 3, 9)[0],
         ],
         ids=["ising", "coloring"],
@@ -372,15 +410,52 @@ class TestTableDrivenSweep:
     def test_section_rows_equal_conditionals(self, mu):
         space = mu.space
         configs = enumerate_configurations(space)
-        for i, rows in enumerate(mu.section_conditionals()):
+        for i, p in enumerate(mu.section_conditionals()):
             m, stride = space.shape[i], space.strides[i]
-            assert rows.shape == (space.size // m, m)
+            assert p.shape == (space.size // (m * stride), m, stride)
             for idx, x in enumerate(configs):
                 if mu.prob_table()[idx] == 0.0:
                     continue
                 base = idx - space.digits_of(x)[i] * stride
                 pre, post = divmod(base, stride * m)
-                np.testing.assert_array_equal(rows[pre * stride + post], mu.conditional(x, i))
+                np.testing.assert_array_equal(p[pre, :, post], mu.conditional(x, i))
+
+    @pytest.mark.parametrize("name", sorted(NINE_LETTER_CASES))
+    def test_every_section_equals_its_conditional_bit_for_bit(self, name):
+        mu = NINE_LETTER_CASES[name]()
+        space = mu.space
+        undefined = 0
+        for i, p in enumerate(mu.section_conditionals()):
+            m, stride = space.shape[i], space.strides[i]
+            assert p.shape == (space.size // (m * stride), m, stride)
+            for pre in range(p.shape[0]):
+                for post in range(stride):
+                    x = space.configuration(pre * m * stride + post)
+                    try:
+                        expected = mu.conditional(x, i)
+                    except UndefinedConditionalError:
+                        assert np.isnan(p[pre, :, post]).all()
+                        undefined += 1
+                        continue
+                    np.testing.assert_array_equal(p[pre, :, post], expected)
+        # The zero section along coordinate 2, and the one-letter sections
+        # along coordinate 3 through its nine points.
+        assert undefined == (10 if name == "exact-nine-letters" else 0)
+
+    @pytest.mark.parametrize("name", ["gibbs-nine-letters", "exact-nine-letters"])
+    def test_nine_letter_sections_tell_pairwise_from_sequential_sums(self, name):
+        # numpy sums a contiguous row of m >= 8 entries pairwise; these cases
+        # have sections where that differs from a sum in letter order, so the
+        # test above sees a table and a `conditional` that sum differently.
+        mu = NINE_LETTER_CASES[name]()
+        space = mu.space
+        for i in (0, 2, 4):
+            m, stride = space.shape[i], space.strides[i]
+            rows = np.ascontiguousarray(mu.prob_table().reshape(-1, m, stride).swapaxes(1, 2)).reshape(-1, m)
+            sequential = rows[:, 0].copy()
+            for j in range(1, m):
+                sequential += rows[:, j]
+            assert (rows.sum(axis=1) != sequential).any()
 
 
 class TestSampleStreams:

@@ -12,6 +12,9 @@ an interrupted session leaves its runs behind.  The summary goes to
 BENCH_<label>.json at the repository root.  For every workload and end-to-end
 metric the summary gives each side's runs, median and quartiles, the change's
 wins over its pair partner (ties count for neither) and the median ratio.
+It also records, for every workload and seed, whether each artifact's sha256
+(the `sha256 <workload>/<label>/<name> <digest>` lines of run.py) is the same
+on both sides; an artifact that only one side wrote counts as differing.
 The machine block also holds a short calibration, timed before the runs: a
 Python loop and a 256x256 matmul, to compare machines; it is never gated.
 Standard library only (the calibration imports numpy in a child process);
@@ -52,7 +55,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
-    return {"returncode": proc.returncode, "result": result}
+    return {"returncode": proc.returncode, "result": result, "artifacts": artifact_digests(lines)}
+
+
+def artifact_digests(lines: list[str]) -> dict[str, str]:
+    """{"<label>/<name>": digest} from run.py's `sha256 <workload>/<label>/<name> <digest>` lines."""
+    digests = {}
+    for line in lines:
+        words = line.split()
+        if len(words) == 3 and words[0] == "sha256":
+            digests[words[1].split("/", 1)[1]] = words[2]
+    return digests
+
+
+def artifacts_agree(mine: list[dict]) -> dict[str, dict[str, bool]]:
+    """For each seed both sides ran to completion, whether each artifact's
+    digest is the same on both sides."""
+    by = {(r["seed"], r["side"]): r.get("artifacts", {}) for r in mine if r["returncode"] == 0}
+    out = {}
+    for seed in sorted({seed for seed, _ in by}):
+        if all((seed, s) in by for s in SIDES):
+            parent, change = (by[seed, s] for s in SIDES)
+            out[str(seed)] = {name: parent.get(name) == change.get(name) for name in sorted({*parent, *change})}
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -70,6 +95,7 @@ def summarise(runs: list[dict], spec: dict) -> dict:
             "runs_exited_nonzero": {s: sum(r["returncode"] != 0 for r in mine if r["side"] == s) for s in SIDES},
             "attempted": {s: sum(by[p, s]["result"].get("attempted", 0) for p in pairs if (p, s) in by) for s in SIDES},
             "failed": {s: sum(by[p, s]["result"].get("failed", 0) for p in pairs if (p, s) in by) for s in SIDES},
+            "artifact_sha256_agrees": artifacts_agree(mine),
             "metrics": {},
         }
         for metric in spec["end_to_end"]:
