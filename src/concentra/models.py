@@ -330,11 +330,12 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Largest space whose section CDFs the chain tabulates.  The table is built on
-# the first sweep whatever the chain's length.  Measured on one Xeon core for
-# an Ising ring: at 2^16 configurations the build takes about 0.12 s and
-# 9 MiB, as long as some 2,400 per-update conditionals, and the glauber-mc
-# benchmark chains make 19,200 and 38,400 updates; at 2^20 it took 3 s and
-# 175 MiB, longer than 1000 sweeps of per-update conditionals.  Larger spaces
+# the first sweep whatever the chain's length.  Measured on one Xeon core, one
+# BLAS thread, for an Ising ring (tracemalloc peak in a separate run): at 2^16
+# configurations the build takes about 0.05 s and 9 MiB, as long as some
+# 1,200 per-update conditionals, and the glauber-mc benchmark chains make
+# 19,200 and 38,400 updates; at 2^20 it takes 1.2 s and 117 MiB, longer
+# than 1000 sweeps of per-update conditionals (0.9 s).  Larger spaces
 # evaluate each conditional at its update and memoise up to 2^16 sections.
 _SECTION_TABLE_LIMIT = 1 << 16
 
@@ -358,9 +359,13 @@ class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
 
     On the first sweep the chain tabulates the conditional CDF of every
-    coordinate on every section along it (`Measure.section_conditionals`), so
-    a site update is a bisection in that table.  Above 2^16 configurations an
-    update evaluates `measure.conditional` on a section it has not memoised.
+    coordinate on every section along it, so a site update is a bisection in
+    that table.  The table comes from each coordinate's strided view of the
+    enumeration (`Measure.section_conditionals`), with no copy of the
+    sections, and its sums run letter by letter as `conditional` and
+    `np.cumsum` run them, so the stream is that of per-update conditionals.
+    Above 2^16 configurations an update evaluates `measure.conditional` on a
+    section it has not memoised.
     A sweep draws its n uniforms at once, which is the same stream as n single
     draws, so the stream is deterministic given the seed.
 

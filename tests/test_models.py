@@ -363,6 +363,17 @@ BIT_IDENTITY_CASES = {
 }
 
 
+SECTION_CASES = {
+    "ising": lambda: build_ising(IsingSpec(
+        np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 0.0]]),
+        np.array([0.1, -0.4, 0.2]),
+    ))[0],
+    # nine colors, whose sections' nonzero entries are all equal
+    "coloring": lambda: build_coloring([(0, 1), (1, 2), (0, 2)], 3, 9)[0],
+    **NINE_LETTER_CASES,
+}
+
+
 class TestTableDrivenSweep:
     @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CASES))
     def test_stream_equals_per_update_heat_bath(self, name):
@@ -395,34 +406,9 @@ class TestTableDrivenSweep:
         got = glauber_sample(mu, 12, burn_in=8, thinning=2, seed=9)
         np.testing.assert_array_equal(got, reference_heat_bath(mu, 12, 8, 2, seed=9))
 
-    @pytest.mark.parametrize(
-        "mu",
-        [
-            build_ising(IsingSpec(
-                np.array([[0.0, 0.3, -0.2], [0.3, 0.0, 0.5], [-0.2, 0.5, 0.0]]),
-                np.array([0.1, -0.4, 0.2]),
-            ))[0],
-            # nine colors, whose sections' nonzero entries are all equal
-            build_coloring([(0, 1), (1, 2), (0, 2)], 3, 9)[0],
-        ],
-        ids=["ising", "coloring"],
-    )
-    def test_section_rows_equal_conditionals(self, mu):
-        space = mu.space
-        configs = enumerate_configurations(space)
-        for i, p in enumerate(mu.section_conditionals()):
-            m, stride = space.shape[i], space.strides[i]
-            assert p.shape == (space.size // (m * stride), m, stride)
-            for idx, x in enumerate(configs):
-                if mu.prob_table()[idx] == 0.0:
-                    continue
-                base = idx - space.digits_of(x)[i] * stride
-                pre, post = divmod(base, stride * m)
-                np.testing.assert_array_equal(p[pre, :, post], mu.conditional(x, i))
-
-    @pytest.mark.parametrize("name", sorted(NINE_LETTER_CASES))
-    def test_every_section_equals_its_conditional_bit_for_bit(self, name):
-        mu = NINE_LETTER_CASES[name]()
+    @pytest.mark.parametrize("name", sorted(SECTION_CASES))
+    def test_section_rows_equal_conditionals(self, name):
+        mu = SECTION_CASES[name]()
         space = mu.space
         undefined = 0
         for i, p in enumerate(mu.section_conditionals()):
@@ -438,9 +424,7 @@ class TestTableDrivenSweep:
                         undefined += 1
                         continue
                     np.testing.assert_array_equal(p[pre, :, post], expected)
-        # The zero section along coordinate 2, and the one-letter sections
-        # along coordinate 3 through its nine points.
-        assert undefined == (10 if name == "exact-nine-letters" else 0)
+        assert (undefined > 0) == (name in ("coloring", "exact-nine-letters"))
 
     @pytest.mark.parametrize("name", ["gibbs-nine-letters", "exact-nine-letters"])
     def test_nine_letter_sections_tell_pairwise_from_sequential_sums(self, name):
