@@ -30,6 +30,9 @@ EXIT_VIOLATION = 3
 
 MODES = ("exact", "mc")
 COUNT, SEED = integer(1), integer(0)
+# Most sites of a `curie_weiss` model, whose coupling is a dense n x n matrix:
+# 8 MiB at the limit.  The reader rejects a larger n before anything is built.
+CURIE_WEISS_MAX_N = 1 << 10
 EDGES = array((None, 2), int)
 
 
@@ -70,7 +73,7 @@ MODEL_KINDS = {
     ),
     "curie_weiss": reads(
         lambda *a: models.build_ising(models.curie_weiss_spec(*a))[0],
-        ("n", COUNT), ("beta", real), ("field", real, 0.0),
+        ("n", integer(1, CURIE_WEISS_MAX_N)), ("beta", real), ("field", real, 0.0),
     ),
     "coloring": reads(
         lambda edges, *a: models.build_coloring(edges.tolist(), *a)[0],

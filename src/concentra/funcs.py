@@ -138,13 +138,36 @@ class MultilinearPoly(FunctionSpec):
         }
 
 
+# Bytes of the (rows, n^(k-1)) intermediate of one contraction chunk.  A
+# dense cubic at n = 24 takes 4.5 KiB a row, so one 8 MiB enumeration block
+# in a single chunk would make a 200 MiB intermediate.
+_CONTRACTION_CHUNK_BYTES = 1 << 20
+
+
 def _contract_poly_term(tensor: np.ndarray, configs: np.ndarray) -> np.ndarray:
-    """sum over all index tuples of a_{i1..ik} x_{i1}...x_{ik}, batched over rows."""
+    """sum over all index tuples of a_{i1..ik} x_{i1}...x_{ik}, one value per row.
+
+    One axis at a time: the tensor's leading axis against each row, giving a
+    (rows, n^(k-1)) partial result, then k - 1 times the leading axis of each
+    row's partial result against that row.  The rows go in chunks whose
+    intermediate holds about `_CONTRACTION_CHUNK_BYTES`.  Every step is a
+    two-operand einsum, which sums a row in the same order whatever its batch
+    or chunk; matmul and tensordot go through BLAS, which does not.  A
+    k-operand einsum would instead multiply all n^k entries for every row.
+    Order 1 is the one einsum it has always been.
+    """
     k = tensor.ndim
-    letters = "abcdefgh"[:k]
-    operands = [tensor] + [configs] * k
-    spec = letters + "," + ",".join(f"z{c}" for c in letters) + "->z"
-    return np.einsum(spec, *operands)
+    if k == 1:
+        return np.einsum("a,za->z", tensor, configs)
+    chunk = max(1, _CONTRACTION_CHUNK_BYTES // (8 * tensor[0].size))
+    out = np.empty(len(configs))
+    for start in range(0, len(configs), chunk):
+        rows = configs[start:start + chunk]
+        contracted = np.einsum("zi,i...->z...", rows, tensor)
+        for _ in range(k - 2):
+            contracted = np.einsum("zi,zi...->z...", rows, contracted)
+        np.einsum("zi,zi->z", rows, contracted, out=out[start:start + chunk])
+    return out
 
 
 class QuadraticForm(MultilinearPoly):

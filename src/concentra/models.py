@@ -7,11 +7,13 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .funcs import MultilinearPoly
 from .schema import Record
 from .space import (
     ExactMeasure,
@@ -72,16 +74,13 @@ class IsingConditionReport(Record):
 
 
 def build_ising(spec: IsingSpec) -> tuple[GibbsMeasure, IsingConditionReport]:
-    """Gibbs measure on {-1,+1}^n with log-weight s -> s^T J s / 2 + h^T s."""
+    """Gibbs measure on {-1,+1}^n with log-weight s -> s^T J s / 2 + h^T s, the
+    polynomial {1: h, 2: J/2}: one row contraction (`funcs._contract_poly_term`)
+    serves it and every polynomial, and a row's value does not depend on its batch."""
     J = spec.coupling
     h = spec.external_field
-
-    # einsum rounds each row the same way in any batch; `S @ h` does not (BLAS
-    # takes another kernel for one row, or for a few, than for a block).
-    def log_weights(S: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("zi,ij,zj->z", S, J, S) + np.einsum("zi,i->z", S, h)
-
-    mu = GibbsMeasure(hypercube(spec.n), log_weights)
+    space = hypercube(spec.n)
+    mu = GibbsMeasure(space, partial(MultilinearPoly({1: h, 2: 0.5 * J}).evaluate_rows, space))
     row_sum = float(np.abs(J).sum(axis=1).max()) if spec.n else 0.0
     alpha = 1.0 - row_sum
     report = IsingConditionReport(
@@ -445,6 +444,7 @@ def glauber_sample(
     """Run burn_in sweeps, then `sweeps` more, emitting every thinning-th state.
 
     Returns an array of configurations (value rows), sweeps // thinning of them.
+    A kept sweep copies the chain's digits; they become values once, at the end.
     """
     if sweeps < 1:
         raise DomainError("sweeps must be positive")
@@ -453,12 +453,13 @@ def glauber_sample(
     chain = GlauberChain(measure, seed=seed)
     for _ in range(burn_in):
         chain.sweep()
-    out = []
+    kept: list[int] = []
     for s in range(1, sweeps + 1):
         chain.sweep()
         if s % thinning == 0:
-            out.append(chain.state)
-    return np.asarray(out, dtype=float).reshape(len(out), measure.space.n)
+            kept += chain._digits
+    space = measure.space
+    return space.value_rows(np.array(kept, dtype=np.intp).reshape(sweeps // thinning, space.n))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +505,4 @@ def read_samples_binary(path, space: ProductSpace) -> np.ndarray:
     raw = np.frombuffer(body, dtype=np.uint8, count=count * n).reshape(count, n)
     if np.any(raw >= np.asarray(space.shape)):
         raise SchemaError("sample stream has a digit outside its alphabet")
-    values = np.empty((count, n), dtype=float)
-    for i in range(n):
-        grid = space.value_grid(i)
-        values[:, i] = grid[raw[:, i]]
-    return values
+    return space.value_rows(raw)

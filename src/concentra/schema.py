@@ -91,8 +91,10 @@ document = check(lambda v: isinstance(v, dict), "an object")
 real = check(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number", float)
 
 
-def integer(minimum: int) -> Callable:
-    return check(lambda v: type(v) is int and v >= minimum, f"an integer >= {minimum}")
+def integer(minimum: int, maximum: int | None = None) -> Callable:
+    if maximum is None:
+        return check(lambda v: type(v) is int and v >= minimum, f"an integer >= {minimum}")
+    return check(lambda v: type(v) is int and minimum <= v <= maximum, f"an integer from {minimum} to {maximum}")
 
 
 def choice(*options: str) -> Callable:

@@ -99,6 +99,13 @@ class ProductSpace:
                 raise DomainError(f"value {float(values[missing, i][0])!r} not in alphabet {i}")
         return digits
 
+    def value_rows(self, digits: np.ndarray) -> np.ndarray:
+        """The configurations of a (k, n) batch of alphabet indices: `digit_rows` inverted."""
+        values = np.empty(digits.shape)
+        for i in range(self.n):
+            values[:, i] = self.value_grid(i)[digits[:, i]]
+        return values
+
     def index_of(self, values: Sequence[float]) -> int:
         """Flat enumeration index of a configuration given by its values."""
         digits = self.digits_of(values)
@@ -366,7 +373,7 @@ class GibbsMeasure(Measure):
 
     def log_weights(self, configs: np.ndarray) -> np.ndarray:
         out = np.asarray(self._log_weights(np.atleast_2d(np.asarray(configs, dtype=float))), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError("log-weight is not finite on the declared space")
         return out
 
@@ -395,7 +402,7 @@ class GibbsMeasure(Measure):
     def conditional(self, x: Sequence[float], i: int) -> np.ndarray:
         digits = self.space.digits_of(x)
         grid = self.space.value_grid(i)
-        rows = np.tile(np.asarray(x, dtype=float), (len(grid), 1))
+        rows = np.repeat(np.asarray(x, dtype=float)[None], len(grid), axis=0)
         rows[:, i] = grid
         return _softmax(self.log_weights(rows).reshape(1, -1, 1)).reshape(-1)
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from concentra.cli import (
+    CURIE_WEISS_MAX_N,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VIOLATION,
@@ -738,6 +739,34 @@ def test_one_mutated_field_exits_0_2_or_3_without_traceback(data):
     rc, err = _run_quietly(command, _replaced(doc, path, data.draw(_FUZZ_VALUES)))
     assert rc in (EXIT_OK, EXIT_SCHEMA, EXIT_VIOLATION)
     assert "Traceback" not in err
+
+
+_MODEL_BASES = [(command, doc) for command, doc in _FUZZ_BASES if "model" in doc]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), n=st.one_of(
+    st.integers(CURIE_WEISS_MAX_N + 1, 1 << 40), st.sampled_from([10**6, 10**9, 1 << 63, 10**30])))
+def test_huge_curie_weiss_n_exits_2_before_anything_is_built(data, n):
+    # The mutation above sets types only; here every command that reads a
+    # model gets a Curie-Weiss model whose dense coupling could not be built.
+    from unittest import mock
+
+    from concentra import models
+
+    command, doc = data.draw(st.sampled_from(_MODEL_BASES))
+    doc = _replaced(doc, ("model",), {"kind": "curie_weiss", "n": n, "beta": 0.5})
+    with mock.patch.object(models, "curie_weiss_spec", side_effect=AssertionError("built a Curie-Weiss spec")):
+        rc, err = _run_quietly(command, doc)
+    assert rc == EXIT_SCHEMA
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_curie_weiss_n_is_read_up_to_its_limit():
+    assert build_model({"kind": "curie_weiss", "n": CURIE_WEISS_MAX_N, "beta": 0.5}).space.n == CURIE_WEISS_MAX_N
+    with pytest.raises(SchemaError, match=f"from 1 to {CURIE_WEISS_MAX_N}"):
+        build_model({"kind": "curie_weiss", "n": CURIE_WEISS_MAX_N + 1, "beta": 0.5})
 
 
 def test_verify_tail_on_a_degenerate_bernoulli_has_a_zero_profile(tmp_path):

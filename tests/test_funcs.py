@@ -13,6 +13,7 @@ from concentra.funcs import (
     Tabulated,
     UStatistic,
     VectorChaos,
+    _contract_poly_term,
     chaos_w,
     chaos_w_tilde,
     expected_gradient_tensor,
@@ -255,6 +256,85 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(space_mod, "ENUMERATION_BLOCK_BYTES", 3 * 8 * space.n)
         assert len(list(enumeration_blocks(space))) == space.size // 3
         assert np.array_equal(f.evaluate_table(space), whole)
+
+
+def einsum_poly_term(tensor, configs):
+    """Reference for `_contract_poly_term`: one k-operand einsum of the tensor
+    with k copies of the rows, which multiplies all n^k entries per row."""
+    letters = "abcd"[:tensor.ndim]
+    spec = letters + "," + ",".join(f"z{c}" for c in letters) + "->z"
+    return np.einsum(spec, tensor, *[configs] * tensor.ndim)
+
+
+CONTRACTION_ALPHABETS = {"pm1": (-1.0, 1.0), "zero-one": (0.0, 1.0), "three-letter": (-1.0, 0.5, 2.0)}
+
+
+class TestOneAxisContraction:
+    @pytest.mark.parametrize("alphabet", sorted(CONTRACTION_ALPHABETS))
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_the_k_operand_einsum(self, order, alphabet):
+        # Both are sums of the same products in other orders.  Recursive
+        # summation of m terms errs by at most (m - 1) eps times the sum of
+        # their absolute values: k nested sums of n terms here, n^k terms there.
+        rng = np.random.default_rng(10 * order + len(alphabet))
+        n = 7
+        tensor = random_symmetric_zero_diag(n, rng, order)
+        rows = rng.choice(CONTRACTION_ALPHABETS[alphabet], size=(300, n))
+        scale = einsum_poly_term(np.abs(tensor), np.abs(rows))
+        tolerance = (order * n + n**order + 2 * order) * np.finfo(float).eps * scale
+        got = _contract_poly_term(tensor, rows)
+        assert np.all(np.abs(got - einsum_poly_term(tensor, rows)) <= tolerance)
+        assert np.abs(got).max() > 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bit_identical_to_the_einsum_with_dyadic_coefficients_on_pm1(self, order):
+        # Multiples of 1/16 below 8 in size, times products of +-1: every
+        # partial sum of either order is exact.
+        rng = np.random.default_rng(order)
+        n = 6
+        tensor = np.round(random_symmetric_zero_diag(n, rng, order) * 16.0) / 16.0
+        rows = rng.choice((-1.0, 1.0), size=(500, n))
+        np.testing.assert_array_equal(_contract_poly_term(tensor, rows), einsum_poly_term(tensor, rows))
+
+    @pytest.mark.parametrize("alphabet", sorted(CONTRACTION_ALPHABETS))
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_a_row_has_one_value_in_any_batch_or_chunk(self, order, alphabet, monkeypatch):
+        import concentra.funcs as funcs_mod
+
+        rng = np.random.default_rng(order)
+        n = 9 if order < 4 else 5
+        space = ProductSpace((CONTRACTION_ALPHABETS[alphabet],) * n)
+        block = enumerate_configurations(space)
+        poly = MultilinearPoly({1: rng.standard_normal(n), order: random_symmetric_zero_diag(n, rng, order)})
+        whole = poly.evaluate_rows(space, block)
+        head = block[:64]
+        for size in (1, 2):
+            parts = [poly.evaluate_rows(space, head[s:s + size]) for s in range(0, len(head), size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole[:64])
+        monkeypatch.setattr(funcs_mod, "_CONTRACTION_CHUNK_BYTES", 1)  # one row per chunk
+        np.testing.assert_array_equal(poly.evaluate_rows(space, block), whole)
+        np.testing.assert_array_equal(poly.evaluate_rows(space, head[:1]), whole[:1])
+
+    def test_intermediate_stays_within_the_chunk_bound(self):
+        # Unchunked, a dense quartic at n = 12 would hold a (4096, 12^3)
+        # intermediate: 54 MiB.
+        import tracemalloc
+        import concentra.funcs as funcs_mod
+
+        rng = np.random.default_rng(12)
+        n = 12
+        tensor = random_symmetric_zero_diag(n, rng, 4)
+        rows = rng.choice((-1.0, 1.0), size=(4096, n))
+        tracemalloc.start()
+        try:
+            got = _contract_poly_term(tensor, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * funcs_mod._CONTRACTION_CHUNK_BYTES
+        head = rows[:8]
+        scale = einsum_poly_term(np.abs(tensor), np.abs(head))
+        assert np.all(np.abs(got[:8] - einsum_poly_term(tensor, head)) <= (4 * n + n**4 + 8) * np.finfo(float).eps * scale)
 
 
 class TestFourier:

@@ -72,6 +72,49 @@ class TestIsing:
         assert report.max_field == pytest.approx(0.9)
 
 
+def _ring_spec(n, seed=3):
+    rng = np.random.default_rng(seed)
+    J = np.zeros((n, n))
+    for a in range(n):
+        J[a, (a + 1) % n] = J[(a + 1) % n, a] = rng.uniform(0.1, 0.2)
+    return IsingSpec(J, rng.uniform(-0.3, 0.3, n))
+
+
+ISING_ENERGY_CASES = {
+    "ring": lambda: _ring_spec(10),
+    "curie-weiss": lambda: curie_weiss_spec(9, 0.8, 0.3),
+    "zero-coupling": lambda: IsingSpec(np.zeros((5, 5)), np.array([0.3, -0.1, 0.0, 0.7, -0.25])),
+    "one-site": lambda: IsingSpec(np.zeros((1, 1)), np.array([0.4])),
+}
+
+
+class TestIsingLogWeight:
+    @pytest.mark.parametrize("name", sorted(ISING_ENERGY_CASES))
+    def test_equals_half_sJs_plus_hs(self, name):
+        # The contraction sums the same products as the quadratic form in
+        # another order: within (n^2 + n + 4) eps of the sum of their sizes.
+        spec = ISING_ENERGY_CASES[name]()
+        mu, _ = build_ising(spec)
+        S = enumerate_configurations(mu.space)
+        J, h, n = spec.coupling, spec.external_field, spec.n
+        want = 0.5 * np.einsum("zi,ij,zj->z", S, J, S) + np.einsum("zi,i->z", S, h)
+        scale = 0.5 * np.einsum("zi,ij,zj->z", np.abs(S), np.abs(J), np.abs(S)) + np.abs(S) @ np.abs(h)
+        got = mu.log_weights(S)
+        assert np.all(np.abs(got - want) <= (n * n + n + 4) * np.finfo(float).eps * scale)
+        if not J.any():
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(ISING_ENERGY_CASES))
+    def test_is_the_polynomial_h_plus_half_J(self, name):
+        spec = ISING_ENERGY_CASES[name]()
+        mu, _ = build_ising(spec)
+        energy = MultilinearPoly({1: spec.external_field, 2: 0.5 * spec.coupling})
+        S = enumerate_configurations(mu.space)
+        np.testing.assert_array_equal(mu.log_weights(S), energy.evaluate_rows(mu.space, S))
+        for row in S[:5]:
+            np.testing.assert_array_equal(mu.log_weights(row), energy.evaluate_rows(mu.space, row[None]))
+
+
 class TestColoring:
     def test_edgeless_graph_is_uniform_over_all_colorings(self):
         mu, report = build_coloring([], 3, 2)
@@ -405,6 +448,17 @@ class TestTableDrivenSweep:
         mu.conditional = conditional
         got = glauber_sample(mu, 12, burn_in=8, thinning=2, seed=9)
         np.testing.assert_array_equal(got, reference_heat_bath(mu, 12, 8, 2, seed=9))
+
+    @pytest.mark.parametrize("name", ["coloring", "ergm-triangle"])
+    @pytest.mark.parametrize("sweeps, burn_in, thinning", [(50, 5, 4), (9, 3, 2), (3, 2, 5)])
+    def test_kept_digits_map_to_the_heat_bath_values(self, name, sweeps, burn_in, thinning, monkeypatch):
+        # The sampler keeps digit rows and never reads `state` on the table path.
+        mu = BIT_IDENTITY_CASES[name]()
+        want = reference_heat_bath(mu, sweeps, burn_in, thinning, seed=21).reshape(-1, mu.space.n)
+        monkeypatch.setattr(GlauberChain, "state", property(lambda chain: pytest.fail("state read")))
+        got = glauber_sample(mu, sweeps, burn_in=burn_in, thinning=thinning, seed=21)
+        assert got.shape == (sweeps // thinning, mu.space.n) and got.dtype == float
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(SECTION_CASES))
     def test_section_rows_equal_conditionals(self, name):
