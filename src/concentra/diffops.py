@@ -8,6 +8,7 @@ independent copy of the underlying vector.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -205,28 +206,41 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 
 
-def _level_scale(norms: float | np.ndarray, weights: np.ndarray, top: bool) -> float:
-    """The support supremum (top) or the weighted mean of one level's norms."""
-    if np.ndim(norms) == 0:
-        return float(norms)
-    return float(norms.max()) if top else float(np.dot(weights, norms))
+def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restarts: int = 8,
+                       seed: int = 0) -> list[float]:
+    """The exact scales of levels 1..d of the pointwise max over `tables` of the
+    difference-tensor operator norms: the mean for k < d and the support
+    supremum at k = d.  A constant level (`_level_norms`) is its one norm."""
+    w = mu.prob_table()
+    support = w > 0.0
+    scales = []
+    for k in range(1, d + 1):
+        norms = functools.reduce(np.maximum, [_level_norms(t, mu, k, support, restarts, seed) for t in tables])
+        if np.ndim(norms) == 0:
+            scales.append(float(norms))
+        else:
+            scales.append(float(norms.max()) if k == d else float(np.dot(w[support], norms)))
+    return scales
 
 
 def d_squared_field(f_table: np.ndarray, mu: Measure) -> np.ndarray:
-    """|d f|^2 at every configuration of an exactly summable measure, shape (size,).
+    """|d f|^2 at every configuration of an exactly summable measure, shape (size,);
+    a batch of tables, shape (..., size), gives (..., size).
 
     Sections of zero marginal mass get zero (they never meet the support).
     """
     space = mu.space
-    F = np.asarray(f_table, dtype=float).reshape(space.shape)
+    table = np.asarray(f_table, dtype=float)
+    lead = table.shape[:-1]
+    F = table.reshape(lead + space.shape)
     W = mu.prob_table().reshape(space.shape)
-    total = np.zeros(space.shape)
+    total = np.zeros(F.shape)
     for i in range(space.n):
         mass = W.sum(axis=i, keepdims=True)
         safe = np.where(mass > 0.0, mass, 1.0)
         cond = np.where(mass > 0.0, W / safe, 0.0)
-        total += np.broadcast_to(_conditional_variance(cond, F, i), space.shape)
-    return total.reshape(-1)
+        total += np.broadcast_to(_conditional_variance(cond, F, len(lead) + i), F.shape)
+    return total.reshape(lead + (space.size,))
 
 
 def _local_sections(f: FunctionSpec, mu: Measure, x, coords, grids) -> tuple[float, list[np.ndarray]]:
@@ -347,24 +361,19 @@ def norm_profile(
 ) -> NormProfile:
     """gamma[k] = E |h^(k) f|_op for k < d and the support supremum at k = d.
 
-    Exact mode enumerates the space; a level that is one tensor at every
-    configuration, up to rounding, is that tensor's norm, computed once
-    (`_level_norms`): an upper end of every configuration's for order <= 2,
-    the ALS lower estimate for order >= 3.  Monte Carlo mode evaluates the
-    tensors at caller-provided sample configurations, reports standard errors,
-    and flags the top level as a lower estimate (a max over sampled points).
+    Exact mode enumerates the space (`exact_level_scales`); a level that is one
+    tensor at every configuration, up to rounding, is that tensor's norm,
+    computed once (`_level_norms`): an upper end of every configuration's for
+    order <= 2, the ALS lower estimate for order >= 3.  Monte Carlo mode
+    evaluates the tensors at caller-provided sample configurations, reports
+    standard errors, and flags the top level as a lower estimate (a max over
+    sampled points).
     """
     if d < 1:
         raise DomainError("profile depth must be >= 1")
     if mode == "exact":
         mu.space.check_cap()
-        table = function_table(f, mu.space)
-        w = mu.prob_table()
-        support = w > 0.0
-        gammas = [
-            _level_scale(_level_norms(table, mu, k, support, restarts, seed), w[support], k == d)
-            for k in range(1, d + 1)
-        ]
+        gammas = exact_level_scales([function_table(f, mu.space)], mu, d, restarts, seed)
         return NormProfile(d, tuple(gammas), mode="exact")
     if mode != "monte_carlo":
         raise DomainError(f"unknown mode {mode!r}")

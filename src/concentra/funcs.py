@@ -413,9 +413,8 @@ class FourierSpectrum:
 
     def weights(self) -> np.ndarray:
         """W_j = sum of squared coefficients over subsets of size j, j = 0..n."""
-        sizes = np.array([bin(mask).count("1") for mask in range(1 << self.n)])
         w = np.zeros(self.n + 1)
-        np.add.at(w, sizes, self.coefficients**2)
+        np.add.at(w, _subset_sizes(self.n), self.coefficients**2)
         return w
 
     def reconstruct(self) -> np.ndarray:
@@ -424,9 +423,16 @@ class FourierSpectrum:
         return _fwht(signed)
 
 
+def _subset_sizes(n: int) -> np.ndarray:
+    """popcount(mask) for every mask < 2^n: each added bit appends the sizes so far plus one."""
+    sizes = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
+
+
 def _parity_signs(n: int) -> np.ndarray:
-    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
-    return np.where(sizes % 2 == 0, 1.0, -1.0)
+    return np.where(_subset_sizes(n) % 2 == 0, 1.0, -1.0)
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:

@@ -43,35 +43,47 @@ def gamma_squared_mean(mu: Measure, f, operator: str) -> float:
     """E Gamma(f)^2 for Gamma in {d, h, h_plus}."""
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
-    table = function_table(f, mu.space)
-    if operator == "d":
-        return float(np.dot(mu.prob_table(), d_squared_field(table, mu)))
-    return float(_h_energy(table, mu, operator))
+    return float(_energies(mu, function_table(f, mu.space), operator))
 
 
-def _h_row_bytes(mu: Measure) -> int:
-    """About the bytes that one table's h energy and ratio work on."""
+def _row_bytes(mu: Measure) -> int:
+    """About the bytes that one table's energy and ratio work on."""
     return 8 * mu.space.size * (mu.space.n + 4)
 
 
-def _h_energy(rows: np.ndarray, mu: Measure, operator: str) -> np.ndarray:
-    """E |Gamma f|^2 for Gamma in {h, h_plus}, of each table in `rows` (shape (..., size))."""
-    field_ = h_field(rows, mu, "osc" if operator == "h" else "plus")
-    return ((field_**2).sum(axis=-1) * mu.prob_table()).sum(axis=-1)
+def _energies(mu: Measure, rows: np.ndarray, operator: str) -> np.ndarray:
+    """E Gamma(f)^2 of each table in `rows` (shape (..., size)); a row's value
+    does not depend on its batch."""
+    if operator == "d":
+        squares = d_squared_field(rows, mu)
+    else:
+        squares = (h_field(rows, mu, "osc" if operator == "h" else "plus") ** 2).sum(axis=-1)
+    return (squares * mu.prob_table()).sum(axis=-1)
+
+
+def _ratios(mu: Measure, rows: np.ndarray, operator: str) -> np.ndarray:
+    """Ent(f^2) / (2 E Gamma(f)^2) of each table in `rows` (shape (rows, size)),
+    0 where either side vanishes; taken in groups of about _BATCH_BYTES."""
+    w = mu.prob_table()
+    support = w > 0.0
+    out = []
+    for block in _groups(rows, _row_bytes(mu)):
+        energy = _energies(mu, block, operator)
+        ent = _entropy(w[support], block[:, support] ** 2)
+        ok = (energy > _TINY) & (ent > _TINY)
+        out.append(np.where(ok, ent / (2.0 * np.where(ok, energy, 1.0)), 0.0))
+    return np.concatenate(out)
 
 
 def lsi_ratio(mu: Measure, f, operator: str = "d") -> float:
     """Ent(f^2) / (2 E Gamma(f)^2); undefined for f constant on the support."""
     table = function_table(f, mu.space)
-    w = mu.prob_table()
-    support = w > 0.0
-    vals = table[support]
+    vals = table[mu.prob_table() > 0.0]
     if np.all(vals == vals[0]):
         raise UndefinedRatioError("LSI ratio undefined for functions constant on the support")
-    denom = 2.0 * gamma_squared_mean(mu, table, operator)
-    if denom <= 0.0:
+    if not gamma_squared_mean(mu, table, operator) > _TINY:
         raise UndefinedRatioError("difference-operator energy vanishes for this function")
-    return float(_entropy(w[support], vals**2)) / denom
+    return float(_ratios(mu, table[None], operator)[0])
 
 
 def glauber_quadratic_form(mu: Measure) -> np.ndarray:
@@ -231,16 +243,9 @@ def _search_d_operator(mu: Measure, starts: int, seed: int, max_iter: int) -> tu
     points = np.vstack([points, indicators])
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, 8 * dim * (2 * _LBFGS_MEMORY + 8))]
-    final, evaluations = np.vstack([r[0] for r in runs]), sum(r[1] for r in runs)
-    energy, _, ent = _d_parts(final, L, ws)
-    ok = (energy > _TINY) & (ent > _TINY)
-    ratio = np.where(ok, ent / (2.0 * np.where(ok, energy, 1.0)), 0.0)
-    best = int(np.argmax(ratio))
-    if not ratio[best] > 0.0:
-        return 0.0, None, evaluations
-    witness = np.zeros(mu.space.size)
-    witness[support] = final[best]
-    return float(ratio[best]), witness, evaluations
+    witnesses = np.zeros((sum(len(r[0]) for r in runs), mu.space.size))
+    witnesses[:, support] = np.vstack([r[0] for r in runs])
+    return _best(mu, witnesses, "d", sum(r[1] for r in runs))
 
 
 # Lockstep Nelder-Mead: scipy's non-adaptive coefficients and initial simplex.
@@ -315,21 +320,15 @@ def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
 
 
 def _h_objective(mu: Measure, operator: str):
-    """The batch objective of the h / h_plus search: -log(Ent(f^2) / (2 E|Gamma f|^2))
-    of each row of a (rows, size) batch, normalized; 1e6 where undefined."""
-    w = mu.prob_table()
-    support = w > 0.0
+    """The batch objective of the h / h_plus search: -log of the ratio of
+    each row of a (rows, size) batch, normalized; 1e6 where it vanishes."""
 
     def neg_log_ratio(x: np.ndarray) -> np.ndarray:
         norm = np.sqrt((x * x).sum(axis=1))
-        f = x / np.where(norm > _TINY, norm, 1.0)[:, None]
-        denom = 2.0 * _h_energy(f, mu, operator)
-        ent = _entropy(w[support], f[:, support] ** 2)
-        ok = (norm > _TINY) & (denom > _TINY) & (ent > _TINY)
-        return np.where(ok, -np.log(np.where(ok, ent / np.where(ok, denom, 1.0), 1.0)), 1e6)
+        ratio = _ratios(mu, x / np.where(norm > _TINY, norm, 1.0)[:, None], operator)
+        return -np.log(ratio, out=np.full(len(ratio), -1e6), where=ratio > 0.0)
 
-    row_bytes = _h_row_bytes(mu)
-    return lambda x: np.concatenate([neg_log_ratio(block) for block in _groups(x, row_bytes)])
+    return neg_log_ratio
 
 
 def _search_h_operator(
@@ -341,13 +340,19 @@ def _search_h_operator(
     objective = _h_objective(mu, operator)
     points = np.random.default_rng(seed).standard_normal((starts, dim))
     runs = [_nelder_mead(objective, group, max_iter) for group in _groups(points, 8 * (dim + 1) * dim)]
-    best_x, best_f = np.vstack([r[0] for r in runs]), np.concatenate([r[1] for r in runs])
-    evaluations = sum(r[2] for r in runs)
-    best = int(np.argmin(best_f))
-    ratio = math.exp(-best_f[best]) if best_f[best] < 1e6 else 0.0
-    if not ratio > 0.0:
+    witnesses = np.array([x / np.linalg.norm(x) for r in runs for x in r[0]])
+    return _best(mu, witnesses, operator, sum(r[2] for r in runs))
+
+
+def _best(mu: Measure, witnesses: np.ndarray, operator: str,
+          evaluations: int) -> tuple[float, np.ndarray | None, int]:
+    """The search's report: the candidate table of largest ratio, that ratio
+    (so the report is `lsi_ratio` of its witness), and the rows evaluated."""
+    ratios = _ratios(mu, witnesses, operator)
+    best = int(np.argmax(ratios))
+    if not ratios[best] > 0.0:
         return 0.0, None, evaluations
-    return ratio, best_x[best] / np.linalg.norm(best_x[best]), evaluations
+    return float(ratios[best]), witnesses[best], evaluations
 
 
 def lsi_constant_search(
@@ -386,15 +391,11 @@ def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:
     if not isinstance(mu, ProductMeasure):
         raise DomainError("h-LSI(1) verification applies to product measures")
     mu.space.check_cap()
-    w = mu.prob_table()
-    support = w > 0.0
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for block in _groups(np.arange(trials), _h_row_bytes(mu)):
+    for block in _groups(np.arange(trials), _row_bytes(mu)):
         tables = rng.standard_normal((block.size, mu.space.size))
-        denom = 2.0 * _h_energy(tables, mu, "h")
-        ok = denom > _TINY
-        worst = max(worst, float((_entropy(w[support], tables[ok][:, support] ** 2) / denom[ok]).max(initial=0.0)))
+        worst = max(worst, float(_ratios(mu, tables, "h").max(initial=0.0)))
     return worst
 
 

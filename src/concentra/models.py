@@ -248,7 +248,8 @@ def edge_index_map(n_vertices: int) -> dict[tuple[int, int], int]:
 
 
 def _embedding_edge_indices(motif: Motif, n_vertices: int) -> np.ndarray:
-    """Edge-variable indices touched by every injective vertex map, one row each."""
+    """Edge-variable indices touched by every injective vertex map, one row each;
+    shape (0, edges) when the motif has more vertices than the graph."""
     index = edge_index_map(n_vertices)
     rows = []
     for mapping in permutations(range(n_vertices), motif.n_vertices):
@@ -258,7 +259,7 @@ def _embedding_edge_indices(motif: Motif, n_vertices: int) -> np.ndarray:
                 for u, v in motif.edges
             ]
         )
-    return np.asarray(rows, dtype=np.intp)
+    return np.asarray(rows, dtype=np.intp).reshape(-1, motif.n_edges)
 
 
 def subgraph_copy_count(edge_indicator: np.ndarray, motif: Motif, n_vertices: int) -> float:
@@ -308,19 +309,12 @@ def build_ergm(spec: ErgmSpec) -> tuple[GibbsMeasure, ErgmConditionReport]:
 def triangle_count_tensor(n_vertices: int) -> np.ndarray:
     """Symmetric order-3 coefficient tensor of the triangle count over edge variables.
 
-    The contraction over ordered distinct edge triples with weight 1/6 per
-    ordering sums each unordered triangle exactly once.
+    Each triangle's labeled embeddings are the six orders of its three edges,
+    so weighting each by 1/|Aut| sums each unordered triangle exactly once.
     """
-    index = edge_index_map(n_vertices)
-    n_edges = len(index)
+    n_edges = n_vertices * (n_vertices - 1) // 2
     tensor = np.zeros((n_edges, n_edges, n_edges))
-    for tri in combinations(range(n_vertices), 3):
-        a, b, c = tri
-        e1 = index[(a, b)]
-        e2 = index[(a, c)]
-        e3 = index[(b, c)]
-        for perm in permutations((e1, e2, e3)):
-            tensor[perm] = 1.0 / 6.0
+    tensor[tuple(_embedding_edge_indices(TRIANGLE, n_vertices).T)] = 1.0 / TRIANGLE.automorphism_count()
     return tensor
 
 

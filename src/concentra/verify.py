@@ -9,7 +9,6 @@ covered by declared slack.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -22,10 +21,9 @@ from . import bounds as bounds_mod
 from .bounds import Regime, TailBound, independent
 from .diffops import (
     NormProfile,
-    _level_norms,
-    _level_scale,
     _section_entries,
     d_squared_field,
+    exact_level_scales,
     h_field,
     h_tensor_field,
     norm_profile,
@@ -225,15 +223,8 @@ def suprema_profile(
     """Exact (E W_j for j < d, ||W_d||_inf) for W_j(x) the family supremum of
     the order-j difference-tensor operator norms at x."""
     mu.space.check_cap()
-    w = mu.prob_table()
-    support = w > 0.0
     tables = [member.evaluate_table(mu.space) for member in family.members]
-    levels = [
-        functools.reduce(np.maximum, [_level_norms(t, mu, j, support, restarts, 0) for t in tables])
-        for j in range(1, d + 1)
-    ]
-    expected = [_level_scale(level, w[support], False) for level in levels[:-1]]
-    top = _level_scale(levels[-1], w[support], True)
+    *expected, top = exact_level_scales(tables, mu, d, restarts, 0)
     return expected, top
 
 
@@ -253,6 +244,22 @@ class MomentChainReport(Record):
     worst_margin: float
 
 
+def _moment_report(mu: Measure, f, p_grid: Sequence[float], right: Callable[[np.ndarray], Callable[[float], float]],
+                   regime: str, d: int, slack: float) -> MomentChainReport:
+    """Check ||f - Ef||_p <= right(p) on a non-empty grid of p >= 2, from one
+    table of f: `right` maps the table to the right side as a function of p,
+    so a check builds what its right side needs once."""
+    p_grid = tuple(float(p) for p in p_grid)
+    if not p_grid or min(p_grid) < 2.0:
+        raise DomainError("the moment chain needs a non-empty grid of p >= 2")
+    table = function_table(f, mu.space)
+    right_at = right(table)
+    lhs = tuple(lp_norm(mu, table, p) for p in p_grid)
+    rhs = tuple(right_at(p) for p in p_grid)
+    worst = max(left - right for left, right in zip(lhs, rhs))
+    return MomentChainReport(regime, d, p_grid, lhs, rhs, worst <= slack, worst)
+
+
 def check_moment_chain(
     mu: Measure,
     f,
@@ -265,30 +272,19 @@ def check_moment_chain(
     """Verify ||f - Ef||_p <= sum_{j<d} c_j(p) gamma_j + c_d(p) gamma_d on the grid,
     with c_j(p) = (8 kappa p)^(j/2) for independent coordinates and
     (2 sigma^2 (p - 3/2))^(j/2) under a d-operator LSI."""
-    if regime.d != d or len(p_grid) == 0:
-        raise DomainError("regime order must match d, and p_grid must be non-empty")
-    if profile is None:
-        profile = norm_profile(f, mu, d)
-    lhs, rhs = [], []
-    for p in p_grid:
-        p = float(p)
-        if p < 2.0:
-            raise DomainError("the moment chain starts at p = 2")
-        left = lp_norm(mu, f, p)
-        if regime.kind == "independent":
-            factors = [(8.0 * KAPPA * p) ** (j / 2.0) for j in range(1, d + 1)]
-        else:
-            base = 2.0 * regime.sigma2 * (p - 1.5)
-            factors = [base ** (j / 2.0) for j in range(1, d + 1)]
-        right = sum(factors[j - 1] * profile.gamma[j - 1] for j in range(1, d + 1))
-        lhs.append(left)
-        rhs.append(right)
-    margins = [left - right for left, right in zip(lhs, rhs)]
-    worst = max(margins)
-    return MomentChainReport(
-        regime.kind, d, tuple(float(p) for p in p_grid), tuple(lhs), tuple(rhs),
-        worst <= slack, worst,
-    )
+    if regime.d != d:
+        raise DomainError("regime order must match d")
+
+    def right(table: np.ndarray) -> Callable[[float], float]:
+        gamma = (norm_profile(table, mu, d) if profile is None else profile).gamma
+
+        def at(p: float) -> float:
+            base = 8.0 * KAPPA * p if regime.kind == "independent" else 2.0 * regime.sigma2 * (p - 1.5)
+            return sum(base ** (j / 2.0) * g for j, g in enumerate(gamma, 1))
+
+        return at
+
+    return _moment_report(mu, f, p_grid, right, regime.kind, d, slack)
 
 
 def check_d_moment_inequality(
@@ -296,25 +292,12 @@ def check_d_moment_inequality(
 ) -> MomentChainReport:
     """First-order display under a d-operator LSI:
     ||f - Ef||_p <= (2 sigma^2 (p - 3/2))^(1/2) ||df||_p."""
-    table = function_table(f, mu.space)
-    w = mu.prob_table()
-    d_sq = d_squared_field(table, mu)
-    lhs, rhs = [], []
-    for p in p_grid:
-        p = float(p)
-        if p < 2.0:
-            raise DomainError("the moment inequality starts at p = 2")
-        left = lp_norm(mu, table, p)
-        dnorm = float(np.dot(w, d_sq ** (p / 2.0))) ** (1.0 / p)
-        right = math.sqrt(2.0 * sigma2 * (p - 1.5)) * dnorm
-        lhs.append(left)
-        rhs.append(right)
-    margins = [left - right for left, right in zip(lhs, rhs)]
-    worst = max(margins)
-    return MomentChainReport(
-        "dlsi-first-order", 1, tuple(float(p) for p in p_grid), tuple(lhs), tuple(rhs),
-        worst <= slack, worst,
-    )
+
+    def right(table: np.ndarray) -> Callable[[float], float]:
+        w, d_sq = mu.prob_table(), d_squared_field(table, mu)
+        return lambda p: math.sqrt(2.0 * sigma2 * (p - 1.5)) * float(np.dot(w, d_sq ** (p / 2.0))) ** (1.0 / p)
+
+    return _moment_report(mu, f, p_grid, right, "dlsi-first-order", 1, slack)
 
 
 # ---------------------------------------------------------------------------

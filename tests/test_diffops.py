@@ -208,6 +208,16 @@ class TestDOperator:
             _, total = d_operator(f, mu, row)
             assert field[idx] == pytest.approx(total**2, abs=1e-12)
 
+    def test_batch_rows_equal_single_tables(self):
+        # a row's field does not depend on its batch: the LSI ratios rely on it
+        rng = np.random.default_rng(9)
+        for mu in (bernoulli_product(3, 0.35), _ising_ring(4, rng)):
+            tables = rng.standard_normal((2, 3, mu.space.size))
+            batch = d_squared_field(tables, mu)
+            assert batch.shape == tables.shape
+            for index in np.ndindex(tables.shape[:-1]):
+                assert np.array_equal(batch[index], d_squared_field(tables[index], mu))
+
 
 class TestNormProfile:
     def test_constant_function_all_zero(self):

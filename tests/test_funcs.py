@@ -389,6 +389,14 @@ class TestFourier:
         with pytest.raises(DomainError):
             fourier_transform(np.zeros(4), binary(2))
 
+    def test_subset_sizes_equal_the_popcount_loop(self):
+        from concentra.funcs import _parity_signs, _subset_sizes
+
+        for n in range(13):
+            popcounts = np.array([bin(mask).count("1") for mask in range(1 << n)])
+            assert np.array_equal(_subset_sizes(n), popcounts)
+            assert np.array_equal(_parity_signs(n), np.where(popcounts % 2 == 0, 1.0, -1.0))
+
 
 class TestGradientTensors:
     def test_linear_gradient_is_constant(self):

@@ -176,6 +176,23 @@ class TestErgm:
                 subgraph_copy_count(x, TRIANGLE, n), abs=1e-9
             )
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_triangle_tensor_equals_the_vertex_loop_oracle(self, n):
+        # the tensor comes from the ERGM embedding rows; the loop over vertex
+        # triples and the orders of their edges stays here as the oracle
+        index = edge_index_map(n)
+        oracle = np.zeros((len(index),) * 3)
+        for a, b, c in combinations(range(n), 3):
+            for perm in permutations((index[(a, b)], index[(a, c)], index[(b, c)])):
+                oracle[perm] = 1.0 / 6.0
+        assert np.array_equal(triangle_count_tensor(n), oracle)
+
+    def test_motif_larger_than_the_graph_adds_nothing(self):
+        # two vertices hold no triangle: the term is zero, and the model is the edge-only one
+        with_triangle, _ = build_ergm(ErgmSpec(2, (SINGLE_EDGE, TRIANGLE), (0.3, 0.7)))
+        edge_only, _ = build_ergm(ErgmSpec(2, (SINGLE_EDGE,), (0.3,)))
+        assert np.array_equal(with_triangle.prob_table(), edge_only.prob_table())
+
 
 class TestSpecWriters:
     """`to_json` of a model spec reads back through the CLI's model reader."""

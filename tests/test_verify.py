@@ -1,5 +1,6 @@
 import math
 from importlib import resources
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -268,6 +269,37 @@ class TestMomentChain:
         with pytest.raises(DomainError):
             check_moment_chain(rademacher(2), Tabulated(np.zeros(4)), 1, [1.5], independent(1))
 
+    @pytest.mark.parametrize("grid", [[], [1.5], [3.0, 1.5]])
+    @pytest.mark.parametrize("check", ["chain", "first-order"])
+    def test_bad_grid_is_a_domain_error_for_both_checks(self, check, grid):
+        mu, f = rademacher(2), Tabulated(np.arange(4.0))
+        with pytest.raises(DomainError):
+            if check == "chain":
+                check_moment_chain(mu, f, 1, grid, independent(1))
+            else:
+                check_d_moment_inequality(mu, f, grid, 1.0)
+
+    def test_function_table_is_evaluated_once(self, monkeypatch):
+        from concentra.funcs import FunctionSpec
+
+        calls = []
+        evaluate_table = FunctionSpec.evaluate_table
+
+        def spy(self, space):
+            calls.append(space)
+            return evaluate_table(self, space)
+
+        monkeypatch.setattr(FunctionSpec, "evaluate_table", spy)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 4))
+        A = (A + A.T) / 2
+        np.fill_diagonal(A, 0.0)
+        f = QuadraticForm(A)
+        report = check_moment_chain(rademacher(4), f, 2, list(range(2, 21)), independent(2))
+        assert len(calls) == 1
+        table = evaluate_table(f, rademacher(4).space)
+        assert report == check_moment_chain(rademacher(4), table, 2, list(range(2, 21)), independent(2))
+
 
 class TestRecursionLemma:
     def test_linear_function_zero_both_sides(self):
@@ -467,6 +499,33 @@ class TestSupremaProfile:
                 # a family of one quadratic form is that form's profile
                 expected_w, top = suprema_profile(SupFamily(members), mu, d=2)
                 assert (*expected_w, top) == norm_profile(members[0], mu, 2).gamma
+
+    @pytest.mark.parametrize("model", ["product", "gibbs"])
+    def test_singleton_family_is_the_norm_profile_bit_for_bit(self, model):
+        # one home for the exact level scales: a family of one is its member's profile
+        from concentra.models import IsingSpec, build_ising
+        from concentra.space import bernoulli_product
+        from concentra.verify import suprema_profile
+
+        rng = np.random.default_rng(24)
+        n = 4
+        if model == "product":
+            mu = bernoulli_product(n, 0.3)
+        else:
+            J = np.zeros((n, n))
+            for i in range(n):
+                J[i, (i + 1) % n] = J[(i + 1) % n, i] = rng.uniform(0.1, 0.4)
+            mu = build_ising(IsingSpec(J, rng.uniform(-0.2, 0.2, size=n)))[0]
+        cubic = np.zeros((n,) * 3)
+        for triple in ((0, 1, 2), (1, 2, 3)):
+            value = rng.uniform(0.5, 1.0)
+            for perm in permutations(triple):
+                cubic[perm] = value
+        # the table's order-3 level has spread (one norm per configuration); the
+        # cubic's is one tensor everywhere (one norm)
+        for f in (Tabulated(rng.standard_normal(2**n)), MultilinearPoly({1: rng.standard_normal(n), 3: cubic})):
+            expected_w, top = suprema_profile(SupFamily((f,)), mu, d=3)
+            assert (*expected_w, top) == norm_profile(f, mu, 3).gamma
 
 
 class TestSupremaEndToEnd:
