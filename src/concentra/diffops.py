@@ -206,8 +206,7 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 
 
-def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restarts: int = 8,
-                       seed: int = 0) -> list[float]:
+def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restarts: int, seed: int) -> list[float]:
     """The exact scales of levels 1..d of the pointwise max over `tables` of the
     difference-tensor operator norms: the mean for k < d and the support
     supremum at k = d.  A constant level (`_level_norms`) is its one norm."""
