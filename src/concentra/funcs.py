@@ -106,10 +106,33 @@ class MultilinearPoly(FunctionSpec):
             raise DomainError("a multilinear polynomial needs at least one coefficient tensor")
         self.tensors = clean
         self.dim = dim
+        self._slopes: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
 
     @property
     def degree(self) -> int:
         return max(self.tensors)
+
+    def slope_terms(self, i: int) -> list[tuple[float, tuple[int, ...]]]:
+        """Coordinate i's slope s_i(x) = df/dx_i as its nonzero monomials.
+
+        Monomial (c, (j1, ..., j(k-1))) is c * x_j1 * ... * x_j(k-1), with
+        c = k! a^k_{i j1..j(k-1)} over j1 < ... < j(k-1); the list is ordered
+        by k, then lexicographically.  As each tensor is symmetric with zero
+        generalized diagonal, f is affine in x_i with slope s_i(x), which does
+        not involve x_i: the values of f at letters a and b of coordinate i
+        differ by (a - b) * s_i(x).  Computed once per coordinate.
+        """
+        terms = self._slopes.get(i)
+        if terms is None:
+            terms = []
+            for k, t in self.tensors.items():
+                row = t[i]
+                nonzero = np.argwhere(row)  # lexicographic; one empty index at k = 1
+                nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
+                scale = math.factorial(k)
+                terms += [(scale * float(row[tuple(idx)]), tuple(idx.tolist())) for idx in nonzero]
+            self._slopes[i] = terms
+        return terms
 
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         self.check_space(space)

@@ -7,7 +7,6 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -75,12 +74,13 @@ class IsingConditionReport(Record):
 
 def build_ising(spec: IsingSpec) -> tuple[GibbsMeasure, IsingConditionReport]:
     """Gibbs measure on {-1,+1}^n with log-weight s -> s^T J s / 2 + h^T s, the
-    polynomial {1: h, 2: J/2}: one row contraction (`funcs._contract_poly_term`)
-    serves it and every polynomial, and a row's value does not depend on its batch."""
+    polynomial {1: h, 2: J/2}: its rows come from the one row contraction
+    (`funcs._contract_poly_term`) that serves every polynomial, and its
+    conditionals from site i's local field h_i + sum_j J_ij s_j, the slope
+    of that polynomial."""
     J = spec.coupling
     h = spec.external_field
-    space = hypercube(spec.n)
-    mu = GibbsMeasure(space, partial(MultilinearPoly({1: h, 2: 0.5 * J}).evaluate_rows, space))
+    mu = GibbsMeasure(hypercube(spec.n), MultilinearPoly({1: h, 2: 0.5 * J}))
     row_sum = float(np.abs(J).sum(axis=1).max()) if spec.n else 0.0
     alpha = 1.0 - row_sum
     report = IsingConditionReport(
@@ -348,20 +348,25 @@ def _cdf_rows(p: np.ndarray) -> array:
     return array("d", rows.tobytes())
 
 
+# Uniforms a chain draws at once: a block of whole sweeps, at least one.
+_UNIFORM_BLOCK = 1 << 14
+
+
 @dataclass
 class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
 
-    On the first sweep the chain tabulates the conditional CDF of every
+    On its first run the chain tabulates the conditional CDF of every
     coordinate on every section along it, so a site update is a bisection in
-    that table.  The table comes from each coordinate's strided view of the
-    enumeration (`Measure.section_conditionals`), with no copy of the
-    sections, and its sums run letter by letter as `conditional` and
-    `np.cumsum` run them, so the stream is that of per-update conditionals.
+    that table.  The table comes from each coordinate's section conditionals
+    (`Measure.section_conditionals`), computed as `conditional` computes
+    them, with sums running letter by letter as `np.cumsum` runs them, so the
+    stream is that of per-update conditionals.
     Above 2^16 configurations an update evaluates `measure.conditional` on a
     section it has not memoised.
-    A sweep draws its n uniforms at once, which is the same stream as n single
-    draws, so the stream is deterministic given the seed.
+    The uniforms for a block of sweeps are drawn at once, which is the same
+    stream as n single draws per sweep, so the stream is deterministic given
+    the seed.
 
     `state` is a snapshot: a new array of the current values on each access,
     which the chain never reads back.
@@ -374,7 +379,8 @@ class GlauberChain:
     # The current configuration as a flat enumeration index and its digits.
     _index: int = field(init=False, repr=False)
     _digits: list[int] = field(init=False, repr=False)
-    _cdfs: list[array] | None = field(init=False, default=None, repr=False)
+    # Per coordinate i: (i, its section CDFs, stride, stride * m, m - 1).
+    _sites: list[tuple[int, array, int, int, int]] | None = field(init=False, default=None, repr=False)
     # Above the table limit: first m_i - 1 CDF entries of visited sections,
     # keyed by (site, index of the section's first point), at most 2^16 of them.
     _memo: dict[tuple[int, int], list[float]] = field(
@@ -402,31 +408,48 @@ class GlauberChain:
         return np.array([a[d] for a, d in zip(alphabets, self._digits)], dtype=float)
 
     def sweep(self) -> None:
+        self.run(1)
+
+    def run(self, sweeps: int, thinning: int = 1, kept: list[int] | None = None) -> None:
+        """Make `sweeps` sweeps; after every thinning-th one, append the
+        chain's digits to `kept` when it is given."""
         space = self.measure.space
-        if self._cdfs is None and space.size <= _SECTION_TABLE_LIMIT:
-            self._cdfs = [_cdf_rows(p) for p in self.measure.section_conditionals()]
-        cdfs, memo, digits, index = self._cdfs, self._memo, self._digits, self._index
-        strides, shape = space.strides, space.shape
-        state = self.state if cdfs is None else None
-        for i, u in enumerate(self.rng.random(space.n).tolist()):
-            stride, m = strides[i], shape[i]
-            base = index - digits[i] * stride
-            if cdfs is None:
-                cdf = memo.get((i, base))
-                if cdf is None:
-                    cdf = np.cumsum(self.measure.conditional(state, i))[:-1].tolist()
-                    if len(memo) < _SECTION_TABLE_LIMIT:
-                        memo[(i, base)] = cdf
-                digit = bisect_right(cdf, u)
-                state[i] = space.alphabets[i][digit]
-            else:
-                pre, post = divmod(base, stride * m)
-                row = (pre * stride + post) * (m - 1)
-                digit = bisect_right(cdfs[i], u, row, row + m - 1) - row
-            digits[i] = digit
-            index = base + digit * stride
+        n, strides, shape = space.n, space.strides, space.shape
+        if self._sites is None and space.size <= _SECTION_TABLE_LIMIT:
+            self._sites = [
+                (i, _cdf_rows(p), stride, stride * m, m - 1)
+                for i, (p, stride, m) in enumerate(zip(self.measure.section_conditionals(), strides, shape))
+            ]
+        sites, memo, digits, index = self._sites, self._memo, self._digits, self._index
+        state = self.state if sites is None else None
+        block = max(1, _UNIFORM_BLOCK // n)
+        for first in range(0, sweeps, block):
+            count = min(block, sweeps - first)
+            uniforms = iter(self.rng.random(count * n).tolist())
+            for done in range(first + 1, first + count + 1):
+                if sites is not None:
+                    for (i, cdf, stride, span, width), u in zip(sites, uniforms):
+                        base = index - digits[i] * stride
+                        # The section's row: base // span sections before it, base % stride after.
+                        row = (base // span * stride + base % stride) * width
+                        digits[i] = digit = bisect_right(cdf, u, row, row + width) - row
+                        index = base + digit * stride
+                else:
+                    for i, u in zip(range(n), uniforms):
+                        stride = strides[i]
+                        base = index - digits[i] * stride
+                        cdf = memo.get((i, base))
+                        if cdf is None:
+                            cdf = np.cumsum(self.measure.conditional(state, i))[:-1].tolist()
+                            if len(memo) < _SECTION_TABLE_LIMIT:
+                                memo[(i, base)] = cdf
+                        digits[i] = digit = bisect_right(cdf, u)
+                        state[i] = space.alphabets[i][digit]
+                        index = base + digit * stride
+                if kept is not None and done % thinning == 0:
+                    kept += digits
         self._index = index
-        self.steps += space.n
+        self.steps += sweeps * n
 
 
 def glauber_sample(
@@ -446,13 +469,9 @@ def glauber_sample(
     if thinning < 1:
         raise DomainError("thinning must be positive")
     chain = GlauberChain(measure, seed=seed)
-    for _ in range(burn_in):
-        chain.sweep()
+    chain.run(burn_in)
     kept: list[int] = []
-    for s in range(1, sweeps + 1):
-        chain.sweep()
-        if s % thinning == 0:
-            kept += chain._digits
+    chain.run(sweeps, thinning, kept)
     space = measure.space
     return space.value_rows(np.array(kept, dtype=np.intp).reshape(sweeps // thinning, space.n))
 

@@ -337,6 +337,51 @@ class TestOneAxisContraction:
         assert np.all(np.abs(got[:8] - einsum_poly_term(tensor, head)) <= (4 * n + n**4 + 8) * np.finfo(float).eps * scale)
 
 
+class TestSlope:
+    @pytest.mark.parametrize("alphabet", sorted(CONTRACTION_ALPHABETS))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_letter_differences_are_the_slope(self, order, alphabet):
+        # P(x^{i<-a}) - P(x^{i<-b}) = (a - b) s_i(x).  Each side sums at most
+        # n^k products of k + 1 factors, so each errs by at most
+        # (n^k + k + 1) eps times the same sum of absolute values.
+        rng = np.random.default_rng(100 + 10 * order + len(alphabet))
+        n = 6
+        tensors = {1: rng.standard_normal(n)}
+        tensors[order] = random_symmetric_zero_diag(n, rng, order)
+        poly = MultilinearPoly(tensors)
+        abs_poly = MultilinearPoly({k: np.abs(t) for k, t in tensors.items()})
+        letters = CONTRACTION_ALPHABETS[alphabet]
+        space = ProductSpace((letters,) * n)
+        rows = rng.choice(letters, size=(40, n))
+        eps = np.finfo(float).eps
+        for i in range(n):
+            for a, b in combinations(letters, 2):
+                xa, xb = rows.copy(), rows.copy()
+                xa[:, i], xb[:, i] = a, b
+                slope = np.array([sum(c * np.prod(x[list(idx)]) for c, idx in poly.slope_terms(i)) for x in rows])
+                got = (a - b) * slope
+                want = poly.evaluate_rows(space, xa) - poly.evaluate_rows(space, xb)
+                scale = abs_poly.evaluate_rows(space, np.abs(xa)) + abs_poly.evaluate_rows(space, np.abs(xb))
+                assert np.all(np.abs(got - want) <= 2 * (n**order + order + 1) * eps * scale)
+
+    def test_monomials_are_the_nonzero_coefficients_in_order(self):
+        rng = np.random.default_rng(3)
+        n = 5
+        cubic = random_symmetric_zero_diag(n, rng, 3)
+        for idx in permutations((0, 2, 3)):
+            cubic[idx] = 0.0
+        quadratic = random_symmetric_zero_diag(n, rng)
+        quadratic[0, 4] = quadratic[4, 0] = 0.0
+        poly = MultilinearPoly({1: np.array([0.5, 0.0, 0.0, 0.0, -1.0]), 2: quadratic, 3: cubic})
+        want = [(0.5, ())]
+        want += [(2 * quadratic[0, j], (j,)) for j in (1, 2, 3)]
+        want += [(6 * cubic[0, j, k], (j, k)) for j, k in combinations(range(1, n), 2) if (j, k) != (2, 3)]
+        assert poly.slope_terms(0) == want
+        assert [idx for _, idx in poly.slope_terms(1)] == [(0,), (2,), (3,), (4,)] + list(combinations((0, 2, 3, 4), 2))
+        assert poly.slope_terms(0) is poly.slope_terms(0)
+        assert MultilinearPoly({2: np.zeros((3, 3))}).slope_terms(1) == []
+
+
 class TestFourier:
     def test_dictator(self):
         space = hypercube(3)

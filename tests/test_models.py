@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -413,8 +414,22 @@ NINE_LETTER_CASES = {
     "product-nine-letters": _nine_letter_product,
 }
 
+def _ring(n, field):
+    coupling = np.zeros((n, n))
+    weights = np.random.default_rng(n).uniform(0.1, 0.6, size=n)
+    for a in range(n):
+        coupling[a, (a + 1) % n] = coupling[(a + 1) % n, a] = weights[a]
+    return build_ising(IsingSpec(coupling, np.full(n, field)))[0]
+
+
+RING_CASES = {
+    "ring8": lambda: _ring(8, 0.0),
+    "ring8-field": lambda: _ring(8, -0.35),
+}
+
 BIT_IDENTITY_CASES = {
     **NINE_LETTER_CASES,
+    **RING_CASES,
     "curie-weiss-field": lambda: build_ising(curie_weiss_spec(5, 0.8, 0.3))[0],
     "ergm-triangle": lambda: build_ergm(ErgmSpec(5, (SINGLE_EDGE, TRIANGLE), (-0.3, 0.8)))[0],
     "coloring": lambda: build_coloring([(0, 1), (1, 2), (2, 3), (3, 0)], 4, 3)[0],
@@ -431,6 +446,7 @@ SECTION_CASES = {
     # nine colors, whose sections' nonzero entries are all equal
     "coloring": lambda: build_coloring([(0, 1), (1, 2), (0, 2)], 3, 9)[0],
     **NINE_LETTER_CASES,
+    **RING_CASES,
 }
 
 
@@ -511,6 +527,110 @@ class TestTableDrivenSweep:
             for j in range(1, m):
                 sequential += rows[:, j]
             assert (rows.sum(axis=1) != sequential).any()
+
+
+def _cubic_gibbs():
+    """A polynomial Gibbs measure of order 3 on a three-letter alphabet."""
+    rng = np.random.default_rng(17)
+    n = 5
+    cubic = rng.standard_normal((n, n, n))
+    cubic = sum(cubic.transpose(p) for p in permutations(range(3))) / 6.0
+    idx = np.indices(cubic.shape)
+    cubic[(idx[0] == idx[1]) | (idx[0] == idx[2]) | (idx[1] == idx[2])] = 0.0
+    pair = rng.standard_normal((n, n))
+    pair = (pair + pair.T) / 4.0
+    np.fill_diagonal(pair, 0.0)
+    poly = MultilinearPoly({1: rng.standard_normal(n), 2: pair, 3: 0.2 * cubic})
+    return GibbsMeasure(ProductSpace(((-1.0, 0.5, 2.0),) * n), poly)
+
+
+POLY_GIBBS_CASES = {**RING_CASES, "cubic-three-letters": _cubic_gibbs}
+
+
+class TestSlopeConditionals:
+    @pytest.mark.parametrize("name", sorted(POLY_GIBBS_CASES))
+    def test_conditional_matches_the_row_softmax(self, name):
+        # The row path: the softmax of the log-weights of one row per letter.
+        # Its log-weight differences and the slope's err by at most about
+        # (n^k + k + 1) eps times the sum of the absolute terms, so the
+        # probabilities agree to that relative error.
+        mu = POLY_GIBBS_CASES[name]()
+        space, poly = mu.space, mu._poly
+        abs_poly = MultilinearPoly({k: np.abs(t) for k, t in poly.tensors.items()})
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(5)
+        for x in rng.choice(space.alphabets[0], size=(30, space.n)):
+            for i in range(space.n):
+                rows = np.repeat(x[None], space.shape[i], axis=0)
+                rows[:, i] = space.value_grid(i)
+                logw = mu.log_weights(rows)
+                want = np.exp(logw - logw.max())
+                want /= want.sum()
+                scale = abs_poly.evaluate_rows(space, np.abs(rows)).max()
+                bound = 4 * (space.n ** poly.degree + poly.degree + 1) * eps * (1.0 + scale)
+                np.testing.assert_allclose(mu.conditional(x, i), want, rtol=bound, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(POLY_GIBBS_CASES))
+    def test_prob_table_is_the_row_paths(self, name):
+        mu = POLY_GIBBS_CASES[name]()
+        rows_mu = GibbsMeasure(mu.space, partial(mu._poly.evaluate_rows, mu.space))
+        np.testing.assert_array_equal(mu.prob_table(), rows_mu.prob_table())
+
+    @pytest.mark.parametrize("name", sorted(POLY_GIBBS_CASES))
+    def test_tables_need_no_enumeration_and_no_log_weights(self, name, monkeypatch):
+        import concentra.space as space_mod
+
+        mu = POLY_GIBBS_CASES[name]()
+        for fn in ("enumerate_configurations", "enumeration_blocks"):
+            monkeypatch.setattr(space_mod, fn, lambda *a, **k: pytest.fail("enumerated"))
+        monkeypatch.setattr(mu, "log_weights", lambda rows: pytest.fail("log-weight rows"))
+        monkeypatch.setattr(mu, "_log_weights", lambda rows: pytest.fail("log-weight rows"))
+        chain = GlauberChain(mu, seed=3)
+        chain.run(5)
+        assert chain.steps == 5 * mu.space.n
+        assert len(list(mu.section_conditionals())) == mu.space.n
+
+    def test_wrong_configurations_still_raise(self):
+        mu = RING_CASES["ring8-field"]()
+        with pytest.raises(DomainError, match="expected 8"):
+            mu.conditional([1.0] * 7, 0)
+        with pytest.raises(DomainError, match="not in alphabet 3"):
+            mu.conditional([1.0, -1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0], 0)
+        with pytest.raises(DomainError, match="not in alphabet 0"):
+            mu.conditional([math.nan] + [1.0] * 7, 2)
+
+    def test_polynomial_on_another_space_rejected(self):
+        from concentra.errors import DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError):
+            GibbsMeasure(binary(4), MultilinearPoly({1: np.ones(3)}))
+
+
+class TestRunLoop:
+    @pytest.mark.parametrize("n, sweeps, burn_in, thinning", [(8, 4500, 3, 7), (17, 6, 4, 2)])
+    def test_uniform_blocks_do_not_change_the_stream(self, n, sweeps, burn_in, thinning, monkeypatch):
+        # n = 8 takes the table path, over several blocks at the default
+        # bound; n = 17 (2^17 configurations) the memo path.
+        import concentra.models as models_mod
+
+        mu = _ring(n, 0.2)
+        want = glauber_sample(mu, sweeps, burn_in=burn_in, thinning=thinning, seed=8)
+        assert want.shape == (sweeps // thinning, n)
+        for bound in (1, 2 * n + 3):  # one sweep per block; two
+            monkeypatch.setattr(models_mod, "_UNIFORM_BLOCK", bound)
+            got = glauber_sample(mu, sweeps, burn_in=burn_in, thinning=thinning, seed=8)
+            np.testing.assert_array_equal(got, want)
+
+    def test_sweep_is_a_one_sweep_run(self):
+        mu = _ring(8, 0.1)
+        a, b = GlauberChain(mu, seed=4), GlauberChain(mu, seed=4)
+        kept_a, kept_b = [], []
+        for _ in range(30):
+            a.sweep()
+            kept_a += a._digits
+        b.run(30, 1, kept_b)
+        assert kept_a == kept_b and a.steps == b.steps == 240
+        np.testing.assert_array_equal(a.state, b.state)
 
 
 class TestSampleStreams:

@@ -81,6 +81,27 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLargeError):
             next(enumeration_blocks(binary(25)))
 
+    @pytest.mark.parametrize("limit", [1, 4, 1 << 13])
+    @pytest.mark.parametrize("alphabets", [
+        ((2.0, 0.0, 1.0), (3.0,), (0.5, -0.5, 9.0, 1.5), (-1.0, 1.0), (7.0,), (0.0, 4.0, 8.0)),
+        ((5.0,),) * 3,
+        ((-1.0, 1.0),) * 15,
+        ((0.0, 1.0, 2.0),) * 5 + ((4.0,),) + ((0.0, 1.0),) * 5,
+    ])
+    def test_halves_equal_the_column_loop(self, monkeypatch, alphabets, limit):
+        import concentra.space as space_mod
+
+        space = ProductSpace(alphabets)
+        columns = np.empty((space.size, space.n))  # one strided column per coordinate
+        for i in range(space.n):
+            reps_inner = space.strides[i]
+            columns[:, i] = np.tile(np.repeat(space.value_grid(i), reps_inner),
+                                    space.size // (reps_inner * space.shape[i]))
+        monkeypatch.setattr(space_mod, "ENUMERATION_COLUMN_LIMIT", limit)
+        got = enumerate_configurations(space)
+        assert got.shape == columns.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, columns)
+
     def test_alphabet_validation(self):
         with pytest.raises(DomainError):
             ProductSpace(((1.0, 1.0),))
@@ -98,6 +119,30 @@ class TestMeasureValidation:
     def test_product_marginal_entries_must_be_finite(self, bad):
         with pytest.raises(DomainError):
             ProductMeasure(binary(2), [[0.5, 0.5], [bad, 1.0]])
+
+
+class TestProductTable:
+    def test_one_outer_product_per_measure(self, monkeypatch):
+        # An h search asks for the table at every objective call; the
+        # measure builds it once.
+        from concentra.lsi import lsi_constant_search, verify_h_lsi_product
+
+        mu = bernoulli_product(6, 0.3)
+        want = np.prod(np.array(np.meshgrid(*[[0.7, 0.3]] * 6, indexing="ij")), axis=0).reshape(-1)
+        built = []
+        prob_table = mu.prob_table
+        monkeypatch.setattr(mu, "prob_table", lambda: built.append(prob_table()) or built[-1])
+        lsi_constant_search(mu, "h", starts=8, seed=0)
+        verify_h_lsi_product(mu, trials=20, seed=1)
+        assert len(built) > 1
+        assert all(table is built[0] for table in built)
+        np.testing.assert_allclose(built[0], want, rtol=1e-15)
+
+    def test_space_above_the_cap_raises_on_every_call(self):
+        mu = bernoulli_product(25, 0.5)
+        for _ in range(2):
+            with pytest.raises(EnumerationTooLargeError):
+                mu.prob_table()
 
 
 class TestConditional:
