@@ -115,22 +115,29 @@ class MultilinearPoly(FunctionSpec):
     def slope_terms(self, i: int) -> list[tuple[float, tuple[int, ...]]]:
         """Coordinate i's slope s_i(x) = df/dx_i as its nonzero monomials.
 
-        Monomial (c, (j1, ..., j(k-1))) is c * x_j1 * ... * x_j(k-1), with
-        c = k! a^k_{i j1..j(k-1)} over j1 < ... < j(k-1); the list is ordered
-        by k, then lexicographically.  As each tensor is symmetric with zero
-        generalized diagonal, f is affine in x_i with slope s_i(x), which does
-        not involve x_i: the values of f at letters a and b of coordinate i
-        differ by (a - b) * s_i(x).  Computed once per coordinate.
+        Monomial (c, (j1, ..., j(k-1))) is c * x_j1 * ... * x_j(k-1) over
+        j1 < ... < j(k-1), where c sums the k! entries of a^k at the orders
+        of (i, j1, ..., j(k-1)): k! a^k_{i j1..j(k-1)}, as the tensor is
+        symmetric.  The list is ordered by k, then lexicographically.  With a
+        zero generalized diagonal, f is affine in x_i with slope s_i(x),
+        which does not involve x_i: the values of f at letters a and b of
+        coordinate i differ by (a - b) * s_i(x).  Summing the entries, not
+        scaling one, keeps that exact for tensors that are symmetric only to
+        the tolerance `check_symmetric` allows.  Computed once per coordinate.
         """
         terms = self._slopes.get(i)
         if terms is None:
             terms = []
             for k, t in self.tensors.items():
-                row = t[i]
-                nonzero = np.argwhere(row)  # lexicographic; one empty index at k = 1
+                coef = 0.0
+                for position in range(k):
+                    row = np.moveaxis(t, position, 0)[i]
+                    for order in permutations(range(k - 1)):
+                        coef = coef + row.transpose(order)
+                coef = np.asarray(coef)
+                nonzero = np.argwhere(coef)  # lexicographic; one empty index at k = 1
                 nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
-                scale = math.factorial(k)
-                terms += [(scale * float(row[tuple(idx)]), tuple(idx.tolist())) for idx in nonzero]
+                terms += [(float(coef[tuple(idx)]), tuple(idx.tolist())) for idx in nonzero]
             self._slopes[i] = terms
         return terms
 

@@ -323,14 +323,15 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Largest space whose section CDFs the chain tabulates.  The table is built on
-# the first sweep whatever the chain's length.  Measured on one Xeon core, one
-# BLAS thread, for an Ising ring (tracemalloc peak in a separate run): at 2^16
-# configurations the build takes about 0.035 s and 9 MiB, as long as some
-# 600 per-update conditionals, and the glauber-mc benchmark chains make
-# 19,200 and 38,400 updates; at 2^20 it takes 0.72 s and 117 MiB.  That is
-# now shorter than 1000 sweeps of per-update conditionals (1.2 s), but a
-# short chain would still pay it all, and it holds 117 MiB.  Larger spaces
-# evaluate each conditional at its update and memoise up to 2^16 sections.
+# the first run whatever the chain's length.  Measured on one Xeon core, one
+# BLAS thread, for an Ising ring, whose table comes from its slopes
+# (tracemalloc peak in a separate run): at 2^16 configurations the build
+# takes about 9 ms and 5.8 MiB, and the glauber-mc benchmark chains make
+# 19,200 and 35,200 updates; at 2^20 it takes 0.14 s and 109 MiB.  That is
+# shorter than 1000 sweeps of per-update conditionals (about 0.3 s at some
+# 65,000 updates/s), but a short chain would still pay it all, and it holds
+# 109 MiB.  Larger spaces evaluate each conditional at its update and
+# memoise up to 2^16 sections.
 _SECTION_TABLE_LIMIT = 1 << 16
 
 
@@ -448,8 +449,8 @@ class GlauberChain:
                         index = base + digit * stride
                 if kept is not None and done % thinning == 0:
                     kept += digits
+            self.steps += count * n
         self._index = index
-        self.steps += sweeps * n
 
 
 def glauber_sample(

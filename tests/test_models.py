@@ -544,7 +544,22 @@ def _cubic_gibbs():
     return GibbsMeasure(ProductSpace(((-1.0, 0.5, 2.0),) * n), poly)
 
 
-POLY_GIBBS_CASES = {**RING_CASES, "cubic-three-letters": _cubic_gibbs}
+def _nearly_symmetric_ring():
+    """A ring whose coupling is symmetric only to the tolerance that
+    `check_symmetric` allows, so J_ij and J_ji differ beyond rounding."""
+    n = 6
+    coupling = np.zeros((n, n))
+    for a in range(n):
+        coupling[a, (a + 1) % n] = 0.3 + 0.05 * a
+        coupling[(a + 1) % n, a] = coupling[a, (a + 1) % n] * (1.0 + 4e-6)
+    return build_ising(IsingSpec(coupling, np.linspace(-0.2, 0.3, n)))[0]
+
+
+POLY_GIBBS_CASES = {
+    **RING_CASES,
+    "cubic-three-letters": _cubic_gibbs,
+    "nearly-symmetric-ring": _nearly_symmetric_ring,
+}
 
 
 class TestSlopeConditionals:
