@@ -106,7 +106,7 @@ class MultilinearPoly(FunctionSpec):
             raise DomainError("a multilinear polynomial needs at least one coefficient tensor")
         self.tensors = clean
         self.dim = dim
-        self._slopes: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+        self._slopes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     @property
     def degree(self) -> int:
@@ -123,11 +123,15 @@ class MultilinearPoly(FunctionSpec):
         which does not involve x_i: the values of f at letters a and b of
         coordinate i differ by (a - b) * s_i(x).  Summing the entries, not
         scaling one, keeps that exact for tensors that are symmetric only to
-        the tolerance `check_symmetric` allows.  Computed once per coordinate.
+        the tolerance `check_symmetric` allows.
+
+        The monomials are found once per coordinate and kept as arrays, 16
+        bytes a monomial (a dense order-2 term at n = 1024 has a million);
+        the list is built from them on each call.
         """
-        terms = self._slopes.get(i)
-        if terms is None:
-            terms = []
+        blocks = self._slopes.get(i)
+        if blocks is None:
+            blocks = []
             for k, t in self.tensors.items():
                 coef = 0.0
                 for position in range(k):
@@ -137,9 +141,10 @@ class MultilinearPoly(FunctionSpec):
                 coef = np.asarray(coef)
                 nonzero = np.argwhere(coef)  # lexicographic; one empty index at k = 1
                 nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
-                terms += [(float(coef[tuple(idx)]), tuple(idx.tolist())) for idx in nonzero]
-            self._slopes[i] = terms
-        return terms
+                blocks.append((np.reshape(coef[tuple(nonzero.T)], -1)[:len(nonzero)], nonzero))
+            self._slopes[i] = blocks
+        return [term for coefs, indices in blocks
+                for term in zip(coefs.tolist(), map(tuple, indices.tolist()))]
 
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:
         self.check_space(space)

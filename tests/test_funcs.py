@@ -382,7 +382,8 @@ class TestSlope:
         assert [c for c, _ in got[:4]] == [c for c, _ in want[:4]]
         np.testing.assert_allclose([c for c, _ in got], [c for c, _ in want], rtol=4 * np.finfo(float).eps, atol=0.0)
         assert [idx for _, idx in poly.slope_terms(1)] == [(0,), (2,), (3,), (4,)] + list(combinations((0, 2, 3, 4), 2))
-        assert poly.slope_terms(0) is poly.slope_terms(0)
+        found = poly._slopes[0]  # found once, then read back
+        assert poly.slope_terms(0) == got and poly._slopes[0] is found
         assert MultilinearPoly({2: np.zeros((3, 3))}).slope_terms(1) == []
 
 
