@@ -139,9 +139,11 @@ class MultilinearPoly(FunctionSpec):
                     for order in permutations(range(k - 1)):
                         coef = coef + row.transpose(order)
                 coef = np.asarray(coef)
-                nonzero = np.argwhere(coef)  # lexicographic; one empty index at k = 1
+                # Lexicographic.  At k = 1, `coef` is a scalar and `nonzero`
+                # one empty index or none.
+                nonzero = np.argwhere(coef)
                 nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
-                blocks.append((np.reshape(coef[tuple(nonzero.T)], -1)[:len(nonzero)], nonzero))
+                blocks.append((np.broadcast_to(coef[tuple(nonzero.T)], len(nonzero)), nonzero))
             self._slopes[i] = blocks
         return [term for coefs, indices in blocks
                 for term in zip(coefs.tolist(), map(tuple, indices.tolist()))]

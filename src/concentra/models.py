@@ -431,7 +431,7 @@ class GlauberChain:
                 if sites is not None:
                     for (i, cdf, stride, span, width), u in zip(sites, uniforms):
                         base = index - digits[i] * stride
-                        # The section's row: base // span sections before it, base % stride after.
+                        # Section (pre, post) = (base // span, base % stride) is row pre * stride + post.
                         row = (base // span * stride + base % stride) * width
                         digits[i] = digit = bisect_right(cdf, u, row, row + width) - row
                         index = base + digit * stride
