@@ -46,6 +46,7 @@ from .lsi import (
     lsi_constant_search,
     lsi_ratio,
     psi2_blowup_study,
+    spectral_bracket,
     verify_h_lsi_product,
 )
 from .models import (

@@ -20,8 +20,11 @@ from . import models, verify
 from .diffops import NormProfile, norm_profile
 from .errors import ConcentraError, DomainError, SchemaError
 from .funcs import FunctionSpec, function_from_json, function_table, fourier_transform
-from .lsi import OPERATORS, lsi_constant_search
-from .schema import array, boolean, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector
+from .lsi import OPERATORS, lsi_constant_search, spectral_bracket
+from .schema import (
+    array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, one_key, reads, real,
+    vector,
+)
 from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
 
 EXIT_OK = 0
@@ -124,9 +127,13 @@ def _lsi_sigma2(mu: Measure, starts: int, seed: int) -> float:
 
 
 def _sigma2(inputs: Inputs):
-    """A number, or {"search": {"starts", "seed"}}: the d-operator ratio search on the model."""
-    search = reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", COUNT), ("seed", SEED))
-    return lambda value, what: field(value, "search", search) if isinstance(value, dict) else real(value, what)
+    """A number; {"search": {"starts", "seed"}}, the d-operator ratio search on
+    the model; or {"spectral": {}}, the upper end of its spectral bracket."""
+    form = one_key({
+        "search": reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", COUNT), ("seed", SEED)),
+        "spectral": check(lambda v: v == {}, "an empty object", lambda _: spectral_bracket(inputs.model)[1]),
+    })
+    return lambda value, what: (form if isinstance(value, dict) else real)(value, what)
 
 
 REGIME_KINDS = {

@@ -1,8 +1,10 @@
 """Log-Sobolev machinery: Dirichlet forms, LSI-ratio evaluation, heuristic
-constant search, product-measure verification, and the two-point blow-up study.
+constant search, the spectral bracket of the d-operator constant,
+product-measure verification, and the two-point blow-up study.
 
-Search results are lower bounds on the optimal constant: no claim of the form
-"satisfies LSI(sigma^2)" is ever emitted, only "no violation found up to".
+Search results are lower bounds on the optimal constant: a search alone never
+claims "satisfies LSI(sigma^2)", only "no violation found up to".  The upper
+end of `spectral_bracket` is the one certified constant.
 """
 from __future__ import annotations
 
@@ -108,11 +110,73 @@ def glauber_quadratic_form(mu: Measure) -> np.ndarray:
     return L
 
 
+def _support_form(mu: Measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support's indices, its probabilities and `glauber_quadratic_form`
+    restricted to it (the form itself, not a copy, on a full support)."""
+    w = mu.prob_table()
+    support = np.nonzero(w > 0.0)[0]
+    L = glauber_quadratic_form(mu)
+    return support, w[support], L if support.size == w.size else L[np.ix_(support, support)]
+
+
+def _bracket(ws: np.ndarray, L: np.ndarray, n: int) -> tuple[float, float] | None:
+    """(1/gap, DSC upper end) of the support form `L` with probabilities `ws`
+    on an n-coordinate space; None when there is no gap to certify.  `L` is
+    scaled in place into A, so that the eigensolve's own copy is the only
+    other matrix held."""
+    if ws.size < 2:
+        return None
+    scale = 1.0 / np.sqrt(ws)
+    L *= scale[:, None]
+    L *= scale
+    gap = float(np.linalg.eigvalsh(L)[1])
+    # 0 <= A <= n I, so n bounds |A|_2; see `spectral_bracket`.
+    safe = gap - 8.0 * ws.size * n * float(np.finfo(float).eps)
+    if not safe > 0.0:
+        return None
+    p = float(ws.min())
+    # log(1/p - 1) / (1 - 2p) = log1p(x) / (x p) with x = (1 - 2p) / p, whose
+    # limit at p = 1/2 is 2.
+    x = (1.0 - 2.0 * p) / p
+    return 1.0 / gap, (math.log1p(x) / x if x != 0.0 else 1.0) / (2.0 * p * safe)
+
+
+def spectral_bracket(mu: Measure) -> tuple[float, float]:
+    """(1/lambda, upper): a bracket on the optimal d-LSI constant sigma^2 in
+    Ent(f^2) <= 2 sigma^2 E |d f|^2.
+
+    lambda is the spectral gap of the Glauber form on the support: the
+    second-smallest eigenvalue of A = D^{-1/2} L D^{-1/2}, D = diag(pi) and L
+    the form restricted to the support, from one dense `eigvalsh`.  Tables
+    1 + eps phi, phi a gap eigenvector, have ratios tending to 1/lambda, so it
+    is a lower end.  The upper end is the Diaconis--Saloff-Coste comparison
+    (Ann. Appl. Probab. 1996, Appendix A),
+    log(1/pi* - 1) / (2 (1 - 2 pi*) lambda), with pi* the least support
+    probability.  Before dividing, lambda is lowered by the rounding margin
+    8 N n eps (N the support size, n the number of coordinates, which bounds
+    |A|_2): it covers the backward error of the eigensolve and the rounding of
+    A and of the closing arithmetic, so the upper end errs upwards.  Raises
+    DomainError when the support is one point or the lowered gap is not
+    positive (the chain is reducible on the support).
+    """
+    mu.space.check_cap()
+    _, ws, L = _support_form(mu)
+    bracket = _bracket(ws, L, mu.space.n)
+    if bracket is None:
+        raise DomainError(
+            "no spectral gap: the support is a single point or the Glauber chain is reducible on it"
+        )
+    return bracket
+
+
 @dataclass
 class LsiReport(Record):
     """Best ratio found by a heuristic search: a lower bound on the optimal constant.
 
     `iterations` counts the objective rows the search evaluated, over all starts.
+    For the d operator, `inverse_gap` and `sigma2_upper` are `spectral_bracket`
+    of the measure; they are None for h and h_plus, and where the support has
+    no spectral gap.
     """
 
     operator: str
@@ -121,6 +185,8 @@ class LsiReport(Record):
     starts: int
     iterations: int
     seed: int
+    inverse_gap: float | None
+    sigma2_upper: float | None
 
 
 # Lockstep L-BFGS: scipy's L-BFGS-B defaults for memory and stopping, with
@@ -214,11 +280,10 @@ def _d_parts(x: np.ndarray, L: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, 
     return (centred * lf).sum(axis=1), lf, _entropy(ws, x**2)
 
 
-def _search_d_operator(mu: Measure, starts: int, seed: int, max_iter: int) -> tuple[float, np.ndarray | None, int]:
-    w = mu.prob_table()
-    support = np.nonzero(w > 0.0)[0]
-    ws = w[support]
-    L = glauber_quadratic_form(mu)[np.ix_(support, support)]
+def _search_d_operator(
+    mu: Measure, starts: int, seed: int, max_iter: int
+) -> tuple[float, np.ndarray | None, int, tuple[float, float] | None]:
+    support, ws, L = _support_form(mu)
     rng = np.random.default_rng(seed)
     dim = support.size
 
@@ -245,7 +310,7 @@ def _search_d_operator(mu: Measure, starts: int, seed: int, max_iter: int) -> tu
     runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, 8 * dim * (2 * _LBFGS_MEMORY + 8))]
     witnesses = np.zeros((sum(len(r[0]) for r in runs), mu.space.size))
     witnesses[:, support] = np.vstack([r[0] for r in runs])
-    return _best(mu, witnesses, "d", sum(r[1] for r in runs))
+    return *_best(mu, witnesses, "d", sum(r[1] for r in runs)), _bracket(ws, L, mu.space.n)
 
 
 # Lockstep Nelder-Mead: scipy's non-adaptive coefficients and initial simplex.
@@ -371,19 +436,21 @@ def lsi_constant_search(
     plus `starts // 4` indicator-like ones; h and h_plus run Nelder-Mead on
     the normalized ratio from `starts` random tables.  The ratio is
     scale-invariant, so candidates are normalized; the report is a lower
-    bound on the optimal constant.
+    bound on the optimal constant.  A d report also carries the spectral
+    bracket, taken from the support form the search builds.
     """
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
     mu.space.check_cap()
     w = mu.prob_table()
     if int(np.count_nonzero(w > 0.0)) <= 1:
-        return LsiReport(operator, 0.0, None, starts, 0, seed)
+        return LsiReport(operator, 0.0, None, starts, 0, seed, None, None)
+    bracket = None
     if operator == "d":
-        ratio, witness, iters = _search_d_operator(mu, starts, seed, max_iter)
+        ratio, witness, iters, bracket = _search_d_operator(mu, starts, seed, max_iter)
     else:
         ratio, witness, iters = _search_h_operator(mu, operator, starts, seed, max_iter)
-    return LsiReport(operator, ratio, witness, starts, iters, seed)
+    return LsiReport(operator, ratio, witness, starts, iters, seed, *(bracket or (None, None)))
 
 
 def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -209,6 +210,9 @@ class TestCommands:
         assert rc == EXIT_OK
         doc = json.loads((tmp_path / "out" / "lsi_report.json").read_text())
         assert 0.9 < doc["best_ratio"] < 1.0 + 1e-6
+        # the uniform square: lambda = 1, pi* = 1/4, so the upper end is log 3
+        assert doc["inverse_gap"] == pytest.approx(1.0, rel=1e-12)
+        assert doc["sigma2_upper"] == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_lsi_command_oscillation_operator(self, tmp_path):
         cfg = write_config(
@@ -232,6 +236,7 @@ class TestCommands:
         doc = json.loads((tmp_path / "out" / "lsi_report.json").read_text())
         # the searched two-point oscillation constant at p = 0.1
         assert doc["best_ratio"] == pytest.approx(0.1236, abs=2e-3)
+        assert doc["inverse_gap"] is None and doc["sigma2_upper"] is None
 
     def test_sample_csv_and_binary(self, tmp_path):
         for fmt, filename in (("csv", "samples.csv"), ("binary", "samples.bin")):
@@ -414,6 +419,11 @@ def _moments(**fields):
         ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"starts": 2, "seed": 1})))),
         ("bound", _bound({"kind": "suprema", "expected_w": [], "w_top_sup": 2.0,
                           "regime": _dlsi({"search": {"starts": 2, "seed": 1}})})),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": 1})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": {"starts": 4}})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": {}, "search": {"starts": 2,
+                                                                                               "seed": 1}})))),
     ],
     ids=["table-without-values", "motif-without-edges", "motif-not-an-object", "n-not-a-number",
          "profile-without-gamma", "t-grid-negative-count", "t-grid-zero-count",
@@ -428,7 +438,8 @@ def _moments(**fields):
          "profile-stderr-not-a-list", "p-grid-not-a-list", "n-fractional", "n-a-bool",
          "normalized-a-string", "profile-mode-unknown", "sigma2-nan", "sample-format-unknown",
          "sigma2-search-starts-zero", "sigma2-search-not-an-object", "sigma2-object-without-search",
-         "sigma2-search-without-model"],
+         "sigma2-search-without-model", "sigma2-spectral-a-number", "sigma2-spectral-with-a-key",
+         "sigma2-empty-object", "sigma2-search-and-spectral"],
 )
 def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
@@ -530,6 +541,29 @@ def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
     assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert "no usable constant" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("table", [[0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0]], ids=["reducible", "single-point"])
+def test_sigma2_spectral_without_a_gap_exits_2(tmp_path, capsys, table):
+    model = {"kind": "measure", "document": {"n": 2, "alphabets": [[0.0, 1.0], [0.0, 1.0]],
+                                             "measure": {"kind": "exact", "table": table}}}
+    doc = _bound(dict(_GENERAL_D1, regime=_dlsi({"spectral": {}})), model=model)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "no spectral gap" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sigma2_spectral_is_the_upper_end_of_the_bracket(tmp_path):
+    from concentra.cli import Inputs, build_bound
+    from concentra.lsi import spectral_bracket
+    from concentra.space import bernoulli_product
+
+    doc = _bound(dict(_GENERAL_D1, regime=_dlsi({"spectral": {}})), model={"kind": "bernoulli", "n": 2, "p": 0.3})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert build_bound(Inputs(doc)).regime.sigma2 == spectral_bracket(bernoulli_product(2, 0.3))[1]
 
 
 @pytest.mark.parametrize("name", corpus_names())

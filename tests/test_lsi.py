@@ -15,8 +15,10 @@ from concentra.lsi import (
     lsi_constant_search,
     lsi_ratio,
     psi2_blowup_study,
+    spectral_bracket,
     verify_h_lsi_product,
 )
+from concentra.models import IsingSpec, build_coloring, build_ising
 from concentra.space import (
     ExactMeasure,
     ProductSpace,
@@ -244,6 +246,116 @@ SCIPY_SEARCH_SIGMA2 = {
 @pytest.mark.parametrize("name", sorted(SCIPY_SEARCH_SIGMA2))
 def test_corpus_search_finds_the_scipy_sigma2(name):
     assert run_corpus_entry(name)["sigma2"] >= SCIPY_SEARCH_SIGMA2[name] * (1.0 - 1e-6)
+
+
+# The (starts, seed) with which the corpus searched sigma^2 of the entries that
+# now publish their spectral upper end.
+SWITCHED_SEARCHES = {
+    "ising4-quadratic": (48, 7),
+    "ising8-magnetization": (32, 11),
+    "triangle-coloring-count": (48, 17),
+    "ergm4-triangles": (32, 19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWITCHED_SEARCHES))
+def test_switched_corpus_models_keep_the_scipy_search_sigma2(name):
+    import json
+    from importlib import resources
+
+    from concentra.cli import Inputs
+
+    mu = Inputs(json.loads((resources.files("concentra") / "corpus" / f"{name}.json").read_text())).model
+    starts, seed = SWITCHED_SEARCHES[name]
+    best = lsi_constant_search(mu, "d", starts=starts, seed=seed).best_ratio
+    assert best >= SCIPY_SEARCH_SIGMA2[name] * (1.0 - 1e-6)
+    assert best <= spectral_bracket(mu)[1]
+
+
+def _random_ising(seed: int, n: int, scale: float = 0.5):
+    rng = np.random.default_rng(seed)
+    J = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
+    return build_ising(IsingSpec(J + J.T, rng.uniform(-scale, scale, n)))[0]
+
+
+BRACKET_MODELS = {
+    "ising2": _random_ising(0, 2),
+    "ising3": _random_ising(1, 3),
+    "ising4": _random_ising(2, 4),
+    "ising4-strong": _random_ising(3, 4, 1.5),
+    "path-coloring": build_coloring([(0, 1), (1, 2)], 3, 5)[0],
+    "bernoulli3": bernoulli_product(3, 0.3),
+}
+
+
+class TestSpectralBracket:
+    @pytest.mark.parametrize("name", sorted(BRACKET_MODELS))
+    def test_upper_end_dominates_every_ratio_and_search(self, name):
+        mu = BRACKET_MODELS[name]
+        inverse_gap, upper = spectral_bracket(mu)
+        assert 0.0 < inverse_gap <= upper
+        w = mu.prob_table()
+        rng = np.random.default_rng(5)
+        # random tables, their exponentials (peaked on a few states) and the
+        # indicators of the support points, whose ratios grow with 1/mu(x)
+        tables = [rng.standard_normal(w.size) for _ in range(100)]
+        tables += [np.exp(3.0 * rng.standard_normal(w.size)) for _ in range(100)]
+        tables += [np.eye(w.size)[x] for x in np.flatnonzero(w > 0.0)]
+        assert max(lsi_ratio(mu, f, "d") for f in tables) <= upper
+        for starts, seed in ((8, 0), (16, 1)):
+            assert lsi_constant_search(mu, "d", starts=starts, seed=seed).best_ratio <= upper
+
+    def test_inverse_gap_matches_the_eigh_oracle(self):
+        mu = bernoulli_product(3, 0.3)
+        scale = 1.0 / np.sqrt(mu.prob_table())
+        values = np.linalg.eigh(scale[:, None] * glauber_quadratic_form(mu) * scale)[0]
+        assert spectral_bracket(mu)[0] == pytest.approx(1.0 / values[1], rel=1e-12)
+
+    def test_uniform_two_point_upper_end_is_the_inverse_gap_plus_the_margin(self):
+        # pi* = 1/2: log(1/pi* - 1) / (1 - 2 pi*) takes its limit 2, and the
+        # rounding margin puts the upper end strictly above 1/lambda
+        inverse_gap, upper = spectral_bracket(two_point_measure(0.5))
+        assert inverse_gap == pytest.approx(1.0, rel=1e-14)
+        assert inverse_gap < upper == pytest.approx(inverse_gap, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 0.1, 1e-3, 1e-12])
+    def test_one_coordinate_upper_end_is_the_exact_constant(self, p):
+        # one coordinate: lambda = 1 and the comparison is DSC's Theorem A.1,
+        # the exact d-operator constant log((1-p)/p) / (2 (1 - 2p))
+        exact = (math.log1p(-p) - math.log(p)) / (2.0 * (1.0 - 2.0 * p))
+        mu = two_point_measure(p)
+        assert spectral_bracket(mu)[1] == pytest.approx(exact, rel=1e-12)
+        if p >= 1e-3:
+            best = lsi_constant_search(mu, "d", starts=16, seed=0).best_ratio
+            assert exact * (1.0 - 1e-4) <= best <= spectral_bracket(mu)[1]
+
+    @pytest.mark.parametrize("mu", [
+        ExactMeasure(binary(2), np.array([0.5, 0.0, 0.0, 0.5])),
+        ExactMeasure(binary(1), np.array([1.0, 0.0])),
+    ], ids=["reducible", "single-point"])
+    def test_no_gap_raises(self, mu):
+        with pytest.raises(DomainError, match="no spectral gap"):
+            spectral_bracket(mu)
+
+    def test_d_search_reports_the_bracket_from_one_form(self, monkeypatch):
+        mu = BRACKET_MODELS["ising3"]
+        calls = []
+        original = lsi.glauber_quadratic_form
+        monkeypatch.setattr(lsi, "glauber_quadratic_form", lambda m: calls.append(1) or original(m))
+        report = lsi_constant_search(mu, "d", starts=4, seed=0)
+        assert len(calls) == 1
+        assert (report.inverse_gap, report.sigma2_upper) == spectral_bracket(mu)
+
+    @pytest.mark.parametrize("operator, mu", [
+        ("h", bernoulli_product(2, 0.3)),
+        ("h_plus", bernoulli_product(2, 0.3)),
+        ("d", ExactMeasure(binary(2), np.array([0.5, 0.0, 0.0, 0.5]))),
+        ("d", ExactMeasure(binary(1), np.array([1.0, 0.0]))),
+    ], ids=["h", "h_plus", "d-reducible", "d-single-point"])
+    def test_report_has_no_bracket_without_a_gap_or_for_h(self, operator, mu):
+        report = lsi_constant_search(mu, operator, starts=4, seed=0)
+        assert report.inverse_gap is None and report.sigma2_upper is None
+        assert report.to_json()["inverse_gap"] is None
 
 
 class TestProductHLsi:

@@ -28,8 +28,8 @@ EXAMPLES = [
     (MomentProfile((1.0, 0.5), shift=0.5), set()),
     (NormProfile(2, (1.5, 2.5)), {"stderr"}),
     (NormProfile(2, (1.5, 2.5), "monte_carlo", (0.1, 0.2), True), set()),
-    (LsiReport("d", 1.25, None, 4, 40, 0), set()),
-    (LsiReport("h", 0.5, np.array([0.6, 0.8]), 2, 10, 1), set()),
+    (LsiReport("d", 1.25, None, 4, 40, 0, 1.1, 2.5), set()),
+    (LsiReport("h", 0.5, np.array([0.6, 0.8]), 2, 10, 1, None, None), set()),
     (Psi2Row(0.1, 1.2, 1.01, 1.02), set()),
     (IsingConditionReport(0.4, 0.6, 0.1, True), set()),
     (ColoringConditionReport(2, 5, True), set()),
@@ -65,7 +65,7 @@ def test_nested_records_and_nulls():
     bound = TailBound(((1.0, 1.5),), 2.0, regime=dlsi(2.0, 1))
     assert bound.to_json()["levels"] == [[1.0, 1.5]]
     assert bound.to_json()["regime"] == {"kind": "dlsi", "d": 1, "sigma2": 2.0}
-    assert LsiReport("d", 1.0, None, 1, 1, 0).to_json()["witness"] is None
+    assert LsiReport("d", 1.0, None, 1, 1, 0, None, None).to_json()["witness"] is None
     assert SuiteCheck("x", True, {"sigma2": None}).to_json()["detail"] == {"sigma2": None}
     result = SuiteResult(0, [SuiteCheck("a", True, {}), SuiteCheck("b", False, {})])
     assert result.to_json() == {
