@@ -422,8 +422,8 @@ def _moments(**fields):
         ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": 1})))),
         ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": {"starts": 4}})))),
         ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({})))),
-        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi({"spectral": {}, "search": {"starts": 2,
-                                                                                               "seed": 1}})))),
+        ("verify-tail", _tail(bound=dict(_GENERAL_D1, regime=_dlsi(
+            {"spectral": {}, "search": {"starts": 2, "seed": 1}})))),
     ],
     ids=["table-without-values", "motif-without-edges", "motif-not-an-object", "n-not-a-number",
          "profile-without-gamma", "t-grid-negative-count", "t-grid-zero-count",
