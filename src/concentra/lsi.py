@@ -53,25 +53,29 @@ def _row_bytes(mu: Measure) -> int:
     return 8 * mu.space.size * (mu.space.n + 4)
 
 
-def _energies(mu: Measure, rows: np.ndarray, operator: str) -> np.ndarray:
+def _energies(mu: Measure, rows: np.ndarray, operator: str, weights: np.ndarray | None = None) -> np.ndarray:
     """E Gamma(f)^2 of each table in `rows` (shape (..., size)); a row's value
-    does not depend on its batch."""
+    does not depend on its batch.  `weights`, shape (rows, size), gives each
+    row its own probability table (h and h_plus only: their fields depend on
+    the measure only through its support); `mu`'s by default."""
     if operator == "d":
         squares = d_squared_field(rows, mu)
     else:
         squares = (h_field(rows, mu, "osc" if operator == "h" else "plus") ** 2).sum(axis=-1)
-    return (squares * mu.prob_table()).sum(axis=-1)
+    return (squares * (mu.prob_table() if weights is None else weights)).sum(axis=-1)
 
 
-def _ratios(mu: Measure, rows: np.ndarray, operator: str) -> np.ndarray:
+def _ratios(mu: Measure, rows: np.ndarray, operator: str, weights: np.ndarray | None = None) -> np.ndarray:
     """Ent(f^2) / (2 E Gamma(f)^2) of each table in `rows` (shape (rows, size)),
-    0 where either side vanishes; taken in groups of about _BATCH_BYTES."""
-    w = mu.prob_table()
-    support = w > 0.0
+    0 where either side vanishes; taken in groups of about _BATCH_BYTES.
+    `weights`, one (rows, size) table per row, as in `_energies`."""
+    support = mu.prob_table() > 0.0
+    w = mu.prob_table() if weights is None else weights
+    blocks = _groups(rows, _row_bytes(mu))
     out = []
-    for block in _groups(rows, _row_bytes(mu)):
-        energy = _energies(mu, block, operator)
-        ent = _entropy(w[support], block[:, support] ** 2)
+    for block, wb in zip(blocks, _groups(w, _row_bytes(mu)) if w.ndim == 2 else [w] * len(blocks)):
+        energy = _energies(mu, block, operator, wb)
+        ent = _entropy(wb[..., support], block[:, support] ** 2)
         ok = (energy > _TINY) & (ent > _TINY)
         out.append(np.where(ok, ent / (2.0 * np.where(ok, energy, 1.0)), 0.0))
     return np.concatenate(out)
@@ -188,6 +192,9 @@ class LsiReport(Record):
     inverse_gap: float | None
     sigma2_upper: float | None
 
+
+# Iterations a search start may take, unless its caller says otherwise.
+_MAX_ITER = 500
 
 # Lockstep L-BFGS: scipy's L-BFGS-B defaults for memory and stopping, with
 # Armijo backtracking in place of its Wolfe line search.
@@ -319,22 +326,26 @@ _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 _NM_XATOL, _NM_FATOL = 1e-10, 1e-12
 
 
-def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimise `objective` from every row of `x0` in lockstep.
 
-    `objective` maps a (rows, dim) batch to values.  Each start follows
+    `objective(x, starts)` maps a (rows, dim) batch to values, where row j
+    belongs to the start `starts[j]` (a row of `x0`), so the starts may
+    minimise different functions, one per row of a family.  Each start follows
     scipy's `minimize(method="Nelder-Mead")` step for step and stops by its
-    xatol/fatol test or after `max_iter` iterations.  Returns each start's best
-    vertex and value, and the number of rows evaluated.
+    xatol/fatol test or after `max_iter` iterations; every test and reduction
+    is taken per start, so a start's path does not depend on the others.
+    The pass costs the iterations of its longest start.  Returns each start's
+    best vertex and value, and the number of rows each start evaluated.
     """
     starts, n = x0.shape
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     k = np.arange(n)
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NM_NONZDELT) * x0, _NM_ZDELT)
-    fsim = objective(sim.reshape(-1, n)).reshape(starts, n + 1)
-    evaluations = fsim.size
-    best_x, best_f = np.empty_like(x0), np.empty(starts)
     live = np.arange(starts)
+    fsim = objective(sim.reshape(-1, n), np.repeat(live, n + 1)).reshape(starts, n + 1)
+    evaluations = np.full(starts, n + 1)
+    best_x, best_f = np.empty_like(x0), np.empty(starts)
     iterations = 1
     while True:
         order = np.argsort(fsim, axis=1)
@@ -356,7 +367,7 @@ def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
         xbar = np.add.reduce(sim[:, :-1], axis=1) / n
         worst, f_worst = sim[:, -1], fsim[:, -1]
         xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(xr)
+        fxr = objective(xr, live)
         expand = fxr < fsim[:, 0]
         take_r = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~take_r & (fxr < f_worst)
@@ -367,8 +378,8 @@ def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
                      (1 - _NM_PSI) * xbar + _NM_PSI * worst),
         )
         f_second = np.full(len(xr), np.nan)
-        f_second[~take_r] = objective(second[~take_r])
-        evaluations += len(xr) + int((~take_r).sum())
+        f_second[~take_r] = objective(second[~take_r], live[~take_r])
+        evaluations[live] += 2 - take_r
         use_second = (expand & (f_second < fxr)) | (outside & (f_second <= fxr)) | (inside & (f_second < f_worst))
         shrink = (outside | inside) & ~use_second
         new_x = np.where(use_second[:, None], second, xr)
@@ -379,34 +390,52 @@ def _nelder_mead(objective, x0: np.ndarray, max_iter: int) -> tuple[np.ndarray, 
             base = sim[shrink, :1]
             shrunk = base + _NM_SIGMA * (sim[shrink, 1:] - base)
             sim[shrink, 1:] = shrunk
-            fsim[shrink, 1:] = objective(shrunk.reshape(-1, n)).reshape(-1, n)
-            evaluations += shrunk.shape[0] * n
+            fsim[shrink, 1:] = objective(shrunk.reshape(-1, n), np.repeat(live[shrink], n)).reshape(-1, n)
+            evaluations[live[shrink]] += n
     return best_x, best_f, evaluations
 
 
-def _h_objective(mu: Measure, operator: str):
-    """The batch objective of the h / h_plus search: -log of the ratio of
-    each row of a (rows, size) batch, normalized; 1e6 where it vanishes."""
+def _h_objective(mu: Measure, operator: str, weights: np.ndarray):
+    """The batch objective of the h / h_plus search on measures with `mu`'s
+    space and support: -log of the ratio of each row of a (rows, size) batch,
+    normalized, under the probability table `weights[s]` of its start s;
+    1e6 where it vanishes."""
 
-    def neg_log_ratio(x: np.ndarray) -> np.ndarray:
+    def neg_log_ratio(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
         norm = np.sqrt((x * x).sum(axis=1))
-        ratio = _ratios(mu, x / np.where(norm > _TINY, norm, 1.0)[:, None], operator)
+        ratio = _ratios(mu, x / np.where(norm > _TINY, norm, 1.0)[:, None], operator, weights[starts])
         return -np.log(ratio, out=np.full(len(ratio), -1e6), where=ratio > 0.0)
 
     return neg_log_ratio
 
 
 def _search_h_operator(
-    mu: Measure, operator: str, starts: int, seed: int, max_iter: int
-) -> tuple[float, np.ndarray | None, int]:
+    mus: list[Measure], operator: str, starts: int, seed: int, max_iter: int
+) -> list[tuple[float, np.ndarray | None, int]]:
+    """The h / h_plus search of each measure of `mus`, one lockstep
+    Nelder-Mead over every (measure, start): each measure runs the `starts`
+    random tables of `seed`, and gets the report it gets searched alone.
+    The measures must share one space and one support."""
+    mu = mus[0]
     dim = mu.space.size
     if dim > 4096:
         raise DomainError("h-operator search supported only on small spaces")
-    objective = _h_objective(mu, operator)
-    points = np.random.default_rng(seed).standard_normal((starts, dim))
-    runs = [_nelder_mead(objective, group, max_iter) for group in _groups(points, 8 * (dim + 1) * dim)]
+    support = mu.prob_table() > 0.0
+    for other in mus[1:]:
+        if other.space != mu.space or not np.array_equal(other.prob_table() > 0.0, support):
+            raise DomainError("a family h-operator search needs one space and one support")
+    weights = np.repeat([m.prob_table() for m in mus], starts, axis=0)
+    points = np.tile(np.random.default_rng(seed).standard_normal((starts, dim)), (len(mus), 1))
+    runs = [
+        _nelder_mead(_h_objective(mu, operator, weights[group]), points[group], max_iter)
+        for group in _groups(np.arange(len(points)), 8 * (dim + 1) * dim)
+    ]
     witnesses = np.array([x / np.linalg.norm(x) for r in runs for x in r[0]])
-    return _best(mu, witnesses, operator, sum(r[2] for r in runs))
+    evaluations = np.concatenate([r[2] for r in runs])
+    return [
+        _best(m, witnesses[j * starts:(j + 1) * starts], operator, int(evaluations[j * starts:(j + 1) * starts].sum()))
+        for j, m in enumerate(mus)
+    ]
 
 
 def _best(mu: Measure, witnesses: np.ndarray, operator: str,
@@ -425,7 +454,7 @@ def lsi_constant_search(
     operator: str = "d",
     starts: int = 32,
     seed: int = 0,
-    max_iter: int = 500,
+    max_iter: int = _MAX_ITER,
 ) -> LsiReport:
     """Multi-start ascent of the defining ratio over function tables.
 
@@ -449,7 +478,7 @@ def lsi_constant_search(
     if operator == "d":
         ratio, witness, iters, bracket = _search_d_operator(mu, starts, seed, max_iter)
     else:
-        ratio, witness, iters = _search_h_operator(mu, operator, starts, seed, max_iter)
+        ratio, witness, iters = _search_h_operator([mu], operator, starts, seed, max_iter)[0]
     return LsiReport(operator, ratio, witness, starts, iters, seed, *(bracket or (None, None)))
 
 
@@ -485,12 +514,16 @@ def psi2_blowup_study(
     The statistic is reported as ``math.inf`` when exp((1 - p)^2 / (16 e^2 sigma_p^2))
     exceeds the float range, which happens below p ~ 1.8e-6 (the statistic is then at
     least p * 1.8e308); every finite value is the exact two-term sum.
+
+    The whole grid is one lockstep search (`_search_h_operator` over the
+    measures of the grid), so it costs the iterations of the longest (p, start)
+    rather than their sum; each sigma_p^2 is `lsi_constant_search`'s on that p
+    alone, bit for bit.  A degenerate sigma_p^2 raises at the first such p.
     """
+    mus = [two_point_measure(float(p)) for p in p_grid]
+    searched = _search_h_operator(mus, "h", starts, seed, _MAX_ITER) if mus else []
     rows = []
-    for p in p_grid:
-        mu = two_point_measure(float(p))
-        report = lsi_constant_search(mu, operator="h", starts=starts, seed=seed)
-        sigma2 = report.best_ratio
+    for p, mu, (sigma2, _, _) in zip(p_grid, mus, searched):
         if sigma2 <= 1e-12:
             raise DomainError(f"degenerate sigma^2 at p={p}")
         scale = 16.0 * math.e**2 * sigma2

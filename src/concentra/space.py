@@ -552,16 +552,18 @@ def entropy_functional(mu: Measure, g) -> float:
 
 
 def _entropy(weights: np.ndarray, g: np.ndarray):
-    """Ent(g) of each row of g >= 0, given the support weights: E g · E[r log r - r + 1]
-    with r = g / E g.
+    """Ent(g) of each row of g >= 0, given the support weights, one table or one
+    per row: E g · E[r log r - r + 1] with r = g / E g.
 
     Every term is >= 0 and the form is stationary in E g, so it keeps its
     relative accuracy near constant g, where E g log g - E g log E g cancels.
-    g is made C-contiguous, so each row is summed in one order whatever its
-    batch: numpy sums a Fortran-ordered batch column by column, one row pairwise.
+    g and the weights are made C-contiguous, so each row is summed in one order
+    whatever its batch: numpy sums a Fortran-ordered batch column by column, one
+    row pairwise.
     """
     g = np.ascontiguousarray(g, dtype=float)
-    mean = (weights * g).sum(axis=-1) / weights.sum()
+    weights = np.ascontiguousarray(weights, dtype=float)
+    mean = (weights * g).sum(axis=-1) / weights.sum(axis=-1)
     safe = np.where(mean > 0.0, mean, 1.0)
     r = g / np.expand_dims(safe, -1)
     r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0.0)

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,3 +91,35 @@ def test_machine_block_records_the_calibration(bench_pairs):
     calibration = bench_pairs.machine()["calibration"]
     assert set(calibration) == {"python_loop_s", "matmul_256_s"}
     assert all(0.0 < seconds < 10.0 for seconds in calibration.values())
+
+
+def test_each_tree_is_compiled_before_its_first_timed_run(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        calls.append((list(cmd), cwd))
+        if cmd[:2] == ["git", "rev-parse"]:
+            return SimpleNamespace(returncode=0, stdout=cmd[2] + "\n")
+        if cmd[1:2] == ["-c"]:  # the calibration
+            return SimpleNamespace(returncode=0, stdout='{"python_loop_s": 0.1, "matmul_256_s": 0.1}')
+        return SimpleNamespace(returncode=0, stdout='{"metrics": {}}\n')
+
+    work = tmp_path / "work"
+    work.mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({**SPEC, "run_seconds": 1}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", lambda prefix: str(work))
+    assert bench_pairs.main(["--parent", "p0", "--change", "c0", "--label", "t"]) == 0
+
+    def first(pred):
+        return next(i for i, call in enumerate(calls) if pred(*call))
+
+    for side, rev in zip(bench_pairs.SIDES, ("p0", "c0")):
+        tree = work / side
+        exported = first(lambda cmd, cwd: cmd[:2] == ["git", "archive"] and cmd[-1] == rev)
+        compiled = first(lambda cmd, cwd: cwd == tree and cmd[1:] == ["-m", "compileall", "-q", "src", "perfbench"])
+        timed = first(lambda cmd, cwd: cwd == tree and "perfbench/run.py" in cmd)
+        assert exported < compiled < timed
+    assert sum(cmd[1:3] == ["-m", "compileall"] for cmd, _ in calls) == 2

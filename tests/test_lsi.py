@@ -197,10 +197,10 @@ def test_lockstep_nelder_mead_matches_scipy_per_start(mu, operator):
     from scipy import optimize
 
     starts, seed = 8, 7
-    objective = _h_objective(mu, operator)
+    objective = _h_objective(mu, operator, mu.prob_table()[None])
     points = np.random.default_rng(seed).standard_normal((starts, mu.space.size))
     runs = [
-        optimize.minimize(lambda x: float(objective(x[None])[0]), point, method="Nelder-Mead",
+        optimize.minimize(lambda x: float(objective(x[None], np.zeros(1, int))[0]), point, method="Nelder-Mead",
                           options={"maxiter": 500, "xatol": 1e-10, "fatol": 1e-12})
         for point in points
     ]
@@ -226,10 +226,57 @@ def test_one_start_or_table_per_batch_gives_the_same_result(monkeypatch, run, re
 @pytest.mark.parametrize("operator", ["h", "h_plus"])
 def test_h_objective_row_does_not_depend_on_its_batch(operator):
     mu = bernoulli_product(3, 0.2)
-    objective = _h_objective(mu, operator)
+    objective = _h_objective(mu, operator, mu.prob_table()[None])
     x = np.random.default_rng(0).standard_normal((12, mu.space.size))
-    rows = np.concatenate([objective(row[None]) for row in x])
-    assert np.array_equal(rows, objective(x))
+    rows = np.concatenate([objective(row[None], np.zeros(1, int)) for row in x])
+    assert np.array_equal(rows, objective(x, np.zeros(len(x), int)))
+
+
+# c10's grid, p = 1/2, and p = 1e-6, where the psi2 statistic overflows
+FAMILY_GRID = [1e-1, 1e-2, 1e-3, 1e-4, 0.5, 1e-6]
+
+
+@pytest.mark.parametrize("operator", ["h", "h_plus"])
+def test_family_search_gives_each_measure_its_search_alone(operator):
+    mus = [two_point_measure(p) for p in FAMILY_GRID]
+    family = lsi._search_h_operator(mus, operator, 24, 110, lsi._MAX_ITER)
+    for mu, (ratio, witness, evaluations) in zip(mus, family):
+        alone = lsi_constant_search(mu, operator, starts=24, seed=110)
+        assert ratio == alone.best_ratio
+        assert np.array_equal(witness, alone.witness)
+        assert evaluations == alone.iterations
+
+
+def test_psi2_study_sigma2_is_the_search_on_each_p_alone():
+    rows = psi2_blowup_study(FAMILY_GRID, starts=24, seed=110)
+    for p, row in zip(FAMILY_GRID, rows):
+        assert row.sigma2 == lsi_constant_search(two_point_measure(p), "h", starts=24, seed=110).best_ratio
+
+
+def test_per_row_weights_give_each_row_its_measures_ratio():
+    mus = [bernoulli_product(3, q) for q in (0.2, 0.5, 0.01)]
+    x = np.random.default_rng(1).standard_normal((6, 8))
+    owner = np.array([0, 1, 2, 2, 1, 0])
+    weights = np.array([mus[j].prob_table() for j in owner])
+    for operator in ("h", "h_plus"):
+        mixed = lsi._ratios(mus[0], x, operator, weights)
+        for row, j in enumerate(owner):
+            assert mixed[row] == lsi._ratios(mus[j], x[row:row + 1], operator)[0]
+
+
+@pytest.mark.parametrize("mus", [
+    [two_point_measure(0.3), bernoulli_product(2, 0.2)],
+    [ExactMeasure(binary(2), np.full(4, 0.25)), ExactMeasure(binary(2), np.array([0.5, 0.5, 0.0, 0.0]))],
+], ids=["spaces", "supports"])
+def test_family_search_needs_one_space_and_one_support(mus):
+    with pytest.raises(DomainError, match="one space and one support"):
+        lsi._search_h_operator(mus, "h", 4, 0, lsi._MAX_ITER)
+
+
+def test_psi2_study_raises_at_the_first_degenerate_p():
+    # sigma^2 of the two-point measure is about p log(1/p) / 2: below 1e-12 at both
+    with pytest.raises(DomainError, match=r"degenerate sigma\^2 at p=1e-300$"):
+        psi2_blowup_study([0.25, 1e-300, 1e-305], starts=4, seed=0)
 
 
 # sigma^2 of the corpus's {"search": ...} entries as scipy's per-start

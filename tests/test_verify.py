@@ -9,6 +9,7 @@ from concentra.bounds import MomentProfile, TailBound, independent, dlsi, moment
 from concentra.diffops import norm_profile
 from concentra.errors import DomainError
 from concentra.funcs import MultilinearPoly, QuadraticForm, SupFamily, Tabulated, UStatistic
+from concentra import verify
 from concentra.space import rademacher
 from concentra.verify import (
     KAPPA,
@@ -330,6 +331,65 @@ class TestRecursionLemma:
             f = Tabulated(rng.uniform(-1.0, 1.0, size=16))
             report = check_recursion_lemma(mu, f, 3, slack=1e-6)
             assert report.passed
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (5, 2), (4, 3), (5, 3)])
+    def test_batch_margins_match_each_table_alone(self, n, d):
+        mu = rademacher(n)
+        tables = np.random.default_rng(10 * n + d).uniform(-1.0, 1.0, size=(6, mu.space.size))
+        batch = verify._recursion_margins(tables, mu, d)
+        alone = np.array([check_recursion_lemma(mu, Tabulated(t), d).worst_margin for t in tables])
+        if d == 2:
+            # orders <= 2 are exact: a table's margin does not depend on its batch
+            assert np.array_equal(batch, alone)
+        else:
+            # the ALS starts of the right side depend on the batch
+            assert batch == pytest.approx(alone, rel=1e-9)
+
+    @staticmethod
+    def per_trial_detail(seed):
+        """The suite's recursion check as a loop of one check_recursion_lemma per trial."""
+        rng = np.random.default_rng(seed)
+        worst, runs = -math.inf, 0
+        for trial in range(40):
+            n = int(rng.integers(3, 6))
+            d = 2 if trial % 2 == 0 else 3
+            if d == 3 and n < 4:
+                n = 4
+            mu = rademacher(n)
+            f = Tabulated(rng.uniform(-1.0, 1.0, size=mu.space.size))
+            report = check_recursion_lemma(mu, f, d, slack=verify._RECURSION_SLACK[d])
+            worst = max(worst, report.worst_margin)
+            runs += 1
+            if not report.passed:
+                return False, worst, runs
+        return True, worst, runs
+
+    @pytest.mark.parametrize("seed", [7919, 12345])
+    def test_suite_detail_matches_the_per_trial_loop(self, seed):
+        check = verify._suite_recursion(seed)
+        passed, worst, runs = self.per_trial_detail(seed)
+        assert (check.passed, check.detail["runs"]) == (passed, runs) == (True, 40)
+        assert check.detail["worst_margin"] == pytest.approx(worst, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [7919, 12345])
+    def test_a_failing_trial_ends_the_suite_detail(self, monkeypatch, seed):
+        # force a d = 3 trial in the middle to fail: a slack between two of
+        # the d = 3 margins, far from both
+        rng = np.random.default_rng(seed)
+        margins = []
+        for trial in range(40):
+            n = max(int(rng.integers(3, 6)), 4 if trial % 2 else 3)
+            table = rng.uniform(-1.0, 1.0, size=2**n)
+            if trial % 2:
+                margins.append(check_recursion_lemma(rademacher(n), Tabulated(table), 3).worst_margin)
+        low, high = sorted(margins)[len(margins) // 2 - 1:len(margins) // 2 + 1]
+        assert high - low > 1e-6
+        monkeypatch.setitem(verify._RECURSION_SLACK, 3, (low + high) / 2)
+        check = verify._suite_recursion(seed)
+        passed, worst, runs = self.per_trial_detail(seed)
+        assert not check.passed and not passed
+        assert check.detail["runs"] == runs < 40
+        assert check.detail["worst_margin"] == pytest.approx(worst, rel=1e-12)
 
 
 class TestSupLemma:

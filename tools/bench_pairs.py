@@ -2,7 +2,10 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --label NAME
 
-Both revisions are exported with `git archive` into a temporary directory.
+Both revisions are exported with `git archive` into a temporary directory,
+and each tree is byte-compiled (`python -m compileall -q src perfbench`, run
+inside it) before its first timed run, so that neither side's `setup_s`
+includes compiling the sources.
 It runs PAIRS pairs, and pair p uses seed FIRST_SEED + p on both sides.  For
 each workload of BENCHMARK.json it runs `perfbench/run.py --trace 0` for the
 run length that BENCHMARK.json fixes, once per side, with the parent first in
@@ -45,6 +48,11 @@ def export(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", "--prefix", f"{dest.name}/", sha], cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest.parent)], input=archive.stdout, check=True)
     return sha
+
+
+def compile_tree(tree: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True,
+                   capture_output=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -175,7 +183,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    shas = {side: export(rev, work / side) for side, rev in zip(SIDES, (args.parent, args.change))}
+    shas = {}
+    for side, rev in zip(SIDES, (args.parent, args.change)):
+        shas[side] = export(rev, work / side)
+        compile_tree(work / side)
     host = machine()
     log = work / "runs.jsonl"
     print(f"runs go to {log}", flush=True)
