@@ -254,8 +254,11 @@ def test_psi2_study_sigma2_is_the_search_on_each_p_alone():
 
 
 def test_per_row_weights_give_each_row_its_measures_ratio():
-    mus = [bernoulli_product(3, q) for q in (0.2, 0.5, 0.01)]
-    x = np.random.default_rng(1).standard_normal((6, 8))
+    # 16 configurations: past 8 entries numpy sums a C-ordered row in
+    # unrolled blocks but a Fortran-ordered batch column by column, so the
+    # weights' layout shows in the last bits
+    mus = [bernoulli_product(4, q) for q in (0.2, 0.5, 0.01)]
+    x = np.random.default_rng(1).standard_normal((6, 16))
     owner = np.array([0, 1, 2, 2, 1, 0])
     weights = np.array([mus[j].prob_table() for j in owner])
     for operator in ("h", "h_plus"):

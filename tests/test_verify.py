@@ -373,8 +373,8 @@ class TestRecursionLemma:
 
     @pytest.mark.parametrize("seed", [7919, 12345])
     def test_a_failing_trial_ends_the_suite_detail(self, monkeypatch, seed):
-        # force a d = 3 trial in the middle to fail: a slack between two of
-        # the d = 3 margins, far from both
+        # force one d = 3 trial to fail, the one of largest margin: a slack
+        # between the two largest d = 3 margins, far from both
         rng = np.random.default_rng(seed)
         margins = []
         for trial in range(40):
@@ -382,13 +382,13 @@ class TestRecursionLemma:
             table = rng.uniform(-1.0, 1.0, size=2**n)
             if trial % 2:
                 margins.append(check_recursion_lemma(rademacher(n), Tabulated(table), 3).worst_margin)
-        low, high = sorted(margins)[len(margins) // 2 - 1:len(margins) // 2 + 1]
+        low, high = sorted(margins)[-2:]
         assert high - low > 1e-6
         monkeypatch.setitem(verify._RECURSION_SLACK, 3, (low + high) / 2)
         check = verify._suite_recursion(seed)
         passed, worst, runs = self.per_trial_detail(seed)
         assert not check.passed and not passed
-        assert check.detail["runs"] == runs < 40
+        assert check.detail["runs"] == runs == 2 * margins.index(high) + 2
         assert check.detail["worst_margin"] == pytest.approx(worst, rel=1e-12)
 
 
