@@ -120,7 +120,8 @@ class Inputs:
 
 
 def _lsi_sigma2(mu: Measure, starts: int, seed: int) -> float:
-    best = lsi_constant_search(mu, "d", starts, seed).best_ratio
+    # Only the searched ratio is published, so the bracket's eigensolve is skipped.
+    best = lsi_constant_search(mu, "d", starts, seed, bracket=False).best_ratio
     if best <= 0.0:
         raise DomainError("the ratio search found no usable constant")
     return best

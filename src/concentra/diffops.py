@@ -134,7 +134,8 @@ def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarra
 def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Each order-k index combination with its difference-tensor entry at every
     section, an array of space.shape without the combination's axes, yielded
-    one at a time.
+    one at a time; a batch of tables, shape (..., size), gives entries of
+    shape (...) + space.shape, the combination's axes still dropped.
 
     An entry depends on the configuration only through the coordinates outside
     its index set, so each is computed once per section.
@@ -142,7 +143,9 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     if k < 1:
         raise DomainError("tensor order must be >= 1")
     space = mu.space
-    F = np.asarray(f_table, dtype=float).reshape(space.shape)
+    table = np.asarray(f_table, dtype=float)
+    lead = len(table.shape) - 1
+    F = table.reshape(table.shape[:-1] + space.shape)
     supports = _support_index_sets(mu)
     combos = list(combinations(range(space.n), k))
     for combo in combos:
@@ -151,8 +154,8 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     def entry(combo: tuple[int, ...]) -> np.ndarray:
         sub = F
         for i in combo:
-            sub = _on_support(sub, supports[i], i)
-        return _combo_entries(sub, combo)
+            sub = _on_support(sub, supports[i], lead + i)
+        return _combo_entries(sub, [lead + i for i in combo])
 
     return ((combo, entry(combo)) for combo in combos)
 
@@ -160,17 +163,20 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
 def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
     """Order-k difference tensors at every configuration, shape (size,) + (n,)*k:
     each section entry broadcast back over the configuration axis and written
-    at every permutation of its combination."""
+    at every permutation of its combination.  A batch of tables, shape
+    (T, size), gives (T, size) + (n,)*k, each table's field as it gets alone."""
     space = mu.space
+    lead = np.shape(f_table)[:-1]
     entries = _section_entries(f_table, mu, k)
-    out = np.zeros((space.size,) + (space.n,) * k)
+    out = np.zeros(lead + (space.size,) + (space.n,) * k)
+    configurations = (slice(None),) * (len(lead) + 1)
     for combo, entry in entries:
         expanded = entry
         for i in combo:
-            expanded = np.expand_dims(expanded, i)
-        expanded = np.broadcast_to(expanded, space.shape).reshape(-1)
+            expanded = np.expand_dims(expanded, len(lead) + i)
+        expanded = np.broadcast_to(expanded, lead + space.shape).reshape(lead + (space.size,))
         for perm in permutations(combo):
-            out[(slice(None),) + perm] = expanded
+            out[configurations + perm] = expanded
     return out
 
 

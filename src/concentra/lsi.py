@@ -205,18 +205,20 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 40
 
 
-def _lbfgs(objective, x: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+def _lbfgs(objective, x: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimise `objective` from every row of `x` in lockstep.
 
     `objective` maps a (rows, dim) batch to values and gradients.  Each start
     stops on its own when its largest gradient entry is <= _PGTOL, when an
     iteration cuts its value by <= _FTOL relative, when its line search finds
-    no Armijo step, or after `max_iter` iterations.  Returns the final rows and
-    the number of rows evaluated.
+    no Armijo step, or after `max_iter` iterations.  Every test and reduction
+    is taken per row, so a start's path does not depend on the others when
+    the objective's rows do not.  Returns the final rows and the number of
+    rows each start evaluated.
     """
     out = x.copy()
     value, grad = objective(x)
-    evaluations = len(x)
+    evaluations = np.ones(len(x), dtype=int)
     live = np.flatnonzero(np.abs(grad).max(axis=1) > _PGTOL)
     x, value, grad = x[live], value[live], grad[live]
     # Ring buffers of the last pairs, one (live, dim) array per slot; an empty
@@ -246,7 +248,7 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
                 break
             trial = x[pending] + step[pending, None] * direction[pending]
             trial_value, trial_grad = objective(trial)
-            evaluations += len(pending)
+            evaluations[live[pending]] += 1
             ok = trial_value <= value[pending] + _ARMIJO * step[pending] * slope[pending]
             took = pending[ok]
             new_x[took], new_value[took], new_grad[took] = trial[ok], trial_value[ok], trial_grad[ok]
@@ -276,37 +278,69 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     return out, evaluations
 
 
-def _d_parts(x: np.ndarray, L: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E |d f|^2, L f and Ent(f^2) of each row of `x`, a batch of tables on the support.
+def _padded_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the symmetric `L`, row by row: (index, values), with
+    values of shape (k, N), k the most nonzeros in a row of the N x N matrix.
+    Slot j of row i holds the row's j-th nonzero in column order, its column
+    at index[j * N + i]; slots past a row's count hold 0 at column 0."""
+    rows, cols = np.nonzero(L)
+    counts = np.bincount(rows, minlength=len(L))
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((int(counts.max()), len(L)), dtype=np.intp)
+    values = np.zeros(index.shape)
+    index[slot, rows] = cols
+    values[slot, rows] = L[rows, cols]
+    return index.ravel(), values
+
+
+def _form_product(form: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """x L of each row of `x`, for L in `_padded_rows` form: every entry is the
+    sum, in slot order, of its row's nonzeros times the gathered entries of
+    x, so a row's product does not depend on its batch."""
+    index, values = form
+    terms = np.take(x, index, axis=1).reshape((len(x),) + values.shape)
+    terms *= values
+    return terms.sum(axis=1)
+
+
+def _d_parts(x: np.ndarray, form: tuple[np.ndarray, np.ndarray],
+             ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E |d f|^2, L f, Ent(f^2) and log(f^2 / E f^2) (0 where f = 0) of each row
+    of `x`, a batch of tables on the support, with L in `_padded_rows` form.
 
     L 1 = 0, so L f = L c for the centred rows c; using c keeps the energy free
     of cancellation near constants.
     """
     centred = x - (x * ws).sum(axis=1, keepdims=True)
-    lf = centred @ L
-    return (centred * lf).sum(axis=1), lf, _entropy(ws, x**2)
+    lf = _form_product(form, centred)
+    return ((centred * lf).sum(axis=1), lf, *_entropy(ws, x**2, log_ratio=True))
 
 
-def _search_d_operator(
-    mu: Measure, starts: int, seed: int, max_iter: int
-) -> tuple[float, np.ndarray | None, int, tuple[float, float] | None]:
-    support, ws, L = _support_form(mu)
-    rng = np.random.default_rng(seed)
-    dim = support.size
+def _d_objective(form: tuple[np.ndarray, np.ndarray], ws: np.ndarray):
+    """The batch objective of the d search on the support form `form`
+    (`_padded_rows`) with probabilities `ws`."""
 
     def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log E|d f|^2 - log Ent(f^2) and its gradient; 1e6 with a zero gradient
         where either vanishes."""
-        energy, lf, ent = _d_parts(x, L, ws)
-        sq = x**2
-        mean = (ws * sq).sum(axis=1, keepdims=True) / ws.sum()
-        log_r = np.log(sq / mean, out=np.zeros_like(sq), where=sq > 0.0)
+        energy, lf, ent, log_r = _d_parts(x, form, ws)
         ok = (energy > _TINY) & (ent > _TINY)
         energy, ent = np.where(ok, energy, 1.0), np.where(ok, ent, 1.0)
         value = np.where(ok, np.log(energy) - np.log(ent), 1e6)
         grad = 2.0 * lf / energy[:, None] - 2.0 * ws * x * log_r / ent[:, None]
         return value, np.where(ok[:, None], grad, 0.0)
 
+    return objective
+
+
+def _search_d_operator(
+    mu: Measure, starts: int, seed: int, max_iter: int, bracket: bool
+) -> tuple[float, np.ndarray | None, int, tuple[float, float] | None]:
+    support, ws, L = _support_form(mu)
+    form = _padded_rows(L)
+    objective = _d_objective(form, ws)
+    rng = np.random.default_rng(seed)
+    dim = support.size
     points = rng.standard_normal((starts, dim))
     # Indicator-like starts probe the small-mass corners driving the entropy.
     corners = np.argsort(ws)[: max(1, starts // 4)]
@@ -314,10 +348,13 @@ def _search_d_operator(
     indicators[np.arange(corners.size), corners] = 1.0
     points = np.vstack([points, indicators])
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, 8 * dim * (2 * _LBFGS_MEMORY + 8))]
+    # A start holds its L-BFGS pairs, a few work rows and the product's k terms.
+    row_bytes = 8 * dim * (2 * _LBFGS_MEMORY + 8 + len(form[1]))
+    runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, row_bytes)]
     witnesses = np.zeros((sum(len(r[0]) for r in runs), mu.space.size))
     witnesses[:, support] = np.vstack([r[0] for r in runs])
-    return *_best(mu, witnesses, "d", sum(r[1] for r in runs)), _bracket(ws, L, mu.space.n)
+    evaluations = int(sum(r[1].sum() for r in runs))
+    return *_best(mu, witnesses, "d", evaluations), _bracket(ws, L, mu.space.n) if bracket else None
 
 
 # Lockstep Nelder-Mead: scipy's non-adaptive coefficients and initial simplex.
@@ -455,6 +492,8 @@ def lsi_constant_search(
     starts: int = 32,
     seed: int = 0,
     max_iter: int = _MAX_ITER,
+    *,
+    bracket: bool = True,
 ) -> LsiReport:
     """Multi-start ascent of the defining ratio over function tables.
 
@@ -466,7 +505,8 @@ def lsi_constant_search(
     the normalized ratio from `starts` random tables.  The ratio is
     scale-invariant, so candidates are normalized; the report is a lower
     bound on the optimal constant.  A d report also carries the spectral
-    bracket, taken from the support form the search builds.
+    bracket, taken from the support form the search builds; `bracket=False`
+    skips its eigensolve and leaves the report's bracket fields None.
     """
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
@@ -474,12 +514,12 @@ def lsi_constant_search(
     w = mu.prob_table()
     if int(np.count_nonzero(w > 0.0)) <= 1:
         return LsiReport(operator, 0.0, None, starts, 0, seed, None, None)
-    bracket = None
+    ends = None
     if operator == "d":
-        ratio, witness, iters, bracket = _search_d_operator(mu, starts, seed, max_iter)
+        ratio, witness, iters, ends = _search_d_operator(mu, starts, seed, max_iter, bracket)
     else:
         ratio, witness, iters = _search_h_operator([mu], operator, starts, seed, max_iter)[0]
-    return LsiReport(operator, ratio, witness, starts, iters, seed, *(bracket or (None, None)))
+    return LsiReport(operator, ratio, witness, starts, iters, seed, *(ends or (None, None)))
 
 
 def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:

@@ -551,9 +551,11 @@ def entropy_functional(mu: Measure, g) -> float:
     return float(_entropy(w[support], vals))
 
 
-def _entropy(weights: np.ndarray, g: np.ndarray):
+def _entropy(weights: np.ndarray, g: np.ndarray, log_ratio: bool = False):
     """Ent(g) of each row of g >= 0, given the support weights, one table or one
-    per row: E g · E[r log r - r + 1] with r = g / E g.
+    per row: E g · E[r log r - r + 1] with r = g / E g.  With `log_ratio`, the
+    pair (Ent(g), log r), log r taken as 0 where r = 0: the gradient of Ent in
+    g is weights · log r / sum(weights), so a search gets both from one pass.
 
     Every term is >= 0 and the form is stationary in E g, so it keeps its
     relative accuracy near constant g, where E g log g - E g log E g cancels.
@@ -566,8 +568,9 @@ def _entropy(weights: np.ndarray, g: np.ndarray):
     mean = (weights * g).sum(axis=-1) / weights.sum(axis=-1)
     safe = np.where(mean > 0.0, mean, 1.0)
     r = g / np.expand_dims(safe, -1)
-    r_log_r = r * np.log(r, out=np.zeros_like(r), where=r > 0.0)
-    return mean * (weights * (r_log_r - (r - 1.0))).sum(axis=-1)
+    log_r = np.log(r, out=np.zeros_like(r), where=r > 0.0)
+    ent = mean * (weights * (r * log_r - (r - 1.0))).sum(axis=-1)
+    return (ent, log_r) if log_ratio else ent
 
 
 def lp_norm(mu: Measure, f, p: float, centered: bool = True) -> float:

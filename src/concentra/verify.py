@@ -315,13 +315,13 @@ class PointwiseReport(Record):
 
 def _op_norm_field(tables: np.ndarray, mu: Measure, k: int) -> np.ndarray:
     """Per-configuration operator norms of the order-k difference tensors of
-    each table of `tables` (T, size), shape (T, size): one `op_norm_batch`
-    call on the tables' fields, concatenated."""
+    each table of `tables` (T, size), shape (T, size): one `h_tensor_field`
+    call on the batch and one `op_norm_batch` call on its fields."""
     # Per configuration, never a constant level's upper end (`_level_norms`):
     # the recursion lemma is checked pointwise, and an upper end on its right
     # side could hide a configuration where it fails.
-    fields = np.concatenate([h_tensor_field(table, mu, k) for table in tables])
-    return op_norm_batch(fields).reshape(len(tables), -1)
+    fields = h_tensor_field(tables, mu, k)
+    return op_norm_batch(fields.reshape((-1,) + fields.shape[2:])).reshape(len(tables), -1)
 
 
 def _recursion_margins(tables: np.ndarray, mu: Measure, d: int) -> np.ndarray:

@@ -533,6 +533,32 @@ def test_lsi_command_loads_no_scipy(tmp_path, operator):
     assert out.stdout.strip().splitlines()[-1] == f"{EXIT_OK} []"
 
 
+def test_benchmark_setup_and_d_search_load_no_scipy_sparse(tmp_path):
+    # The benchmark's setup_s times `import concentra.cli` plus building each
+    # workload's models, and suite-lsi's peak_rss_mib a whole pass; the
+    # d-search's sparse product is plain numpy, so neither loads scipy.sparse.
+    import subprocess
+    import sys
+
+    import concentra
+
+    root = Path(concentra.__file__).parent.parent.parent
+    code = (
+        "import sys, json, tempfile; sys.path.insert(0, 'perfbench'); import workloads; "
+        "from concentra.cli import build_model, main; "
+        "[build_model(doc) for make in workloads.WORKLOADS.values() for doc in make(0, tiny=True).model_docs()]; "
+        "print('scipy.sparse' in sys.modules); "
+        "lsi = workloads.suite_lsi(0, tiny=True).commands[-1]; "
+        f"cfg = {str(tmp_path / 'l.json')!r}; open(cfg, 'w').write(json.dumps(lsi.config)); "
+        f"rc = main(lsi.argv(cfg, {str(tmp_path / 'out')!r})); "
+        "print(rc, lsi.config['operator'], 'scipy.sparse' in sys.modules)"
+    )
+    env = {"PYTHONPATH": str(root / "src"), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("False", f"{EXIT_OK} d False")
+
+
 def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
     point_mass = {"kind": "measure", "document": _MEASURE1 | {"measure": {"kind": "exact", "table": [1.0, 0.0]}}}
     doc = _tail(model=point_mass, function={"kind": "table", "values": [0.0, 1.0]},
@@ -564,6 +590,24 @@ def test_sigma2_spectral_is_the_upper_end_of_the_bracket(tmp_path):
     cfg = write_config(tmp_path, "c.json", doc)
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert build_bound(Inputs(doc)).regime.sigma2 == spectral_bracket(bernoulli_product(2, 0.3))[1]
+
+
+def test_bracket_is_computed_only_where_it_is_published(tmp_path, monkeypatch):
+    # a searched sigma^2 publishes the best ratio alone; `lsi --operator d`
+    # reports the bracket
+    from concentra import lsi
+
+    calls = []
+    original = lsi._bracket
+    monkeypatch.setattr(lsi, "_bracket", lambda *a: calls.append(1) or original(*a))
+    model = {"kind": "bernoulli", "n": 2, "p": 0.3}
+    doc = _bound(dict(_GENERAL_D1, regime=_dlsi({"search": {"starts": 4, "seed": 0}})), model=model)
+    assert main(["bound", "--config", write_config(tmp_path, "b.json", doc), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert calls == []
+    cfg = write_config(tmp_path, "l.json", {"model": model, "operator": "d", "starts": 4})
+    assert main(["lsi", "--config", cfg, "--out", str(tmp_path / "l")]) == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "l" / "lsi_report.json").read_text())["sigma2_upper"] is not None
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -680,6 +680,18 @@ class TestUnorderedPairs:
                 assert np.array_equal(h_tensor_field(table, mu, k), old_h_tensor_field(table, mu, k))
 
     @pytest.mark.parametrize("case", list(KERNEL_SHAPES))
+    def test_field_of_a_batch_is_each_tables_field(self, case):
+        rng = np.random.default_rng(52)
+        shape = KERNEL_SHAPES[case]
+        mu = _random_product(shape, rng, (1, 0) if case == "mixed-zero-letter" else None)
+        tables = rng.standard_normal((3, mu.space.size))
+        for k in (1, 2, 3):
+            batch = h_tensor_field(tables, mu, k)
+            assert batch.shape == (3, mu.space.size) + (mu.space.n,) * k
+            assert np.array_equal(batch, np.stack([old_h_tensor_field(t, mu, k) for t in tables]))
+            assert np.array_equal(h_tensor_field(tables[:1], mu, k)[0], h_tensor_field(tables[0], mu, k))
+
+    @pytest.mark.parametrize("case", list(KERNEL_SHAPES))
     def test_pointwise_tensors_match_the_ordered_grid(self, case):
         from concentra.diffops import _h_tensors
 

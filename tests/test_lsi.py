@@ -20,6 +20,7 @@ from concentra.lsi import (
 )
 from concentra.models import IsingSpec, build_coloring, build_ising
 from concentra.space import (
+    _entropy,
     ExactMeasure,
     ProductSpace,
     bernoulli_product,
@@ -210,8 +211,7 @@ def test_lockstep_nelder_mead_matches_scipy_per_start(mu, operator):
 
 
 @pytest.mark.parametrize("run, rel", [
-    # the d objective's BLAS product `centred @ L` rounds a row by its batch
-    (lambda: lsi_constant_search(bernoulli_product(2, 0.2), "d", starts=6, seed=3).best_ratio, 1e-9),
+    (lambda: lsi_constant_search(bernoulli_product(2, 0.2), "d", starts=6, seed=3).best_ratio, 0.0),
     (lambda: lsi_constant_search(bernoulli_product(2, 0.2), "h", starts=6, seed=3).best_ratio, 0.0),
     (lambda: verify_h_lsi_product(rademacher(3), trials=50, seed=4), 0.0),
 ], ids=["d-search", "h-search", "h-lsi-product"])
@@ -406,6 +406,54 @@ class TestSpectralBracket:
         report = lsi_constant_search(mu, operator, starts=4, seed=0)
         assert report.inverse_gap is None and report.sigma2_upper is None
         assert report.to_json()["inverse_gap"] is None
+
+
+# A partial support whose rows of the form hold different numbers of nonzeros.
+PARTIAL_SUPPORT = ExactMeasure(binary(3), np.array([0.2, 0.1, 0.0, 0.15, 0.05, 0.2, 0.0, 0.3]))
+
+
+class TestSparseDStep:
+    @pytest.mark.parametrize("name", sorted(BRACKET_MODELS) + ["partial-support"])
+    def test_padded_product_is_the_dense_product(self, name):
+        mu = BRACKET_MODELS.get(name, PARTIAL_SUPPORT)
+        _, ws, L = lsi._support_form(mu)
+        x = np.random.default_rng(3).standard_normal((7, ws.size))
+        dense = x @ L
+        sparse = lsi._form_product(lsi._padded_rows(L), x)
+        assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
+        # row by row, as a search of one start takes it
+        assert np.array_equal(np.vstack([lsi._form_product(lsi._padded_rows(L), row[None]) for row in x]), sparse)
+
+    def test_padded_rows_hold_each_rows_nonzeros_in_column_order(self):
+        L = np.array([[2.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 3.0]])
+        index, values = lsi._padded_rows(L)
+        assert index.reshape(values.shape).tolist() == [[0, 1, 0], [2, 0, 2]]
+        assert values.tolist() == [[2.0, 1.0, -1.0], [-1.0, 0.0, 3.0]]
+
+    @pytest.mark.parametrize("mu", [BRACKET_MODELS["ising3"], PARTIAL_SUPPORT], ids=["ising3", "partial-support"])
+    def test_entropy_and_its_log_ratio_come_from_one_pass(self, mu):
+        _, ws, L = lsi._support_form(mu)
+        x = np.random.default_rng(4).standard_normal((5, ws.size))
+        x[0, 1] = 0.0  # log r is 0 where f is
+        _, _, ent, log_r = lsi._d_parts(x, lsi._padded_rows(L), ws)
+        assert np.array_equal(ent, _entropy(ws, x**2))
+        sq = x**2
+        expected = np.log(sq / ((ws * sq).sum(axis=1, keepdims=True) / ws.sum()), out=np.zeros_like(sq), where=sq > 0.0)
+        assert np.array_equal(log_r, expected)
+
+    @pytest.mark.parametrize("mu", [BRACKET_MODELS["ising4-strong"], PARTIAL_SUPPORT],
+                             ids=["ising4-strong", "partial-support"])
+    def test_each_start_ends_where_it_ends_searched_alone(self, mu):
+        _, ws, L = lsi._support_form(mu)
+        objective = lsi._d_objective(lsi._padded_rows(L), ws)
+        points = np.random.default_rng(8).standard_normal((9, ws.size))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        out, evaluations = lsi._lbfgs(objective, points, lsi._MAX_ITER)
+        assert len(set(evaluations.tolist())) > 1  # the starts stop at different steps
+        for row, point in enumerate(points):
+            alone, alone_evaluations = lsi._lbfgs(objective, point[None], lsi._MAX_ITER)
+            assert np.array_equal(alone[0], out[row])
+            assert alone_evaluations[0] == evaluations[row]
 
 
 class TestProductHLsi:
