@@ -144,8 +144,8 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
         raise DomainError("tensor order must be >= 1")
     space = mu.space
     table = np.asarray(f_table, dtype=float)
-    lead = len(table.shape) - 1
-    F = table.reshape(table.shape[:-1] + space.shape)
+    lead = table.shape[:-1]
+    F = table.reshape(lead + space.shape)
     supports = _support_index_sets(mu)
     combos = list(combinations(range(space.n), k))
     for combo in combos:
@@ -154,8 +154,8 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     def entry(combo: tuple[int, ...]) -> np.ndarray:
         sub = F
         for i in combo:
-            sub = _on_support(sub, supports[i], lead + i)
-        return _combo_entries(sub, [lead + i for i in combo])
+            sub = _on_support(sub, supports[i], len(lead) + i)
+        return _combo_entries(sub, [len(lead) + i for i in combo])
 
     return ((combo, entry(combo)) for combo in combos)
 

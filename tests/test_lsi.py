@@ -424,12 +424,6 @@ class TestSparseDStep:
         # row by row, as a search of one start takes it
         assert np.array_equal(np.vstack([lsi._form_product(lsi._padded_rows(L), row[None]) for row in x]), sparse)
 
-    def test_padded_rows_hold_each_rows_nonzeros_in_column_order(self):
-        L = np.array([[2.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 3.0]])
-        index, values = lsi._padded_rows(L)
-        assert index.reshape(values.shape).tolist() == [[0, 1, 0], [2, 0, 2]]
-        assert values.tolist() == [[2.0, 1.0, -1.0], [-1.0, 0.0, 3.0]]
-
     @pytest.mark.parametrize("mu", [BRACKET_MODELS["ising3"], PARTIAL_SUPPORT], ids=["ising3", "partial-support"])
     def test_entropy_and_its_log_ratio_come_from_one_pass(self, mu):
         _, ws, L = lsi._support_form(mu)
