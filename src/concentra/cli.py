@@ -390,9 +390,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call, never at import."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(_load_config(args.config) if "config" in args else None, args)
     except SchemaError as exc:

@@ -89,15 +89,21 @@ def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.expand_dims(diff, axis + 1)
 
 
+def _doubled_max(diffs: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Max of |diffs| over the doubled axes of the sorted `axes`, every one
+    of them pair-differenced; the other axes are kept."""
+    # After doubling, the j-th index axis occupies positions axis + j and axis + j + 1.
+    doubled = tuple(p for j, axis in enumerate(axes) for p in (axis + j, axis + j + 1))
+    return np.abs(diffs).max(axis=doubled)
+
+
 def _combo_entries(section: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Max over all (original, prime) assignments along `axes` of the
     alternating-sign expansion prod_s (Id - T_s) f; the other axes are kept."""
     axes = sorted(axes)
     for axis in reversed(axes):
         section = _pair_difference(section, axis)
-    # After doubling, the j-th index axis occupies positions axis + j and axis + j + 1.
-    doubled = tuple(p for j, axis in enumerate(axes) for p in (axis + j, axis + j + 1))
-    return np.abs(section).max(axis=doubled)
+    return _doubled_max(section, axes)
 
 
 def _conditional_variance(cond: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -138,7 +144,12 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     shape (...) + space.shape, the combination's axes still dropped.
 
     An entry depends on the configuration only through the coordinates outside
-    its index set, so each is computed once per section.
+    its index set, so each is computed once per section.  The combinations
+    are walked as a tree, largest axis first: a node's pair differences are
+    its parent's, differenced along one smaller axis, which is the order
+    `_combo_entries` takes, so every entry has the same bits, and the work of
+    a shared prefix is done once.  One array is held per depth; the
+    combinations come in colexicographic order.
     """
     if k < 1:
         raise DomainError("tensor order must be >= 1")
@@ -147,17 +158,20 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     lead = table.shape[:-1]
     F = table.reshape(lead + space.shape)
     supports = _support_index_sets(mu)
-    combos = list(combinations(range(space.n), k))
-    for combo in combos:
+    for combo in combinations(range(space.n), k):
         _tensor_cap_check(mu, combo)
 
-    def entry(combo: tuple[int, ...]) -> np.ndarray:
-        sub = F
-        for i in combo:
-            sub = _on_support(sub, supports[i], len(lead) + i)
-        return _combo_entries(sub, [len(lead) + i for i in combo])
+    def walk(diffs: np.ndarray, taken: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+        if len(taken) == k:
+            combo = taken[::-1]
+            yield combo, _doubled_max(diffs, [len(lead) + i for i in combo])
+            return
+        # the next axis lies below the last one taken and leaves room for the rest
+        for i in range(k - len(taken) - 1, taken[-1] if taken else space.n):
+            axis = len(lead) + i
+            yield from walk(_pair_difference(_on_support(diffs, supports[i], axis), axis), taken + (i,))
 
-    return ((combo, entry(combo)) for combo in combos)
+    return walk(F, ())
 
 
 def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
@@ -180,6 +194,43 @@ def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
     return out
 
 
+def _pairwise_sum(terms: Iterator[np.ndarray], n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The sum of the n `terms`, each broadcast to `shape`, added in the order
+    numpy's pairwise summation takes along a contiguous row of n, so that
+    every element has the bits of np.add.reduce over that row: below 8 one by
+    one, otherwise in 8 partial sums, joined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one.  numpy
+    halves a row only above 128 entries, and a space has at most 64
+    coordinates, one array axis each.  At most 9 arrays of `shape` are alive
+    at once."""
+    if n < 8:
+        total = np.zeros(shape)
+        for _ in range(n):
+            total += next(terms)
+        return total
+    r = [np.broadcast_to(next(terms), shape).copy() for _ in range(8)]
+    for _ in range(8, n - n % 8, 8):
+        for j in range(8):
+            r[j] += next(terms)
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        r[a] += r[b]
+    total = r[0]
+    del r
+    for _ in range(n % 8):
+        total += next(terms)
+    return total
+
+
+def _order_one_norms(f_table: np.ndarray, mu: Measure) -> np.ndarray:
+    """|h^(1) f| at every configuration, shape (size,), with the bits of
+    `op_norm_batch(h_tensor_field(f_table, mu, 1))` and without its (size, n)
+    field: the squared section entries are added coordinate by coordinate in
+    the order np.add.reduce takes along a row of the field."""
+    space = mu.space
+    squares = (np.expand_dims(entry * entry, i) for (i,), entry in _section_entries(f_table, mu, 1))
+    return np.sqrt(_pairwise_sum(squares, space.n, space.shape)).reshape(space.size)
+
+
 def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
                  restarts: int, seed: int) -> float | np.ndarray:
     """Operator norms of the order-k difference tensors at the `support`
@@ -194,8 +245,9 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     within that spread of every configuration's norm.  The spread is first
     held against |hi|_F >= |hi|_op, so a level that fails goes to its field
     without a norm of hi.  The entries are reduced as they are made, so the
-    check holds one entry at a time; a level with real spread builds its
-    field anew.
+    check holds one entry at a time; a level with real spread makes its
+    entries anew, into norms for k = 1 (`_order_one_norms`, no field) and
+    into its field for k >= 2.
     """
     hi = np.zeros((mu.space.n,) * k)
     lo = np.zeros_like(hi)
@@ -208,6 +260,9 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
         top = float(op_norm_batch(hi[None], restarts=restarts, seed=seed)[0])
         if spread <= CONSTANT_LEVEL_TOL * top:
             return top
+    if k == 1:
+        norms = _order_one_norms(f_table, mu)
+        return norms if support.all() else norms[support]
     field = h_tensor_field(f_table, mu, k)  # the public name: perfbench/tracing.py wraps it
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 

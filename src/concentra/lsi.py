@@ -351,8 +351,9 @@ def _search_d_operator(
     # A start holds its L-BFGS pairs, a few work rows and the product's k terms.
     row_bytes = 8 * dim * (2 * _LBFGS_MEMORY + 8 + len(form[1]))
     runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, row_bytes)]
-    witnesses = np.zeros((sum(len(r[0]) for r in runs), mu.space.size))
-    witnesses[:, support] = np.vstack([r[0] for r in runs])
+    ends = np.vstack([r[0] for r in runs])
+    witnesses = np.zeros((len(ends), mu.space.size))
+    witnesses[:, support] = ends / np.linalg.norm(ends, axis=1, keepdims=True)
     evaluations = int(sum(r[1].sum() for r in runs))
     return *_best(mu, witnesses, "d", evaluations), _bracket(ws, L, mu.space.n) if bracket else None
 

@@ -515,6 +515,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_one_parser_per_process_built_on_the_first_command(tmp_path):
+    # The benchmark's setup_s times `import concentra.cli`, so the import builds
+    # no parser; the first `main` call builds the one that later calls reuse.
+    import subprocess
+    import sys
+
+    import concentra
+
+    cfg = write_config(tmp_path, "t.json", _tail())
+    code = (
+        "import concentra.cli as cli; built = []; make = cli.make_parser; "
+        "cli.make_parser = lambda: built.append(1) or make(); "
+        "print(cli._parser.cache_info().currsize); "
+        f"codes = [cli.main(['verify-tail', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) "
+        "for _ in range(3)]; "
+        "print(codes, len(built))"
+    )
+    env = {"PYTHONPATH": str(Path(concentra.__file__).parent.parent), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("0", f"{[EXIT_OK] * 3} 1")
+
+
 @pytest.mark.parametrize("operator", ["d", "h"])
 def test_lsi_command_loads_no_scipy(tmp_path, operator):
     import subprocess

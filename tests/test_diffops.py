@@ -721,6 +721,91 @@ class TestUnorderedPairs:
             assert report.worst_margin == float(old_h_tensor_field(table, mu, k).max()) - limit
 
 
+def per_combination_entries(tables, mu, k):
+    """Every combination's entries from the whole table alone, as
+    `_section_entries` computed them before it shared prefixes."""
+    from itertools import combinations
+
+    from concentra.diffops import _combo_entries
+
+    space = mu.space
+    lead = tables.shape[:-1]
+    F = tables.reshape(lead + space.shape)
+    entries = {}
+    for combo in combinations(range(space.n), k):
+        sub = F
+        for i in combo:
+            sub = np.take(sub, mu.coordinate_support(i), axis=len(lead) + i)
+        entries[combo] = _combo_entries(sub, [len(lead) + i for i in combo])
+    return entries
+
+
+def _partial_exact(rng):
+    """An exact measure whose coordinates 0 and 2 miss a letter, with a few
+    more zero-mass configurations that leave every marginal support alone."""
+    from concentra.space import ExactMeasure
+
+    space = _alphabet_space((3, 2, 3, 2))
+    w = rng.uniform(0.1, 1.0, space.shape)
+    w[1], w[:, :, 0] = 0.0, 0.0
+    w[0, 0, 1, 0] = w[2, 1, 2, 1] = 0.0
+    return ExactMeasure(space, (w / w.sum()).reshape(-1))
+
+
+SHARED_PREFIX_CASES = {
+    "two-letter": lambda rng: _random_product((2,) * 6, rng),
+    "three-letter": lambda rng: _random_product((3,) * 4, rng),
+    "partial-exact": _partial_exact,
+}
+
+
+class TestSharedPrefixes:
+    """The entries walk the combinations as a tree of shared pair differences;
+    each must keep the bits it gets from its whole table alone."""
+
+    @pytest.mark.parametrize("case", list(SHARED_PREFIX_CASES))
+    def test_entries_match_each_combination_alone(self, case):
+        from concentra.diffops import _section_entries
+
+        rng = np.random.default_rng(54)
+        mu = SHARED_PREFIX_CASES[case](rng)
+        for tables in (rng.standard_normal(mu.space.size), rng.standard_normal((3, mu.space.size))):
+            for k in (1, 2, 3):
+                got = list(_section_entries(tables, mu, k))
+                want = per_combination_entries(tables, mu, k)
+                assert sorted(combo for combo, _ in got) == list(want)  # each combination once
+                for combo, entry in got:
+                    assert np.array_equal(entry, want[combo])
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_order_one_norms_are_the_fields_norms(self, n):
+        # Bit for bit numpy's pairwise row sum (sequential below 8 coordinates,
+        # 8 partial sums from 8 on): a numpy that sums otherwise fails here.
+        from concentra.diffops import _order_one_norms
+        from concentra.tensors import op_norm_batch
+
+        rng = np.random.default_rng(55 + n)
+        mu = bernoulli_product(n, 0.3)
+        table = rng.standard_normal(mu.space.size) * np.exp(rng.uniform(-8.0, 8.0, mu.space.size))
+        assert np.array_equal(_order_one_norms(table, mu), op_norm_batch(h_tensor_field(table, mu, 1)))
+
+    @pytest.mark.parametrize("case", ["mixed", "mixed-zero-letter"])
+    def test_varying_level_one_takes_the_fields_norms_on_the_support(self, case):
+        from concentra.diffops import _level_norms
+        from concentra.space import ExactMeasure
+        from concentra.tensors import op_norm_batch
+
+        rng = np.random.default_rng(56)
+        mu = _random_product(KERNEL_SHAPES[case], rng, (1, 0) if case == "mixed-zero-letter" else None)
+        w = mu.prob_table()
+        w[rng.choice(w.size, size=5, replace=False)] = 0.0  # configurations off the support
+        mu = ExactMeasure(mu.space, w / w.sum())
+        support = mu.prob_table() > 0.0
+        table = rng.standard_normal(mu.space.size)
+        want = op_norm_batch(h_tensor_field(table, mu, 1)[support])
+        assert np.array_equal(_level_norms(table, mu, 1, support, 8, 0), want)
+
+
 class TestSizeOneSupports:
     """A coordinate whose support is one letter has no pair to difference:
     every entry on it is 0, as the ordered grid's diagonal gave."""
@@ -826,7 +911,7 @@ class TestConstantLevelsOfAnyOrder:
         mu, f = _cubic_cases()["higher-order-cubic"]
         orders = _count_fields(monkeypatch)
         norm_profile(f, mu, 3)
-        assert orders == [1, 2]  # levels 1 and 2 of a cubic vary with x
+        assert orders == [2]  # level 2 of a cubic varies with x; level 1 takes no field
 
     def test_constant_order_four_level_takes_the_rule(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -837,7 +922,7 @@ class TestConstantLevelsOfAnyOrder:
         assert want.max() > 0.0
         orders = _count_fields(monkeypatch)
         got = norm_profile(quartic, mu, 4).gamma[3]
-        assert orders == [1, 2, 3]
+        assert orders == [2, 3]  # level 1 varies too, but takes no field
         assert got >= want.max() * (1.0 - 1e-13)
 
     @pytest.mark.parametrize("kind", ["quartic", "table"])
@@ -860,8 +945,8 @@ class TestConstantLevelsOfAnyOrder:
         monkeypatch.setattr(diffops, "op_norm_batch", counted)
         orders = _count_fields(monkeypatch)
         assert list(norm_profile(f, mu, 3).gamma) == want
-        assert orders == [1, 2, 3]
-        assert batches == [mu.space.size] * 3  # no norm of hi at any level
+        assert orders == [2, 3]  # level 1 takes its norms without a field or a batch
+        assert batches == [mu.space.size] * 2  # no norm of hi at any level
 
     def test_suprema_profile_of_cubic_members(self, monkeypatch):
         from concentra.funcs import SupFamily
@@ -878,6 +963,6 @@ class TestConstantLevelsOfAnyOrder:
             orders = _count_fields(monkeypatch)
             expected_w, top = suprema_profile(SupFamily(members), mu, d=3)
             monkeypatch.undo()
-            assert orders == [1, 1, 2, 2]  # the members' order-3 levels collapse
+            assert orders == [2, 2]  # the members' order-3 levels collapse; level 1 takes no field
             assert expected_w == [float(np.dot(w, s)) for s in sup_norms[:2]]
             assert top >= float(sup_norms[2].max()) * (1.0 - 1e-13)

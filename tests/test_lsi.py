@@ -155,12 +155,14 @@ class TestConstantSearch:
         assert report.witness is not None
 
     def test_witness_attains_reported_ratio(self):
-        # the report is lsi_ratio of its witness, bit for bit, for every operator
+        # the report is lsi_ratio of its witness, bit for bit, and the witness
+        # a unit vector, for every operator
         mu = bernoulli_product(2, 0.2)
         for operator in lsi.OPERATORS:
             report = lsi_constant_search(mu, operator, starts=16, seed=2)
             assert report.best_ratio > 0.0
             assert lsi_ratio(mu, report.witness, operator) == report.best_ratio
+            assert np.linalg.norm(report.witness) == pytest.approx(1.0, rel=1e-14)
 
     def test_two_point_search_matches_oracle(self):
         for p in (0.1, 0.01):
