@@ -78,15 +78,14 @@ def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
     axis has no pair and keeps its diagonal 0.
     """
     m = arr.shape[axis]
+    head = (slice(None),) * axis
+    doubled = head + (slice(None), None)  # indexing with None adds the axis of length 1
     if m == 1:
-        diff = np.zeros_like(arr)
-    elif m == 2:
-        head = (slice(None),) * axis
-        diff = arr[head + (slice(0, 1),)] - arr[head + (slice(1, 2),)]
-    else:
-        p, q = np.triu_indices(m, 1)
-        diff = np.take(arr, p, axis=axis) - np.take(arr, q, axis=axis)
-    return np.expand_dims(diff, axis + 1)
+        return np.zeros_like(arr)[doubled]
+    if m == 2:
+        return arr[head + (slice(0, 1), None)] - arr[head + (slice(1, 2), None)]
+    p, q = np.triu_indices(m, 1)
+    return (np.take(arr, p, axis=axis) - np.take(arr, q, axis=axis))[doubled]
 
 
 def _doubled_max(diffs: np.ndarray, axes: Sequence[int]) -> np.ndarray:
