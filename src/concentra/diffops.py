@@ -213,11 +213,9 @@ def _pairwise_sum(terms: Iterator[np.ndarray], n: int, shape: tuple[int, ...]) -
             r[j] += next(terms)
     for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
         r[a] += r[b]
-    total = r[0]
-    del r
     for _ in range(n % 8):
-        total += next(terms)
-    return total
+        r[0] += next(terms)
+    return r[0]
 
 
 def _order_one_norms(f_table: np.ndarray, mu: Measure) -> np.ndarray:
