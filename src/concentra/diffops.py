@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, EnumerationTooLargeError
 from .funcs import FunctionSpec, function_table
 from .schema import Record, boolean, choice, floats, integer, reads
-from .space import ENUMERATION_CAP, Measure
+from .space import ENUMERATION_CAP, Measure, ProductSpace
 from .tensors import CONSTANT_LEVEL_TOL, op_norm_batch
 
 H_VARIANTS = ("osc", "plus", "minus")
@@ -218,13 +218,13 @@ def _pairwise_sum(terms: Iterator[np.ndarray], n: int, shape: tuple[int, ...]) -
     return r[0]
 
 
-def _order_one_norms(f_table: np.ndarray, mu: Measure) -> np.ndarray:
-    """|h^(1) f| at every configuration, shape (size,), with the bits of
+def _order_one_norms(entries: Iterator[tuple[tuple[int, ...], np.ndarray]], space: ProductSpace) -> np.ndarray:
+    """|h^(1) f| at every configuration, shape (size,), from the order-1
+    `_section_entries` of f, with the bits of
     `op_norm_batch(h_tensor_field(f_table, mu, 1))` and without its (size, n)
     field: the squared section entries are added coordinate by coordinate in
     the order np.add.reduce takes along a row of the field."""
-    space = mu.space
-    squares = (np.expand_dims(entry * entry, i) for (i,), entry in _section_entries(f_table, mu, 1))
+    squares = (np.expand_dims(entry * entry, i) for (i,), entry in entries)
     return np.sqrt(_pairwise_sum(squares, space.n, space.shape)).reshape(space.size)
 
 
@@ -242,23 +242,31 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     within that spread of every configuration's norm.  The spread is first
     held against |hi|_F >= |hi|_op, so a level that fails goes to its field
     without a norm of hi.  The entries are reduced as they are made, so the
-    check holds one entry at a time; a level with real spread makes its
-    entries anew, into norms for k = 1 (`_order_one_norms`, no field) and
-    into its field for k >= 2.
+    check holds one entry at a time.  At k = 1 the same pass also sums their
+    squares into every configuration's norm (`_order_one_norms`, no field),
+    which a constant level then discards; a level k >= 2 with real spread
+    makes its entries anew, into its field.
     """
     hi = np.zeros((mu.space.n,) * k)
     lo = np.zeros_like(hi)
-    for combo, entry in _section_entries(f_table, mu, k):
-        extremes = entry.max(), entry.min()
-        for perm in permutations(combo):
-            hi[perm], lo[perm] = extremes
+
+    def reduced() -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+        for combo, entry in _section_entries(f_table, mu, k):
+            extremes = entry.max(), entry.min()
+            for perm in permutations(combo):
+                hi[perm], lo[perm] = extremes
+            yield combo, entry
+
+    entries = reduced()
+    norms = _order_one_norms(entries, mu.space) if k == 1 else None
+    for _ in entries:  # every entry of a level k >= 2; none is left at k = 1
+        pass
     spread = np.linalg.norm(hi - lo)
     if spread <= CONSTANT_LEVEL_TOL * np.linalg.norm(hi):
         top = float(op_norm_batch(hi[None], restarts=restarts, seed=seed)[0])
         if spread <= CONSTANT_LEVEL_TOL * top:
             return top
     if k == 1:
-        norms = _order_one_norms(f_table, mu)
         return norms if support.all() else norms[support]
     field = h_tensor_field(f_table, mu, k)  # the public name: perfbench/tracing.py wraps it
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)

@@ -125,27 +125,28 @@ class MultilinearPoly(FunctionSpec):
         scaling one, keeps that exact for tensors that are symmetric only to
         the tolerance `check_symmetric` allows.
 
-        The monomials are found once per coordinate and kept as arrays, 16
-        bytes a monomial (a dense order-2 term at n = 1024 has a million);
-        the list is built from them on each call.
+        The monomials of every coordinate are found on the first call and
+        kept as arrays, 16 bytes a monomial (a dense order-2 term at n = 1024
+        has a million); the list is built from them on each call.
         """
-        blocks = self._slopes.get(i)
-        if blocks is None:
-            blocks = []
+        if not self._slopes:
+            self._slopes = {j: [] for j in range(self.dim)}
             for k, t in self.tensors.items():
-                coef = 0.0
+                # coef[i, j1, ..., j(k-1)] adds the k! entries in one fixed
+                # order: position of i, then the orders of the rest.
+                coef = np.zeros_like(t)
                 for position in range(k):
-                    row = np.moveaxis(t, position, 0)[i]
-                    for order in permutations(range(k - 1)):
-                        coef = coef + row.transpose(order)
-                coef = np.asarray(coef)
-                # Lexicographic.  At k = 1, `coef` is a scalar and `nonzero`
-                # one empty index or none.
+                    moved = np.moveaxis(t, position, 0)
+                    for order in permutations(range(1, k)):
+                        coef += moved.transpose((0,) + order)
+                # Lexicographic, so grouped by coordinate.
                 nonzero = np.argwhere(coef)
-                nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
-                blocks.append((np.broadcast_to(coef[tuple(nonzero.T)], len(nonzero)), nonzero))
-            self._slopes[i] = blocks
-        return [term for coefs, indices in blocks
+                nonzero = nonzero[(np.diff(nonzero[:, 1:], axis=1) > 0).all(axis=1)]
+                cuts = np.searchsorted(nonzero[:, 0], np.arange(1, self.dim))
+                coefs = np.split(coef[tuple(nonzero.T)], cuts)
+                for j, c, indices in zip(range(self.dim), coefs, np.split(nonzero[:, 1:], cuts)):
+                    self._slopes[j].append((c, indices))
+        return [term for coefs, indices in self._slopes[i]
                 for term in zip(coefs.tolist(), map(tuple, indices.tolist()))]
 
     def evaluate_rows(self, space: ProductSpace, rows: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ random graphs, plus a systematic-scan Glauber sampler with deterministic seeding
 from __future__ import annotations
 
 import struct
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -325,28 +324,33 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # Largest space whose section CDFs the chain tabulates.  The table is built on
 # the first run whatever the chain's length.  Measured on one Xeon core, one
 # BLAS thread, for an Ising ring, whose table comes from its slopes
-# (tracemalloc peak in a separate run): at 2^16 configurations the build
-# takes about 9 ms and 5.8 MiB, and the glauber-mc benchmark chains make
-# 19,200 and 35,200 updates; at 2^20 it takes 0.14 s and 109 MiB.  That is
-# shorter than 1000 sweeps of per-update conditionals (about 0.3 s at some
-# 65,000 updates/s), but a short chain would still pay it all, and it holds
-# 109 MiB.  Larger spaces evaluate each conditional at its update and
-# memoise up to 2^16 sections.
+# (best of 9 and of 5; tracemalloc peak in a separate run): at 2^16
+# configurations the build takes about 2 ms and peaks at 4.0 MiB, the table
+# itself, and the glauber-mc benchmark chains make 19,200 and 35,200
+# updates; at 2^20 it takes 30 ms and 80 MiB.  That is shorter than 1000
+# sweeps of per-update conditionals (about 0.3 s at some 65,000 updates/s),
+# but a short chain would still pay it all, and it holds 80 MiB.  Larger
+# spaces evaluate each conditional at its update and memoise up to 2^16
+# sections.
 _SECTION_TABLE_LIMIT = 1 << 16
 
 
-def _cdf_rows(p: np.ndarray) -> array:
-    """The first m - 1 CDF entries of every section of one coordinate's
-    (pre, m, stride) `section_conditionals` array, section (pre, post) in
-    row pre * stride + post.  The sums run letter by letter, in the order of
-    `np.cumsum` on one section's conditional."""
-    pre, m, stride = p.shape
-    rows = np.empty((pre, stride, m - 1))
+def _cdf_rows(p: np.ndarray, i: int, shape: tuple[int, ...]) -> memoryview:
+    """The first m - 1 CDF entries of every section along coordinate i, from
+    its `section_conditionals` array p, as one flat float64 buffer: section
+    (pre, post) in row pre * stride + post.  The sums run letter by letter,
+    in the order of `np.cumsum` on one section's conditional, on p's own
+    sections; the result is then broadcast into the rows, written once."""
+    m = shape[i]
+    p = np.moveaxis(p, i, -1)
+    cdf = np.empty(p.shape[:-1] + (m - 1,))
     if m > 1:
-        cdf = rows[:, :, 0] = p[:, 0]
+        total = cdf[..., 0] = p[..., 0]
         for j in range(1, m - 1):
-            cdf = rows[:, :, j] = cdf + p[:, j]
-    return array("d", rows.tobytes())
+            total = cdf[..., j] = total + p[..., j]
+    rows = np.empty(shape[:i] + shape[i + 1:] + (m - 1,))
+    rows[...] = cdf
+    return memoryview(rows.reshape(-1))
 
 
 # Uniforms a chain draws at once: a block of whole sweeps, at least one.
@@ -381,7 +385,7 @@ class GlauberChain:
     _index: int = field(init=False, repr=False)
     _digits: list[int] = field(init=False, repr=False)
     # Per coordinate i: (i, its section CDFs, stride, stride * m, m - 1).
-    _sites: list[tuple[int, array, int, int, int]] | None = field(init=False, default=None, repr=False)
+    _sites: list[tuple[int, memoryview, int, int, int]] | None = field(init=False, default=None, repr=False)
     # Above the table limit: first m_i - 1 CDF entries of visited sections,
     # keyed by (site, index of the section's first point), at most 2^16 of them.
     _memo: dict[tuple[int, int], list[float]] = field(
@@ -418,7 +422,7 @@ class GlauberChain:
         n, strides, shape = space.n, space.strides, space.shape
         if self._sites is None and space.size <= _SECTION_TABLE_LIMIT:
             self._sites = [
-                (i, _cdf_rows(p), stride, stride * m, m - 1)
+                (i, _cdf_rows(p, i, shape), stride, stride * m, m - 1)
                 for i, (p, stride, m) in enumerate(zip(self.measure.section_conditionals(), strides, shape))
             ]
         sites, memo, digits, index = self._sites, self._memo, self._digits, self._index

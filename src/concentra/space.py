@@ -261,11 +261,14 @@ class Measure:
         """For each coordinate i in turn, `conditional(x, i)` on every section
         along i, with the same arithmetic as `conditional`.
 
-        Coordinate i's array has the shape (size // (m_i * stride_i), m_i,
-        stride_i) of the enumeration order's view `flat.reshape(-1, m_i,
-        stride_i)`: entry (pre, j, post) is letter j's probability on the
-        section through flat index pre * m_i * stride_i + post.  Yielded one
-        coordinate at a time to bound memory."""
+        Coordinate i's array broadcasts to `space.shape`, with the letters on
+        axis i: broadcast there, its entry at the digits of x with letter j
+        on axis i is letter j's probability on the section through x.  An
+        axis of size 1 is one the conditionals do not depend on, so a measure
+        yields only its distinct sections: a polynomial Gibbs measure's vary
+        along the coordinates of site i's monomials, a product measure's
+        along axis i alone.  Yielded one coordinate at a time to bound
+        memory."""
         raise NotImplementedError
 
     def coordinate_support(self, i: int) -> np.ndarray:
@@ -323,7 +326,7 @@ class ExactMeasure(Measure):
             # Zero-mass sections become NaN; a chain started on the support
             # never visits them.
             with np.errstate(invalid="ignore"):
-                yield sections / _letter_sum(sections)
+                yield (sections / _letter_sum(sections)).reshape(self.space.shape)
 
     def coordinate_support(self, i: int) -> np.ndarray:
         marg = self.table.reshape(self.space.shape)
@@ -372,8 +375,9 @@ class ProductMeasure(Measure):
         return self.tables[i].copy()
 
     def section_conditionals(self) -> Iterator[np.ndarray]:
-        for t, stride in zip(self.tables, self.space.strides):
-            yield np.broadcast_to(t[:, None], (self.space.size // (len(t) * stride), len(t), stride))
+        n = self.space.n
+        for i, t in enumerate(self.tables):
+            yield t.reshape((1,) * i + (-1,) + (1,) * (n - i - 1))
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.nonzero(self.tables[i] > 0.0)[0]
@@ -462,17 +466,17 @@ class GibbsMeasure(Measure):
         if self._poly is None:
             logw = self._enumerated_log_weights()
             for m, stride in zip(self.space.shape, self.space.strides):
-                yield _softmax(logw.reshape(-1, m, stride))
+                yield _softmax(logw.reshape(-1, m, stride)).reshape(self.space.shape)
             return
         # Each value grid along its own axis of the space's shape.  A slope
         # varies only along the coordinates of its monomials, so it and the
-        # softmax are computed once per distinct section and then broadcast
+        # softmax are computed once per distinct section, which broadcasts
         # over the others: every entry is the same arithmetic as
         # `conditional`'s.
         shape = self.space.shape
         n = self.space.n
         grids = [self.space.value_grid(j).reshape((1,) * j + (-1,) + (1,) * (n - j - 1)) for j in range(n)]
-        for i, (m, stride) in enumerate(zip(shape, self.space.strides)):
+        for i, m in enumerate(shape):
             terms = self._poly.slope_terms(i)
             involved = {j for _, idx in terms for j in idx}
             slope = np.zeros(tuple(shape[j] if j in involved else 1 for j in range(n)))
@@ -481,8 +485,7 @@ class GibbsMeasure(Measure):
                     term = term * grids[j]
                 slope += term
             logw = grids[i] * slope
-            p = _softmax(logw.reshape(math.prod(logw.shape[:i]), m, -1)).reshape(logw.shape)
-            yield np.broadcast_to(p, shape).reshape(-1, m, stride)
+            yield _softmax(logw.reshape(math.prod(logw.shape[:i]), m, -1)).reshape(logw.shape)
 
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.arange(self.space.shape[i])

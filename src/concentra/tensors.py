@@ -50,11 +50,13 @@ def hs_norm(tensor: np.ndarray) -> float:
 
 
 def check_symmetric(tensor: np.ndarray, what: str) -> None:
-    """Raise unless `tensor` is invariant, to atol 1e-12, under every swap of axis 0."""
+    """Raise unless `tensor` is invariant under every swap of axis 0, to
+    `np.allclose` with rtol 1e-5 and atol 1e-12: each entry a may differ from
+    its swapped entry b by 1e-12 + 1e-5 |b|."""
     for axis in range(1, tensor.ndim):
         perm = list(range(tensor.ndim))
         perm[0], perm[axis] = perm[axis], perm[0]
-        if not np.allclose(tensor, tensor.transpose(perm), atol=1e-12):
+        if not np.allclose(tensor, tensor.transpose(perm), rtol=1e-5, atol=1e-12):
             raise DomainError(f"{what} is not symmetric")
 
 

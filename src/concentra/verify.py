@@ -60,20 +60,25 @@ TAIL_SIDES = ("two", "upper")
 # ---------------------------------------------------------------------------
 
 
-def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.999) -> float:
-    """One-sided upper confidence limit for a binomial proportion."""
+def clopper_pearson_upper(successes: int | np.ndarray, trials: int,
+                          confidence: float = 0.999) -> float | np.ndarray:
+    """One-sided upper confidence limit for a binomial proportion: a float
+    for one count, an array for an integer array of counts, each limit with
+    the bits it has alone."""
     if trials < 1:
         raise DomainError("need at least one trial")
-    if not 0 <= successes <= trials:
+    k = np.asarray(successes)
+    if not np.all((0 <= k) & (k <= trials)):
         raise DomainError("successes outside [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise DomainError("confidence must lie in (0, 1)")
-    if successes == trials:
-        return 1.0
     # The beta quantile; the same bits as scipy.stats.beta.ppf, without importing scipy.stats.
     from scipy.special import betaincinv
 
-    return float(betaincinv(successes + 1, trials - successes, confidence))
+    upper = np.ones(k.shape)
+    below = k < trials
+    upper[below] = betaincinv(k[below] + 1, trials - k[below], confidence)
+    return float(upper) if upper.ndim == 0 else upper
 
 
 @dataclass
@@ -130,13 +135,8 @@ def tail_curve(
     dev = values - mean
     dev = np.abs(dev) if side == "two" else dev
     m = dev.size
-    prob = np.empty(t_grid.size)
-    upper = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        k = int(np.count_nonzero(dev >= t))
-        prob[j] = k / m
-        upper[j] = clopper_pearson_upper(k, m, confidence)
-    return TailCurve(t_grid, prob, upper, side, "monte_carlo", m, mean)
+    counts = m - np.searchsorted(np.sort(dev), t_grid, side="left")  # how many dev >= t
+    return TailCurve(t_grid, counts / m, clopper_pearson_upper(counts, m, confidence), side, "monte_carlo", m, mean)
 
 
 @dataclass
@@ -617,9 +617,9 @@ def exact_binomial_coverage(p: float, m: int, confidence: float) -> float:
     """
     from scipy.special import betainc
 
-    covered = [clopper_pearson_upper(k, m, confidence) >= p for k in range(m + 1)]
-    k_star = covered.index(True) if any(covered) else m + 1
-    if not all(covered[k_star:]):
+    covered = clopper_pearson_upper(np.arange(m + 1), m, confidence) >= p
+    k_star = int(np.argmax(covered)) if covered.any() else m + 1
+    if not covered[k_star:].all():
         raise AssertionError(f"the counts whose upper limit covers p={p} are not an upper set")
     if k_star in (0, m + 1):
         return float(k_star == 0)  # every count covers, or none; I_p needs positive parameters
@@ -639,9 +639,7 @@ def _suite_clopper_pearson(seed: int) -> SuiteCheck:
     # essentially never exceeds (P(failures > 7) < 1e-5 at 1000 draws).
     rng = np.random.default_rng(seed)
     p, m, reps = 0.3, 400, 1000
-    failures = sum(
-        1 for _ in range(reps) if clopper_pearson_upper(int(rng.binomial(m, p)), m, confidence) < p
-    )
+    failures = int(np.count_nonzero(clopper_pearson_upper(rng.binomial(m, p, size=reps), m, confidence) < p))
     return SuiteCheck(
         "clopper-pearson-coverage",
         exact_ok and failures <= 7,

@@ -781,13 +781,35 @@ class TestSharedPrefixes:
     def test_order_one_norms_are_the_fields_norms(self, n):
         # Bit for bit numpy's pairwise row sum (sequential below 8 coordinates,
         # 8 partial sums from 8 on): a numpy that sums otherwise fails here.
-        from concentra.diffops import _order_one_norms
+        from concentra.diffops import _order_one_norms, _section_entries
         from concentra.tensors import op_norm_batch
 
         rng = np.random.default_rng(55 + n)
         mu = bernoulli_product(n, 0.3)
         table = rng.standard_normal(mu.space.size) * np.exp(rng.uniform(-8.0, 8.0, mu.space.size))
-        assert np.array_equal(_order_one_norms(table, mu), op_norm_batch(h_tensor_field(table, mu, 1)))
+        norms = _order_one_norms(_section_entries(table, mu, 1), mu.space)
+        assert np.array_equal(norms, op_norm_batch(h_tensor_field(table, mu, 1)))
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_level_one_makes_its_entries_once(self, linear, monkeypatch):
+        # A varying level 1 takes its extremes and its norms from one pass;
+        # a constant one (a linear function) returns its one norm.
+        import concentra.diffops as diffops_mod
+        from concentra.tensors import op_norm_batch
+
+        rng = np.random.default_rng(57)
+        mu = bernoulli_product(9, 0.3)
+        points = enumerate_configurations(mu.space)
+        table = points @ rng.standard_normal(9) if linear else rng.standard_normal(mu.space.size)
+        want = op_norm_batch(h_tensor_field(table, mu, 1))
+        orders, entries = [], diffops_mod._section_entries
+        monkeypatch.setattr(diffops_mod, "_section_entries", lambda t, m, k: orders.append(k) or entries(t, m, k))
+        got = diffops_mod._level_norms(table, mu, 1, np.ones(mu.space.size, dtype=bool), 8, 0)
+        assert orders == [1]
+        if linear:
+            assert np.ndim(got) == 0 and got == pytest.approx(want.max(), rel=1e-12)
+        else:
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", ["mixed", "mixed-zero-letter"])
     def test_varying_level_one_takes_the_fields_norms_on_the_support(self, case):

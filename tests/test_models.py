@@ -450,6 +450,28 @@ SECTION_CASES = {
 }
 
 
+def _glauber_mc_ring(n=16):
+    """A ring like the `glauber-mc` benchmark's: couplings U[0.1, 0.2], fields U[-0.05, 0.05]."""
+    rng = np.random.default_rng(16)
+    coupling = np.zeros((n, n))
+    for a in range(n):
+        coupling[a, (a + 1) % n] = coupling[(a + 1) % n, a] = rng.uniform(0.1, 0.2)
+    return build_ising(IsingSpec(coupling, rng.uniform(-0.05, 0.05, n)))[0]
+
+
+def _materialised_cdf_rows(p):
+    """The oracle: CDF rows taken on a materialised (pre, m, stride) copy of
+    every section, section (pre, post) in row pre * stride + post, the sums
+    letter by letter."""
+    pre, m, stride = p.shape
+    rows = np.empty((pre, stride, m - 1))
+    if m > 1:
+        cdf = rows[:, :, 0] = p[:, 0]
+        for j in range(1, m - 1):
+            cdf = rows[:, :, j] = cdf + p[:, j]
+    return rows.tobytes()
+
+
 class TestTableDrivenSweep:
     @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_CASES))
     def test_stream_equals_per_update_heat_bath(self, name):
@@ -500,18 +522,50 @@ class TestTableDrivenSweep:
         undefined = 0
         for i, p in enumerate(mu.section_conditionals()):
             m, stride = space.shape[i], space.strides[i]
-            assert p.shape == (space.size // (m * stride), m, stride)
-            for pre in range(p.shape[0]):
+            assert p.ndim == space.n and p.shape[i] == m
+            full = np.broadcast_to(p, space.shape)
+            for pre in range(space.size // (m * stride)):
                 for post in range(stride):
-                    x = space.configuration(pre * m * stride + post)
+                    first = pre * m * stride + post
+                    digits = np.unravel_index(first, space.shape)
+                    section = full[digits[:i] + (slice(None),) + digits[i + 1:]]
+                    x = space.configuration(first)
                     try:
                         expected = mu.conditional(x, i)
                     except UndefinedConditionalError:
-                        assert np.isnan(p[pre, :, post]).all()
+                        assert np.isnan(section).all()
                         undefined += 1
                         continue
-                    np.testing.assert_array_equal(p[pre, :, post], expected)
+                    np.testing.assert_array_equal(section, expected)
         assert (undefined > 0) == (name in ("coloring", "exact-nine-letters"))
+
+    @pytest.mark.parametrize("name", sorted(SECTION_CASES) + ["glauber-mc-ring"])
+    def test_table_rows_equal_the_rows_of_materialised_sections(self, name):
+        mu = SECTION_CASES[name]() if name in SECTION_CASES else _glauber_mc_ring()
+        space = mu.space
+        chain = GlauberChain(mu, seed=0)
+        chain.run(1)
+        for (i, cdf, stride, span, width), p in zip(chain._sites, mu.section_conditionals(), strict=True):
+            m = space.shape[i]
+            assert (stride, span, width) == (space.strides[i], stride * m, m - 1)
+            sections = np.broadcast_to(p, space.shape).reshape(-1, m, stride)  # a copy
+            assert bytes(cdf) == _materialised_cdf_rows(sections)
+
+    def test_ring_table_build_holds_little_besides_the_table(self):
+        import tracemalloc
+
+        mu = _glauber_mc_ring()
+        assert mu.space.size == 1 << 16
+        tracemalloc.start()
+        try:
+            chain = GlauberChain(mu, seed=0)
+            chain.run(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sum(cdf.nbytes for _, cdf, *_ in chain._sites)
+        assert table == 8 * 16 * (1 << 15)
+        assert peak <= table + (1 << 19)
 
     @pytest.mark.parametrize("name", ["gibbs-nine-letters", "exact-nine-letters"])
     def test_nine_letter_sections_tell_pairwise_from_sequential_sums(self, name):
@@ -562,7 +616,33 @@ POLY_GIBBS_CASES = {
 }
 
 
+def _slope_terms_one_by_one(poly, i):
+    """The oracle: coordinate i's slope monomials from its own rows of each
+    tensor, the k! entries added position by position, then over the orders
+    of the rest."""
+    terms = []
+    for k, t in poly.tensors.items():
+        coef = 0.0
+        for position in range(k):
+            row = np.moveaxis(t, position, 0)[i]
+            for order in permutations(range(k - 1)):
+                coef = coef + row.transpose(order)
+        coef = np.asarray(coef)
+        nonzero = np.argwhere(coef)
+        nonzero = nonzero[(np.diff(nonzero, axis=1) > 0).all(axis=1)]
+        terms += [(float(coef[tuple(idx)]), tuple(idx.tolist())) for idx in nonzero]
+    return terms
+
+
 class TestSlopeConditionals:
+    @pytest.mark.parametrize("name", sorted(POLY_GIBBS_CASES))
+    def test_slope_terms_equal_the_per_coordinate_loop(self, name):
+        poly = POLY_GIBBS_CASES[name]()._poly
+        poly.slope_terms(0)
+        assert sorted(poly._slopes) == list(range(poly.dim))  # every coordinate on the first call
+        for i in range(poly.dim):
+            assert poly.slope_terms(i) == _slope_terms_one_by_one(poly, i)
+
     @pytest.mark.parametrize("name", sorted(POLY_GIBBS_CASES))
     def test_conditional_matches_the_row_softmax(self, name):
         # The row path: the softmax of the log-weights of one row per letter.

@@ -1,5 +1,6 @@
 import math
 import string
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from concentra.tensors import (
     Partition,
     _als,
     _contract,
+    check_symmetric,
     enumerate_partitions,
     hs_norm,
     op_norm,
@@ -106,6 +108,22 @@ def sphere_grid_sup(tensor, points=24):
         u, v, w = u / np.linalg.norm(u), v / np.linalg.norm(v), w / np.linalg.norm(w)
         best = max(best, abs(np.einsum("ijk,i,j,k->", tensor, u, v, w)))
     return best
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_relative_tolerance_is_1e_5(self, order):
+        rng = np.random.default_rng(60 + order)
+        base = rng.uniform(0.5, 2.0, (4,) * order)
+        base = sum(base.transpose(p) for p in permutations(range(order)))
+        for relative, symmetric in ((4e-6, True), (2e-5, False)):
+            tensor = base.copy()
+            tensor[(0, 1) + (2,) * (order - 2)] *= 1.0 + relative
+            if symmetric:
+                check_symmetric(tensor, "t")
+            else:
+                with pytest.raises(DomainError, match="t is not symmetric"):
+                    check_symmetric(tensor, "t")
 
 
 class TestHsNorm:

@@ -132,7 +132,7 @@ class TestClopperPearson:
         import concentra.verify as verify_mod
 
         # A limit that covers at k = 0 but not at k = 1 breaks the tail formula.
-        monkeypatch.setattr(verify_mod, "clopper_pearson_upper", lambda k, m, conf: 1.0 if k != 1 else 0.0)
+        monkeypatch.setattr(verify_mod, "clopper_pearson_upper", lambda k, m, conf: np.where(k != 1, 1.0, 0.0))
         with pytest.raises(AssertionError, match="upper set"):
             verify_mod.exact_binomial_coverage(0.5, 5, 0.999)
 
@@ -173,6 +173,30 @@ class TestClopperPearson:
             clopper_pearson_upper(5, 0)
         with pytest.raises(DomainError):
             clopper_pearson_upper(5, 4)
+        with pytest.raises(DomainError):
+            clopper_pearson_upper(np.array([0, 3, 5]), 4)
+        with pytest.raises(DomainError):
+            clopper_pearson_upper(np.array([-1, 3]), 4)
+
+    @pytest.mark.parametrize("m", [1, 7, 400])
+    def test_a_grid_of_counts_gives_each_count_its_own_limit(self, m):
+        counts = np.arange(m + 1)
+        for conf in (0.9, 0.999):
+            got = clopper_pearson_upper(counts, m, conf)
+            assert isinstance(got, np.ndarray) and got.shape == (m + 1,)
+            assert got.tolist() == [clopper_pearson_upper(int(k), m, conf) for k in counts]
+        assert type(clopper_pearson_upper(3, 7)) is float
+
+    def test_suite_coverage_check_draws_the_scalar_stream(self):
+        # One batch of binomial draws is the stream of one draw at a time.
+        from concentra.verify import _suite_clopper_pearson
+
+        for seed in (0, 5):
+            rng = np.random.default_rng(seed)
+            draws = [int(rng.binomial(400, 0.3)) for _ in range(1000)]
+            assert np.random.default_rng(seed).binomial(400, 0.3, size=1000).tolist() == draws
+            failures = sum(1 for k in draws if clopper_pearson_upper(k, 400, 0.999) < 0.3)
+            assert _suite_clopper_pearson(seed).detail["sampled_failures"] == failures
 
 
 class TestDomination:
