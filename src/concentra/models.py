@@ -340,16 +340,15 @@ def _cdf_rows(p: np.ndarray, i: int, shape: tuple[int, ...]) -> memoryview:
     its `section_conditionals` array p, as one flat float64 buffer: section
     (pre, post) in row pre * stride + post.  The sums run letter by letter,
     in the order of `np.cumsum` on one section's conditional, on p's own
-    sections; the result is then broadcast into the rows, written once."""
+    sections, and each partial sum is broadcast into the rows, which are
+    written once."""
     m = shape[i]
     p = np.moveaxis(p, i, -1)
-    cdf = np.empty(p.shape[:-1] + (m - 1,))
-    if m > 1:
-        total = cdf[..., 0] = p[..., 0]
-        for j in range(1, m - 1):
-            total = cdf[..., j] = total + p[..., j]
     rows = np.empty(shape[:i] + shape[i + 1:] + (m - 1,))
-    rows[...] = cdf
+    if m > 1:
+        total = rows[..., 0] = p[..., 0]
+        for j in range(1, m - 1):
+            total = rows[..., j] = total + p[..., j]
     return memoryview(rows.reshape(-1))
 
 

@@ -85,6 +85,21 @@ class TestTailCurve:
         assert curve.prob.tolist() == [c / 300 for c in counts]
         assert curve.upper.tolist() == [clopper_pearson_upper(c, 300) for c in counts]
 
+    @pytest.mark.parametrize("side", ["two", "upper"])
+    def test_monte_carlo_counts_deviations_equal_to_t(self, side):
+        # Integer deviations on an integer grid: a count of dev >= t, not dev > t.
+        rng = np.random.default_rng(23)
+        mu = rademacher(3)
+        samples = rng.choice([-1.0, 1.0], size=(40, 3))
+        table = np.array([-3.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 3.0])  # the sum of the coordinates
+        grid = [-3.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+        curve = tail_curve(mu, Tabulated(table), grid, mode="monte_carlo", side=side, samples=samples, center=0.0)
+        values = table[[mu.space.index_of(row) for row in samples]]
+        dev = np.abs(values) if side == "two" else values
+        counts = [int(np.count_nonzero(dev >= t)) for t in grid]
+        assert curve.prob.tolist() == [c / 40 for c in counts]
+        assert curve.upper.tolist() == [clopper_pearson_upper(c, 40) for c in counts]
+
     def test_monte_carlo_ustatistic(self):
         rng = np.random.default_rng(22)
         mu = rademacher(4)
