@@ -151,7 +151,7 @@ def _bound_general(doc: dict, inputs: Inputs) -> bounds_mod.TailBound:
     regime = field(doc, *_regime(inputs))
     profile = field(doc, "profile", lambda profile, _: NormProfile.from_json(profile), None)
     if profile is None:
-        profile = norm_profile(inputs.table, inputs.model, regime.d)
+        profile = norm_profile(inputs.function, inputs.model, regime.d, table=inputs.table)
     return bounds_mod.bound_general(profile, regime)
 
 
@@ -354,7 +354,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _jobs(text: str) -> int:
+def _positive(text: str) -> int:
     if not text.isdecimal() or int(text) == 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
@@ -371,8 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--out": dict(default="out", help="output directory"),
         "--seed": dict(type=_seed, default=0, help="random seed, a non-negative integer"),
         "--mode": dict(choices=MODES, default=None, help="override the config's mode"),
-        "--samples": dict(type=int, default=10_000, help="Monte Carlo sample count"),
-        "--jobs": dict(type=_jobs, default=1, help="parallel workers, a positive integer"),
+        "--samples": dict(type=_positive, default=10_000, help="Monte Carlo sample count, a positive integer"),
+        "--jobs": dict(type=_positive, default=1, help="parallel workers, a positive integer"),
     }
     for name, handler, names in [
         ("bound", cmd_bound, ("--config", "--out")),

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
-from .funcs import FunctionSpec, function_table
+from .funcs import FunctionSpec, MultilinearPoly, function_table
 from .schema import Record, boolean, choice, floats, integer, reads
 from .space import ENUMERATION_CAP, Measure, ProductSpace
 from .tensors import CONSTANT_LEVEL_TOL, op_norm_batch
@@ -272,15 +272,59 @@ def _level_norms(f_table: np.ndarray, mu: Measure, k: int, support: np.ndarray,
     return op_norm_batch(field if support.all() else field[support], restarts=restarts, seed=seed)
 
 
-def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restarts: int, seed: int) -> list[float]:
+def polynomial_level(f, mu: Measure, k: int) -> np.ndarray | None:
+    """The order-k difference tensor of a `MultilinearPoly` f of degree
+    k or less, the same at every configuration, from its coefficients; None
+    for any other function or lower level, which the section kernel serves.
+
+    At k = degree it is |S_k| times w^{(x)k} entrywise: S_k sums the k! axis
+    orders of the order-k coefficient tensor (`MultilinearPoly.monomial_tensor`),
+    and w_i is the range, max - min, of coordinate i's support letters, 0 for
+    one letter.  Every level above the degree is 0.  f is multilinear in the
+    letter values, and k differences cancel every term of order below k, so on
+    any section prod_s (Id - T_s) f is prod_s (x_s - y_s) S_k[i1..ik]: its max
+    over letter pairs is the entry above.  The kernel's entry is the same max
+    taken over differences of the rounded table, so the two agree up to that
+    rounding; the kernel's upper end hi sits a few ulps above.
+    """
+    if not isinstance(f, MultilinearPoly) or k < f.degree:
+        return None
+    f.check_space(mu.space)
+    n = mu.space.n
+    if k > f.degree:
+        return np.zeros((n,) * k)
+    widths = np.array([np.ptp(_support_values(mu, i)) for i in range(n)])
+    level = np.abs(f.monomial_tensor(k))
+    for axis in range(k):
+        level *= widths.reshape((n,) + (1,) * (k - 1 - axis))
+    return level
+
+
+def _polynomial_norm(f, mu: Measure, k: int, restarts: int, seed: int) -> float | None:
+    """The operator norm of `polynomial_level`, taken as the constant-level
+    rule takes the norm of hi, or None where that has no closed form."""
+    level = polynomial_level(f, mu, k)
+    return None if level is None else float(op_norm_batch(level[None], restarts=restarts, seed=seed)[0])
+
+
+def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restarts: int, seed: int,
+                       functions: Sequence | None = None) -> list[float]:
     """The exact scales of levels 1..d of the pointwise max over `tables` of the
     difference-tensor operator norms: the mean for k < d and the support
-    supremum at k = d.  A constant level (`_level_norms`) is its one norm."""
+    supremum at k = d.  `functions`, when given, holds the function of each
+    table: a level that `polynomial_level` gives from its coefficients is its
+    one norm, and its table is not walked.  Every other level goes through the
+    section kernel, where a constant level (`_level_norms`) is one norm too."""
     w = mu.prob_table()
     support = w > 0.0
+    functions = [None] * len(tables) if functions is None else functions
     scales = []
     for k in range(1, d + 1):
-        norms = functools.reduce(np.maximum, [_level_norms(t, mu, k, support, restarts, seed) for t in tables])
+        levels = []
+        for f, t in zip(functions, tables):
+            norm = _polynomial_norm(f, mu, k, restarts, seed)
+            levels.append(_level_norms(t, mu, k, support, restarts, seed) if norm is None else norm)
+        norms = functools.reduce(np.maximum, levels)
         if np.ndim(norms) == 0:
             scales.append(float(norms))
         else:
@@ -423,22 +467,30 @@ def norm_profile(
     samples: np.ndarray | None = None,
     restarts: int = 8,
     seed: int = 0,
+    table: np.ndarray | None = None,
 ) -> NormProfile:
     """gamma[k] = E |h^(k) f|_op for k < d and the support supremum at k = d.
 
-    Exact mode enumerates the space (`exact_level_scales`); a level that is one
-    tensor at every configuration, up to rounding, is that tensor's norm,
-    computed once (`_level_norms`): an upper end of every configuration's for
-    order <= 2, the ALS lower estimate for order >= 3.  Monte Carlo mode
-    evaluates the tensors at caller-provided sample configurations, reports
-    standard errors, and flags the top level as a lower estimate (a max over
-    sampled points).
+    In both modes a `MultilinearPoly` takes its levels from the degree up
+    from its coefficients (`polynomial_level`), one tensor's norm each: exact
+    for order <= 2, the ALS lower estimate for order >= 3, and 0 above the
+    degree.  Exact mode enumerates the space for the other levels
+    (`exact_level_scales`), walking f's values over it, `table` when the
+    caller already holds them; a level that is one tensor at every
+    configuration, up to rounding, is that tensor's norm, computed once
+    (`_level_norms`): an upper end of every configuration's for order <= 2,
+    the ALS lower estimate for order >= 3.  Monte Carlo mode evaluates the
+    other levels' tensors at caller-provided sample configurations, reports
+    standard errors (0 for a level from coefficients), and flags the top
+    level as a lower estimate (a max over sampled points) unless it came
+    from the coefficients.
     """
     if d < 1:
         raise DomainError("profile depth must be >= 1")
     if mode == "exact":
         mu.space.check_cap()
-        gammas = exact_level_scales([function_table(f, mu.space)], mu, d, restarts, seed)
+        table = function_table(f if table is None else table, mu.space)
+        gammas = exact_level_scales([table], mu, d, restarts, seed, functions=[f])
         return NormProfile(d, tuple(gammas), mode="exact")
     if mode != "monte_carlo":
         raise DomainError(f"unknown mode {mode!r}")
@@ -447,6 +499,11 @@ def norm_profile(
     gammas: list[float] = []
     errors: list[float] = []
     for k in range(1, d + 1):
+        norm = _polynomial_norm(f, mu, k, restarts, seed)
+        if norm is not None:
+            gammas.append(norm)
+            errors.append(0.0)
+            continue
         norms = op_norm_batch(_h_tensors(f, mu, samples, k), restarts=restarts, seed=seed)
         if k < d:
             gammas.append(float(norms.mean()))
@@ -454,6 +511,7 @@ def norm_profile(
         else:
             gammas.append(float(norms.max()))
             errors.append(0.0)
+    # `norm` is still level d's: None when its supremum was sampled.
     return NormProfile(
-        d, tuple(gammas), mode="monte_carlo", stderr=tuple(errors), sup_is_lower_estimate=True
+        d, tuple(gammas), mode="monte_carlo", stderr=tuple(errors), sup_is_lower_estimate=norm is None
     )

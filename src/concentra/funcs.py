@@ -112,18 +112,35 @@ class MultilinearPoly(FunctionSpec):
     def degree(self) -> int:
         return max(self.tensors)
 
+    def monomial_tensor(self, k: int) -> np.ndarray:
+        """S_k, the sum of the k! axis orders of the order-k coefficient tensor.
+
+        Its entry at distinct indices (i1, ..., ik) is the coefficient of the
+        monomial x_i1 ... x_ik in f, k! a^k_{i1..ik} for an exactly symmetric
+        tensor, and its generalized diagonal is 0.  Entry [i, j1, ..., j(k-1)]
+        adds the k! entries in one fixed order: position of i, then the orders
+        of the rest.  Summing the entries, not scaling one, keeps it the
+        monomial's coefficient for tensors that are symmetric only to the
+        tolerance `check_symmetric` allows.
+        """
+        t = self.tensors[k]
+        total = np.zeros_like(t)
+        for position in range(k):
+            moved = np.moveaxis(t, position, 0)
+            for order in permutations(range(1, k)):
+                total += moved.transpose((0,) + order)
+        return total
+
     def slope_terms(self, i: int) -> list[tuple[float, tuple[int, ...]]]:
         """Coordinate i's slope s_i(x) = df/dx_i as its nonzero monomials.
 
         Monomial (c, (j1, ..., j(k-1))) is c * x_j1 * ... * x_j(k-1) over
-        j1 < ... < j(k-1), where c sums the k! entries of a^k at the orders
-        of (i, j1, ..., j(k-1)): k! a^k_{i j1..j(k-1)}, as the tensor is
-        symmetric.  The list is ordered by k, then lexicographically.  With a
-        zero generalized diagonal, f is affine in x_i with slope s_i(x),
-        which does not involve x_i: the values of f at letters a and b of
-        coordinate i differ by (a - b) * s_i(x).  Summing the entries, not
-        scaling one, keeps that exact for tensors that are symmetric only to
-        the tolerance `check_symmetric` allows.
+        j1 < ... < j(k-1), where c = S_k[i, j1, ..., j(k-1)], the sum of the
+        k! entries of a^k at the orders of (i, j1, ..., j(k-1))
+        (`monomial_tensor`).  The list is ordered by k, then
+        lexicographically.  With a zero generalized diagonal, f is affine in
+        x_i with slope s_i(x), which does not involve x_i: the values of f at
+        letters a and b of coordinate i differ by (a - b) * s_i(x).
 
         The monomials of every coordinate are found on the first call and
         kept as arrays, 16 bytes a monomial (a dense order-2 term at n = 1024
@@ -131,14 +148,8 @@ class MultilinearPoly(FunctionSpec):
         """
         if not self._slopes:
             self._slopes = {j: [] for j in range(self.dim)}
-            for k, t in self.tensors.items():
-                # coef[i, j1, ..., j(k-1)] adds the k! entries in one fixed
-                # order: position of i, then the orders of the rest.
-                coef = np.zeros_like(t)
-                for position in range(k):
-                    moved = np.moveaxis(t, position, 0)
-                    for order in permutations(range(1, k)):
-                        coef += moved.transpose((0,) + order)
+            for k in self.tensors:
+                coef = self.monomial_tensor(k)
                 # Lexicographic, so grouped by coordinate.
                 nonzero = np.argwhere(coef)
                 nonzero = nonzero[(np.diff(nonzero[:, 1:], axis=1) > 0).all(axis=1)]

@@ -224,7 +224,7 @@ def suprema_profile(
     the order-j difference-tensor operator norms at x."""
     mu.space.check_cap()
     tables = [member.evaluate_table(mu.space) for member in family.members]
-    *expected, top = exact_level_scales(tables, mu, d, restarts, 0)
+    *expected, top = exact_level_scales(tables, mu, d, restarts, 0, functions=family.members)
     return expected, top
 
 
@@ -276,7 +276,7 @@ def check_moment_chain(
         raise DomainError("regime order must match d")
 
     def right(table: np.ndarray) -> Callable[[float], float]:
-        gamma = (norm_profile(table, mu, d) if profile is None else profile).gamma
+        gamma = (norm_profile(f, mu, d, table=table) if profile is None else profile).gamma
 
         def at(p: float) -> float:
             base = 8.0 * KAPPA * p if regime.kind == "independent" else 2.0 * regime.sigma2 * (p - 1.5)

@@ -682,8 +682,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["suite", "--jobs", "0"],
         ["suite", "--jobs", "-1"],
         ["suite", "--jobs", "x"],
+        ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", "0"],
+        ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", "-5"],
     ],
-    ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-zero", "jobs-negative", "jobs-not-a-number"],
+    ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-zero", "jobs-negative", "jobs-not-a-number",
+         "samples-zero", "samples-negative"],
 )
 def test_bad_usage_exits_2_before_any_work(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -248,11 +248,22 @@ class TestNormProfile:
         samples = rng.choice([-1.0, 1.0], size=(64, 3))
         profile = norm_profile(pair_product_on_three(), mu, 2, mode="monte_carlo", samples=samples)
         assert profile.mode == "monte_carlo"
-        assert profile.sup_is_lower_estimate
+        # a quadform's level 2 comes from its coefficients: exact, not sampled
+        assert not profile.sup_is_lower_estimate
         assert profile.stderr is not None and len(profile.stderr) == 2
+        assert profile.stderr[1] == 0.0
         exact = norm_profile(pair_product_on_three(), mu, 2)
+        assert profile.gamma[1] == exact.gamma[1]
+
+    def test_monte_carlo_top_level_of_a_table_is_a_lower_estimate(self):
+        rng = np.random.default_rng(10)
+        mu = rademacher(3)
+        samples = rng.choice([-1.0, 1.0], size=(64, 3))
+        f = Tabulated(pair_product_on_three().evaluate_table(mu.space))
+        profile = norm_profile(f, mu, 2, mode="monte_carlo", samples=samples)
+        assert profile.sup_is_lower_estimate
         # the top level is a max over sampled points: a lower estimate
-        assert profile.gamma[1] <= exact.gamma[1] + 1e-9
+        assert profile.gamma[1] <= norm_profile(f, mu, 2).gamma[1] + 1e-9
 
     def test_serialization_round_trip(self):
         profile = NormProfile(2, (1.5, 2.5), mode="exact")
@@ -468,7 +479,8 @@ class TestOneEvaluationPerSectionGrid:
 
     def test_monte_carlo_profile_calls_do_not_grow_with_samples(self, monkeypatch):
         mu = rademacher(5)
-        f = MultilinearPoly({1: np.arange(5.0)})
+        # a table: a polynomial's levels from its degree up are not sampled
+        f = Tabulated(MultilinearPoly({1: np.arange(5.0)}).evaluate_table(mu.space))
         calls = self._count_calls(monkeypatch, f)
         samples = np.random.default_rng(35).choice([-1.0, 1.0], size=(64, 5))
         norm_profile(f, mu, 2, mode="monte_carlo", samples=samples[:1], restarts=1)
@@ -603,7 +615,12 @@ class TestConstantLevels:
             assert got[0] == want[0]
             # at most a few ulps below the per-configuration norms, never 1e-12 above
             assert want[1] * (1.0 - 8 * np.finfo(float).eps) <= got[1] <= want[1] * (1.0 + 1e-12)
-            assert got[2:] == tuple(want[2:])
+            if isinstance(f, MultilinearPoly):
+                # above the degree: exactly 0, where the kernel keeps the table's rounding
+                assert got[2:] == (0.0,) * (d - 2)
+                assert all(w <= 1e-12 * want[1] for w in want[2:])
+            else:
+                assert got[2:] == tuple(want[2:])
 
     def test_random_table_matches_the_per_configuration_norms(self):
         rng = np.random.default_rng(41)
@@ -988,3 +1005,167 @@ class TestConstantLevelsOfAnyOrder:
             assert orders == [2, 2]  # the members' order-3 levels collapse; level 1 takes no field
             assert expected_w == [float(np.dot(w, s)) for s in sup_norms[:2]]
             assert top >= float(sup_norms[2].max()) * (1.0 - 1e-13)
+
+
+def _kernel_level(f, mu, k):
+    """The kernel's upper end hi of level k: each entry's max over its sections."""
+    from concentra.diffops import _section_entries
+
+    hi = np.zeros((mu.space.n,) * k)
+    for combo, entry in _section_entries(f.evaluate_table(mu.space), mu, k):
+        for perm in permutations(combo):
+            hi[perm] = entry.max()
+    return hi
+
+
+def _mixed_alphabets(one_letter=False):
+    """Two- and three-letter alphabets of unequal widths; with `one_letter`,
+    coordinate 1's support is its middle letter alone."""
+    from concentra.space import ProductMeasure, ProductSpace
+
+    space = ProductSpace(((-1.0, 2.0), (0.0, 0.5, 3.0), (1.0, 1.25), (-2.0, 0.0, 1.0), (0.0, 3.0)))
+    rng = np.random.default_rng(70)
+    tables = [rng.uniform(0.1, 1.0, len(a)) for a in space.alphabets]
+    if one_letter:
+        tables[1] = np.array([0.0, 1.0, 0.0])
+    return ProductMeasure(space, [t / t.sum() for t in tables])
+
+
+POLYNOMIAL_LEVEL_MEASURES = {
+    "rademacher": lambda: rademacher(5),
+    "bernoulli": lambda: bernoulli_product(5, 0.3),
+    "mixed-alphabets": _mixed_alphabets,
+    "one-letter-support": lambda: _mixed_alphabets(one_letter=True),
+    "ising": lambda: _ising_ring(5, np.random.default_rng(71)),
+}
+
+
+class TestPolynomialLevels:
+    """A polynomial's levels from its degree up come from its coefficients;
+    the section kernel is the oracle."""
+
+    @pytest.mark.parametrize("case", list(POLYNOMIAL_LEVEL_MEASURES))
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_top_level_is_the_kernels_up_to_rounding(self, case, degree):
+        from concentra.diffops import polynomial_level
+
+        mu = POLYNOMIAL_LEVEL_MEASURES[case]()
+        rng = np.random.default_rng(72 + degree)
+        for _ in range(3):
+            f = MultilinearPoly({k: _symmetric_order(rng, mu.space.n, k) for k in range(1, degree + 1)})
+            want = _kernel_level(f, mu, degree)
+            got = polynomial_level(f, mu, degree)
+            assert want.max() > 0.0
+            assert np.abs(got - want).max() <= 1e-13 * want.max()
+            if degree > 1:
+                assert polynomial_level(f, mu, degree - 1) is None
+
+    def test_one_letter_coordinate_has_zero_entries(self):
+        from concentra.diffops import polynomial_level
+
+        mu = _mixed_alphabets(one_letter=True)
+        f = MultilinearPoly({2: _symmetric_order(np.random.default_rng(73), 5, 2)})
+        level = polynomial_level(f, mu, 2)
+        assert not level[1].any() and not level[:, 1].any() and level.any()
+
+    def test_a_nearly_symmetric_tensor_sums_its_orders(self):
+        # check_symmetric accepts 1e-5 relative; the closed form must not take
+        # one entry times k! as the monomial's coefficient
+        from concentra.diffops import polynomial_level
+
+        mu = bernoulli_product(4, 0.3)
+        A = _symmetric_order(np.random.default_rng(74), 4, 2)
+        A[0, 1] *= 1.0 + 4e-6
+        f = QuadraticForm(A)
+        want = _kernel_level(f, mu, 2)
+        assert np.abs(polynomial_level(f, mu, 2) - want).max() <= 1e-13 * want.max()
+        scaled_one_entry = 2.0 * abs(A[0, 1])  # widths are 1 on {0, 1}
+        assert abs(scaled_one_entry - want[0, 1]) > 1e-6 * want[0, 1]
+
+    def test_rademacher_quadform_level_two_is_hanson_wrights(self):
+        from concentra.bounds import hanson_wright, independent
+
+        A = _symmetric_zero_diagonal(np.random.default_rng(75), 8)
+        got = norm_profile(QuadraticForm(A), rademacher(8), 2).gamma[1]
+        want = hanson_wright(A, 1.0, independent(2)).levels[1][1]
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_levels_above_the_degree_are_zero(self, mode):
+        from concentra.diffops import polynomial_level
+
+        rng = np.random.default_rng(76)
+        mu = bernoulli_product(5, 0.3)
+        f = MultilinearPoly({1: rng.standard_normal(5), 2: _symmetric_order(rng, 5, 2)})
+        assert not polynomial_level(f, mu, 3).any()
+        samples = enumerate_configurations(mu.space)[::5]
+        profile = norm_profile(f, mu, 4, mode=mode, samples=samples)
+        assert profile.gamma[2:] == (0.0, 0.0)
+        assert profile.gamma[1] > 0.0
+
+    def test_only_the_polynomials_top_levels_skip_the_walk(self, monkeypatch):
+        import concentra.diffops as diffops
+        from concentra.funcs import UStatistic
+        from concentra.space import ProductSpace, uniform
+
+        orders, entries = [], diffops._section_entries
+        monkeypatch.setattr(diffops, "_section_entries", lambda t, m, k: orders.append(k) or entries(t, m, k))
+        rng = np.random.default_rng(77)
+        mu = rademacher(5)
+        quadform = QuadraticForm(_symmetric_zero_diagonal(rng, 5))
+        cases = [
+            (quadform, 3, [1]),
+            (MultilinearPoly({1: rng.standard_normal(5)}), 2, []),
+            # level 2 varies: its constant-level check, then its field
+            (MultilinearPoly({1: rng.standard_normal(5), 3: _symmetric_order(rng, 5, 3)}), 3, [1, 2, 2]),
+            (Tabulated(quadform.evaluate_table(mu.space)), 2, [1, 2]),
+        ]
+        for f, d, walked in cases:
+            del orders[:]
+            norm_profile(f, mu, d)
+            assert orders == walked
+        H = rng.uniform(-1.0, 1.0, size=(3, 3))
+        del orders[:]
+        norm_profile(UStatistic(2, (H + H.T) / 2), uniform(ProductSpace(((0.0, 1.0, 2.0),) * 4)), 2)
+        assert orders == [1, 2]
+
+    def test_every_command_gives_one_gamma_per_level(self, tmp_path, monkeypatch):
+        # verify-tail, bound and verify-moments reach the profile with the
+        # function and its table; suprema_profile with its members
+        import json
+
+        import concentra.cli as cli
+        import concentra.verify as verify
+        from concentra.funcs import SupFamily, function_from_json
+
+        profiles = []
+
+        def recorded(*args, **kwargs):
+            profile = norm_profile(*args, **kwargs)
+            profiles.append(profile.gamma)
+            return profile
+
+        monkeypatch.setattr(cli, "norm_profile", recorded)
+        monkeypatch.setattr(verify, "norm_profile", recorded)
+        rng = np.random.default_rng(78)
+        model = {"kind": "bernoulli", "n": 5, "p": 0.3}
+        function = {"kind": "poly", "coefficients": [
+            {"order": 1, "tensor": rng.standard_normal(5).tolist()},
+            {"order": 3, "tensor": _symmetric_order(rng, 5, 3).tolist()},
+        ]}
+        regime = {"kind": "independent", "d": 3}
+        configs = {
+            "verify-tail": {"model": model, "function": function, "bound": {"kind": "general", "regime": regime},
+                            "t_grid": [1.0, 4.0]},
+            "bound": {"model": model, "function": function, "bound": {"kind": "general", "regime": regime},
+                      "t_grid": [1.0, 4.0]},
+            "verify-moments": {"model": model, "function": function, "regime": regime, "p_grid": [2.0, 4.0]},
+        }
+        for command, doc in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) in (0, 3)
+        assert len(profiles) == 3 and profiles[0] == profiles[1] == profiles[2]
+        mu, f = cli.build_model(model), function_from_json(function)
+        expected_w, top = verify.suprema_profile(SupFamily((f,)), mu, d=3)
+        assert (*expected_w, top) == profiles[0]

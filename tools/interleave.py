@@ -19,6 +19,7 @@ whatever their checkout's harness imports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -27,9 +28,11 @@ import tempfile
 from pathlib import Path
 
 
-def worker(root: str, workload_name: str, seed: int, tiny: bool) -> int:
+def worker(root: str, workload_name: str, seed: int, tiny: bool, keep: str | None = None) -> int:
     """Run a pass of the workload for each line read from stdin; answer each
-    with one JSON line of its outcomes.  Everything else goes to stderr."""
+    with one JSON line of its outcomes.  Everything else goes to stderr.
+    With `keep`, the configs and the last pass (`<keep>/pass/<label>/`) are
+    written there and left behind; otherwise in a temporary directory."""
     protocol, sys.stdout = sys.stdout, sys.stderr
     checkout = Path(root).resolve()
     sys.path.insert(0, str(checkout / "perfbench"))
@@ -38,7 +41,8 @@ def worker(root: str, workload_name: str, seed: int, tiny: bool) -> int:
 
     harness.pin_environment()
     workload = workloads.WORKLOADS[workload_name](seed, tiny=tiny)
-    with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
+    scratch = tempfile.TemporaryDirectory(prefix="interleave-") if keep is None else contextlib.nullcontext(keep)
+    with scratch as tmp:
         work_dir = Path(tmp)
         harness.write_workload(workload, work_dir)
         _, cli = harness.timed_setup(checkout, workload.model_docs())
@@ -53,12 +57,12 @@ def worker(root: str, workload_name: str, seed: int, tiny: bool) -> int:
 
 
 class Side:
-    """One checkout's worker process."""
+    """One checkout's worker process; see `worker` for `keep`."""
 
-    def __init__(self, name: str, root: Path, args: argparse.Namespace):
+    def __init__(self, name: str, root: Path, workload: str, seed: int, tiny: bool, keep: Path | None = None):
         self.name, self.root = name, root
-        command = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), args.workload,
-                   str(args.seed)] + (["--tiny"] if args.tiny else [])
+        command = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), workload,
+                   str(seed)] + (["--tiny"] if tiny else []) + ([f"--keep={keep}"] if keep is not None else [])
         self.process = subprocess.Popen(command, cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                         text=True)
         self.passes: list[float] = []
@@ -102,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
         root, workload_name, seed = argv[1:4]
-        return worker(root, workload_name, int(seed), "--tiny" in argv[4:])
+        keep = next((a.split("=", 1)[1] for a in argv[4:] if a.startswith("--keep=")), None)
+        return worker(root, workload_name, int(seed), "--tiny" in argv[4:], keep)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="first checkout (holds perfbench/ and src/)")
     parser.add_argument("b", type=Path, help="second checkout")
@@ -113,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    sides = [Side("A", args.a.resolve(), args), Side("B", args.b.resolve(), args)]
+    sides = [Side(name, root.resolve(), args.workload, args.seed, args.tiny)
+             for name, root in (("A", args.a), ("B", args.b))]
     try:
         first = [side.run_pass() for side in sides]  # untimed
         failed = failures(sides[0], first[0]) + failures(sides[1], first[1])
