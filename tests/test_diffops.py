@@ -1169,3 +1169,19 @@ class TestPolynomialLevels:
         mu, f = cli.build_model(model), function_from_json(function)
         expected_w, top = verify.suprema_profile(SupFamily((f,)), mu, d=3)
         assert (*expected_w, top) == profiles[0]
+
+    def test_verify_tail_evaluates_its_table_once(self, tmp_path, monkeypatch):
+        import json
+
+        import concentra.cli as cli
+
+        calls = []
+        real = MultilinearPoly.evaluate_table
+        monkeypatch.setattr(MultilinearPoly, "evaluate_table", lambda f, space: calls.append(1) or real(f, space))
+        A = _symmetric_zero_diagonal(np.random.default_rng(79), 4)
+        doc = {"model": {"kind": "rademacher", "n": 4}, "function": {"kind": "quadform", "matrix": A.tolist()},
+               "bound": {"kind": "general", "regime": {"kind": "independent", "d": 2}}}
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify-tail", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
