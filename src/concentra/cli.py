@@ -36,6 +36,12 @@ COUNT, SEED = integer(1), integer(0)
 # Most sites of a `curie_weiss` model, whose coupling is a dense n x n matrix:
 # 8 MiB at the limit.  The reader rejects a larger n before anything is built.
 CURIE_WEISS_MAX_N = 1 << 10
+# Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
+# `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit a
+# 16-site Ising ring makes 16M site updates (about 8 s) and keeps 16M digits
+# in a list (128 MiB).  The reader rejects a larger count before any chain is built.
+SAMPLER_MAX_SWEEPS = 10**6
+SWEEPS, BURN_IN = integer(1, SAMPLER_MAX_SWEEPS), integer(0, SAMPLER_MAX_SWEEPS)
 EDGES = array((None, 2), int)
 
 
@@ -255,7 +261,7 @@ def cmd_verify_tail(config: dict | None, args) -> int:
     else:
         sample_rows = reads(
             lambda sweeps, burn_in, seed: models.glauber_sample(mu, sweeps, burn_in, seed=seed),
-            ("samples", COUNT, args.samples), ("burn_in", integer(0), 500), ("seed", SEED, args.seed),
+            ("samples", SWEEPS, args.samples), ("burn_in", BURN_IN, 500), ("seed", SEED, args.seed),
         )(config)
         curve = verify.tail_curve(mu, f, grid, mode="monte_carlo", side=side, samples=sample_rows)
     report = verify.check_domination(curve, bound)
@@ -316,7 +322,7 @@ def cmd_sample(config: dict | None, args) -> int:
     fmt = field(config, "format", choice("csv", "binary"), "csv")
     samples = reads(
         lambda *a: models.glauber_sample(mu, *a),
-        ("sweeps", COUNT), ("burn_in", integer(0), 0), ("thinning", COUNT, 1), ("seed", SEED, args.seed),
+        ("sweeps", SWEEPS), ("burn_in", BURN_IN, 0), ("thinning", COUNT, 1), ("seed", SEED, args.seed),
     )(config)
     out = _out_dir(args)
     if fmt == "csv":
@@ -360,6 +366,12 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _sample_count(text: str) -> int:
+    if not text.isdecimal() or not 1 <= int(text) <= SAMPLER_MAX_SWEEPS:
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {SAMPLER_MAX_SWEEPS}, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concentra",
@@ -371,7 +383,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--out": dict(default="out", help="output directory"),
         "--seed": dict(type=_seed, default=0, help="random seed, a non-negative integer"),
         "--mode": dict(choices=MODES, default=None, help="override the config's mode"),
-        "--samples": dict(type=_positive, default=10_000, help="Monte Carlo sample count, a positive integer"),
+        "--samples": dict(type=_sample_count, default=10_000,
+                          help=f"Monte Carlo sample count, an integer from 1 to {SAMPLER_MAX_SWEEPS}"),
         "--jobs": dict(type=_positive, default=1, help="parallel workers, a positive integer"),
     }
     for name, handler, names in [

@@ -480,8 +480,9 @@ def norm_profile(
     configuration, up to rounding, is that tensor's norm, computed once
     (`_level_norms`): an upper end of every configuration's for order <= 2,
     the ALS lower estimate for order >= 3.  Monte Carlo mode evaluates the
-    other levels' tensors at caller-provided sample configurations, reports
-    standard errors (0 for a level from coefficients), and flags the top
+    other levels' tensors at caller-provided sample configurations, needed
+    only when such a level exists, reports standard errors (0 for a level
+    from coefficients), and flags the top
     level as a lower estimate (a max over sampled points) unless it came
     from the coefficients.
     """
@@ -494,8 +495,6 @@ def norm_profile(
         return NormProfile(d, tuple(gammas), mode="exact")
     if mode != "monte_carlo":
         raise DomainError(f"unknown mode {mode!r}")
-    if samples is None or len(samples) == 0:
-        raise DomainError("monte_carlo mode needs sample configurations")
     gammas: list[float] = []
     errors: list[float] = []
     for k in range(1, d + 1):
@@ -504,6 +503,8 @@ def norm_profile(
             gammas.append(norm)
             errors.append(0.0)
             continue
+        if samples is None or len(samples) == 0:
+            raise DomainError("monte_carlo mode needs sample configurations")
         norms = op_norm_batch(_h_tensors(f, mu, samples, k), restarts=restarts, seed=seed)
         if k < d:
             gammas.append(float(norms.mean()))

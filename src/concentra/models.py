@@ -426,18 +426,31 @@ class GlauberChain:
             ]
         sites, memo, digits, index = self._sites, self._memo, self._digits, self._index
         state = self.state if sites is None else None
+        bisect_sites = sites is not None and not all(width == 1 for *_, width in sites)
         block = max(1, _UNIFORM_BLOCK // n)
         for first in range(0, sweeps, block):
             count = min(block, sweeps - first)
             uniforms = iter(self.rng.random(count * n).tolist())
             for done in range(first + 1, first + count + 1):
-                if sites is not None:
+                if bisect_sites:
                     for (i, cdf, stride, span, width), u in zip(sites, uniforms):
                         base = index - digits[i] * stride
                         # Section (pre, post) = (base // span, base % stride) is row pre * stride + post.
                         row = (base // span * stride + base % stride) * width
                         digits[i] = digit = bisect_right(cdf, u, row, row + width) - row
                         index = base + digit * stride
+                elif sites is not None:
+                    for (i, cdf, stride, span, _), u in zip(sites, uniforms):
+                        # The section (pre, post) = (index // span, index % stride) holds
+                        # one entry, at row pre * stride + post, and `bisect_right`
+                        # over it is this comparison, ties included.
+                        if u < cdf[index // span * stride + index % stride]:
+                            if digits[i]:
+                                digits[i] = 0
+                                index -= stride
+                        elif not digits[i]:
+                            digits[i] = 1
+                            index += stride
                 else:
                     for i, u in zip(range(n), uniforms):
                         stride = strides[i]
@@ -477,7 +490,7 @@ def glauber_sample(
     kept: list[int] = []
     chain.run(sweeps, thinning, kept)
     space = measure.space
-    return space.value_rows(np.array(kept, dtype=np.intp).reshape(sweeps // thinning, space.n))
+    return space.value_rows(np.fromiter(kept, np.intp, count=len(kept)).reshape(sweeps // thinning, space.n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from concentra.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VIOLATION,
+    SAMPLER_MAX_SWEEPS,
     build_model,
     build_t_grid,
     main,
@@ -684,9 +685,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["suite", "--jobs", "x"],
         ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", "0"],
         ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", "-5"],
+        ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", str(SAMPLER_MAX_SWEEPS + 1)],
+        ["verify-tail", "--config", "c.json", "--mode", "mc", "--samples", str(10**30)],
     ],
     ids=["flag-not-read", "seed-negative", "seed-not-a-number", "jobs-zero", "jobs-negative", "jobs-not-a-number",
-         "samples-zero", "samples-negative"],
+         "samples-zero", "samples-negative", "samples-above-limit", "samples-huge"],
 )
 def test_bad_usage_exits_2_before_any_work(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -865,6 +868,50 @@ def test_huge_curie_weiss_n_exits_2_before_anything_is_built(data, n):
         rc, err = _run_quietly(command, doc)
     assert rc == EXIT_SCHEMA
     assert "config error" in err and "Traceback" not in err
+
+
+# Every sampler size field of a config that runs a chain: (command, base, key).
+_SAMPLER_FIELDS = [
+    (command, doc, key)
+    for command, doc in _FUZZ_BASES
+    for key in {"sample": ("sweeps", "burn_in"), "verify-tail": ("samples", "burn_in")}.get(command, ())
+    if command == "sample" or doc.get("mode") == "mc"
+]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), size=st.one_of(
+    st.integers(SAMPLER_MAX_SWEEPS + 1, 1 << 40), st.sampled_from([10**12, 1 << 63, 10**30])))
+def test_huge_sampler_size_exits_2_before_a_chain_is_built(data, size):
+    from unittest import mock
+
+    from concentra import models
+
+    command, doc, key = data.draw(st.sampled_from(_SAMPLER_FIELDS))
+    doc = _replaced(doc, (key,), size)
+    with mock.patch.object(models, "GlauberChain", side_effect=AssertionError("built a chain")):
+        rc, err = _run_quietly(command, doc)
+    assert rc == EXIT_SCHEMA
+    assert "config error" in err and f"from {0 if key == 'burn_in' else 1} to {SAMPLER_MAX_SWEEPS}" in err
+    assert "Traceback" not in err
+
+
+def test_sampler_fields_cover_both_commands():
+    assert {(command, key) for command, _, key in _SAMPLER_FIELDS} == {
+        ("sample", "sweeps"), ("sample", "burn_in"), ("verify-tail", "samples"), ("verify-tail", "burn_in")}
+
+
+def test_sampler_sizes_are_read_up_to_their_limit(tmp_path):
+    from unittest import mock
+
+    from concentra import models
+
+    doc = {"model": _RAD3, "sweeps": SAMPLER_MAX_SWEEPS, "burn_in": SAMPLER_MAX_SWEEPS}
+    with mock.patch.object(models, "glauber_sample", return_value=np.zeros((1, 3))) as sample:
+        assert main(["sample", "--config", write_config(tmp_path, "s.json", doc),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    sample.assert_called_once_with(mock.ANY, SAMPLER_MAX_SWEEPS, SAMPLER_MAX_SWEEPS, 1, 0)
 
 
 def test_curie_weiss_n_is_read_up_to_its_limit():

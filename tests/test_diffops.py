@@ -265,6 +265,18 @@ class TestNormProfile:
         # the top level is a max over sampled points: a lower estimate
         assert profile.gamma[1] <= norm_profile(f, mu, 2).gamma[1] + 1e-9
 
+    def test_monte_carlo_levels_from_coefficients_need_no_samples(self):
+        f, mu = MultilinearPoly({1: np.ones(3)}), rademacher(3)
+        profile = norm_profile(f, mu, 1, mode="monte_carlo")
+        assert profile.gamma == (2.0 * math.sqrt(3.0),) == norm_profile(f, mu, 1).gamma
+        assert profile.stderr == (0.0,) and not profile.sup_is_lower_estimate
+
+    @pytest.mark.parametrize("samples", [None, np.empty((0, 3))])
+    def test_monte_carlo_sampled_level_without_samples_rejected(self, samples):
+        # level 1 of a quadform lies below its degree, so it is sampled
+        with pytest.raises(DomainError, match="needs sample configurations"):
+            norm_profile(pair_product_on_three(), rademacher(3), 2, mode="monte_carlo", samples=samples)
+
     def test_serialization_round_trip(self):
         profile = NormProfile(2, (1.5, 2.5), mode="exact")
         back = NormProfile.from_json(profile.to_json())

@@ -435,6 +435,11 @@ BIT_IDENTITY_CASES = {
     "coloring": lambda: build_coloring([(0, 1), (1, 2), (2, 3), (3, 0)], 4, 3)[0],
     "bernoulli": lambda: bernoulli_product(5, 0.3),
     "ternary-exact": _ternary_exact,
+    # two-letter sites beside a one-letter one, whose section rows are empty
+    "two-and-one-letters": lambda: GibbsMeasure(
+        ProductSpace(((-1.0, 1.0), (5.0,), (0.0, 1.0), (-1.0, 1.0))),
+        lambda X: 0.7 * X[:, 0] * X[:, 2] - 0.4 * X[:, 0] * X[:, 3] + 0.1 * X[:, 1] * X[:, 3],
+    ),
 }
 
 
@@ -503,6 +508,26 @@ class TestTableDrivenSweep:
         mu.conditional = conditional
         got = glauber_sample(mu, 12, burn_in=8, thinning=2, seed=9)
         np.testing.assert_array_equal(got, reference_heat_bath(mu, 12, 8, 2, seed=9))
+
+    def test_two_letter_update_at_a_tie_takes_the_upper_letter(self):
+        # Every CDF entry of a fair coin is exactly 0.5, and so is every
+        # uniform: bisect_right puts a tie after the entry, on letter 1.
+        class Halves:
+            def random(self, k):
+                return np.full(k, 0.5)
+
+        mu = bernoulli_product(3, 0.5)
+        chain = GlauberChain(mu, seed=0)
+        chain.run(0)
+        assert all(cdf.tolist() == [0.5] * 4 for _, cdf, *_ in chain._sites)
+        chain._digits[:] = [0, 1, 0]
+        chain._index = 2
+        chain.rng = Halves()
+        kept: list[int] = []
+        chain.run(4, 1, kept)
+        assert kept == [1] * 12
+        assert chain._index == mu.space.size - 1
+        np.testing.assert_array_equal(chain.state, [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("name", ["coloring", "ergm-triangle"])
     @pytest.mark.parametrize("sweeps, burn_in, thinning", [(50, 5, 4), (9, 3, 2), (3, 2, 5)])
