@@ -37,9 +37,10 @@ COUNT, SEED = integer(1), integer(0)
 # 8 MiB at the limit.  The reader rejects a larger n before anything is built.
 CURIE_WEISS_MAX_N = 1 << 10
 # Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
-# `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit a
-# 16-site Ising ring makes 16M site updates (about 8 s) and keeps 16M digits
-# in a list (128 MiB).  The reader rejects a larger count before any chain is built.
+# `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit the
+# 16-site `glauber-mc` ring makes 16M site updates per field and keeps 16M
+# digits, 8 bytes each in the kept list and in each array made from it.  The
+# reader rejects a larger count before any chain is built.
 SAMPLER_MAX_SWEEPS = 10**6
 SWEEPS, BURN_IN = integer(1, SAMPLER_MAX_SWEEPS), integer(0, SAMPLER_MAX_SWEEPS)
 EDGES = array((None, 2), int)

@@ -482,9 +482,8 @@ def norm_profile(
     the ALS lower estimate for order >= 3.  Monte Carlo mode evaluates the
     other levels' tensors at caller-provided sample configurations, needed
     only when such a level exists, reports standard errors (0 for a level
-    from coefficients), and flags the top
-    level as a lower estimate (a max over sampled points) unless it came
-    from the coefficients.
+    from coefficients), and flags the top level as a lower estimate (a max
+    over sampled points) unless it came from the coefficients.
     """
     if d < 1:
         raise DomainError("profile depth must be >= 1")

@@ -327,11 +327,12 @@ def triangle_count_tensor(n_vertices: int) -> np.ndarray:
 # (best of 9 and of 5; tracemalloc peak in a separate run): at 2^16
 # configurations the build takes about 2 ms and peaks at 4.0 MiB, the table
 # itself, and the glauber-mc benchmark chains make 19,200 and 35,200
-# updates; at 2^20 it takes 30 ms and 80 MiB.  That is shorter than 1000
-# sweeps of per-update conditionals (about 0.3 s at some 65,000 updates/s),
-# but a short chain would still pay it all, and it holds 80 MiB.  Larger
-# spaces evaluate each conditional at its update and memoise up to 2^16
-# sections.
+# updates, a comparison each (3,400 sweeps of the 16-site ring take 14 ms,
+# about 3.9M updates/s; 24 ms as bisections); at 2^20 it takes 30 ms and
+# 80 MiB.  That is shorter than 1000 sweeps of per-update conditionals
+# (about 0.3 s at some 65,000 updates/s), but a short chain would still pay
+# it all, and it holds 80 MiB.  Larger spaces evaluate each conditional at
+# its update and memoise up to 2^16 sections.
 _SECTION_TABLE_LIMIT = 1 << 16
 
 
@@ -361,11 +362,14 @@ class GlauberChain:
     """Systematic-scan single-site heat bath targeting `measure`.
 
     On its first run the chain tabulates the conditional CDF of every
-    coordinate on every section along it, so a site update is a bisection in
-    that table.  The table comes from each coordinate's section conditionals
-    (`Measure.section_conditionals`), computed as `conditional` computes
-    them, with sums running letter by letter as `np.cumsum` runs them, so the
-    stream is that of per-update conditionals.
+    coordinate on every section along it.  When every coordinate has two
+    letters, a section's row is one entry and a site update is one
+    comparison with it, which is what `bisect_right` returns, ties included;
+    otherwise a site update is a bisection in its row.  The table comes from
+    each coordinate's section conditionals (`Measure.section_conditionals`),
+    computed as `conditional` computes them, with sums running letter by
+    letter as `np.cumsum` runs them, so the stream is that of per-update
+    conditionals.
     Above 2^16 configurations an update evaluates `measure.conditional` on a
     section it has not memoised.
     The uniforms for a block of sweeps are drawn at once, which is the same

@@ -897,11 +897,6 @@ def test_huge_sampler_size_exits_2_before_a_chain_is_built(data, size):
     assert "Traceback" not in err
 
 
-def test_sampler_fields_cover_both_commands():
-    assert {(command, key) for command, _, key in _SAMPLER_FIELDS} == {
-        ("sample", "sweeps"), ("sample", "burn_in"), ("verify-tail", "samples"), ("verify-tail", "burn_in")}
-
-
 def test_sampler_sizes_are_read_up_to_their_limit(tmp_path):
     from unittest import mock
 
