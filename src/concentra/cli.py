@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .schema import (
     array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, one_key, reads, real,
     vector,
 )
-from .space import Measure, hypercube, measure_from_json, rademacher, bernoulli_product
+from .space import ENUMERATION_CAP, Measure, hypercube, measure_from_json, rademacher, bernoulli_product
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -33,9 +34,25 @@ EXIT_VIOLATION = 3
 
 MODES = ("exact", "mc")
 COUNT, SEED = integer(1), integer(0)
-# Most sites of a `curie_weiss` model, whose coupling is a dense n x n matrix:
-# 8 MiB at the limit.  The reader rejects a larger n before anything is built.
-CURIE_WEISS_MAX_N = 1 << 10
+# Size limits.  The reader rejects a larger value with exit 2 before anything
+# is built; above them a run fails with MemoryError or does not end.
+# Most sites of a model sized by one field: `rademacher` and `bernoulli` `n`,
+# `coloring` `vertices`, the C(vertices, 2) edge sites of an `ergm` model, and
+# `curie_weiss` `n`, whose coupling is a dense n x n matrix, 8 MiB at the limit.
+MAX_SITES = 1 << 10
+CURIE_WEISS_MAX_N = MAX_SITES
+# 45 vertices make 990 edge sites, 46 make 1035.
+ERGM_MAX_VERTICES = (1 + math.isqrt(1 + 8 * MAX_SITES)) // 2
+# `fourier` `n`: the 2^n configurations of its hypercube within the enumeration cap.
+FOURIER_MAX_N = ENUMERATION_CAP.bit_length() - 1
+# Points of a `{start, stop, count}` t grid, each one bound evaluation and, in
+# `verify-tail`, one tail probability.
+T_GRID_MAX_COUNT = 10**5
+# `lsi` `starts` and a `{"search": {"starts"}}` sigma2: a search draws its
+# starts as one (starts, support size) array, 128 MiB at the limit on 2^12
+# configurations.
+LSI_MAX_STARTS = 1 << 12
+SITES, STARTS = integer(1, MAX_SITES), integer(1, LSI_MAX_STARTS)
 # Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
 # `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit the
 # 16-site `glauber-mc` ring makes 16M site updates per field and keeps 16M
@@ -76,22 +93,22 @@ def _load_config(path: str) -> dict:
 
 
 MODEL_KINDS = {
-    "rademacher": reads(rademacher, ("n", COUNT)),
-    "bernoulli": reads(bernoulli_product, ("n", COUNT), ("p", real)),
+    "rademacher": reads(rademacher, ("n", SITES)),
+    "bernoulli": reads(bernoulli_product, ("n", SITES), ("p", real)),
     "ising": reads(
         lambda J, h: models.build_ising(models.IsingSpec(J, h))[0], ("coupling", matrix), ("field", vector)
     ),
     "curie_weiss": reads(
         lambda *a: models.build_ising(models.curie_weiss_spec(*a))[0],
-        ("n", integer(1, CURIE_WEISS_MAX_N)), ("beta", real), ("field", real, 0.0),
+        ("n", SITES), ("beta", real), ("field", real, 0.0),
     ),
     "coloring": reads(
         lambda edges, *a: models.build_coloring(edges.tolist(), *a)[0],
-        ("edges", EDGES), ("vertices", COUNT), ("colors", COUNT),
+        ("edges", EDGES), ("vertices", SITES), ("colors", COUNT),
     ),
     "ergm": reads(
         lambda *a: models.build_ergm(models.ErgmSpec(*a))[0],
-        ("vertices", COUNT),
+        ("vertices", integer(1, ERGM_MAX_VERTICES)),
         ("motifs", list_of(reads(lambda e: models.Motif(tuple(map(tuple, e.tolist()))), ("edges", EDGES)))),
         ("beta", floats),
     ),
@@ -138,7 +155,7 @@ def _sigma2(inputs: Inputs):
     """A number; {"search": {"starts", "seed"}}, the d-operator ratio search on
     the model; or {"spectral": {}}, the upper end of its spectral bracket."""
     form = one_key({
-        "search": reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", COUNT), ("seed", SEED)),
+        "search": reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", STARTS), ("seed", SEED)),
         "spectral": check(lambda v: v == {}, "an empty object", lambda _: spectral_bracket(inputs.model)[1]),
     })
     return lambda value, what: (form if isinstance(value, dict) else real)(value, what)
@@ -203,7 +220,7 @@ def build_bound(inputs: Inputs) -> bounds_mod.TailBound:
 def build_t_grid(doc, what: str = "t_grid") -> np.ndarray:
     """A finite, non-empty grid from a list or {start, stop, count}; a reader type."""
     if isinstance(doc, dict):
-        grid = np.linspace(field(doc, "start", real), field(doc, "stop", real), field(doc, "count", COUNT))
+        grid = np.linspace(field(doc, "start", real), field(doc, "stop", real), field(doc, "count", integer(1, T_GRID_MAX_COUNT)))
     else:
         grid = vector(doc, what)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -297,7 +314,7 @@ def cmd_verify_moments(config: dict | None, args) -> int:
 def cmd_lsi(config: dict | None, args) -> int:
     mu = Inputs(config).model
     report = reads(
-        lambda *a: lsi_constant_search(mu, *a), ("operator", choice(*OPERATORS), "d"), ("starts", COUNT, 32),
+        lambda *a: lsi_constant_search(mu, *a), ("operator", choice(*OPERATORS), "d"), ("starts", STARTS, 32),
         ("seed", SEED, args.seed),
     )(config)
     out = _out_dir(args)
@@ -308,7 +325,7 @@ def cmd_lsi(config: dict | None, args) -> int:
 
 def cmd_fourier(config: dict | None, args) -> int:
     f = Inputs(config).function
-    space = hypercube(field(config, "n", COUNT))
+    space = hypercube(field(config, "n", integer(1, FOURIER_MAX_N)))
     spectrum = fourier_transform(f.evaluate_table(space), space)
     weights = spectrum.weights()
     out = _out_dir(args)

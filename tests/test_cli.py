@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 
 from concentra.cli import (
     CURIE_WEISS_MAX_N,
+    ERGM_MAX_VERTICES,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VIOLATION,
+    FOURIER_MAX_N,
+    LSI_MAX_STARTS,
+    MAX_SITES,
     SAMPLER_MAX_SWEEPS,
+    T_GRID_MAX_COUNT,
     build_model,
     build_t_grid,
     main,
@@ -895,6 +900,69 @@ def test_huge_sampler_size_exits_2_before_a_chain_is_built(data, size):
     assert rc == EXIT_SCHEMA
     assert "config error" in err and f"from {0 if key == 'burn_in' else 1} to {SAMPLER_MAX_SWEEPS}" in err
     assert "Traceback" not in err
+
+
+def _size_fields():
+    """Every size field of a fuzz base that the reader bounds: (command, base,
+    path, limit, module, name), where `module.name` builds what the field sizes."""
+    from concentra import cli, models, space
+
+    sites = {"rademacher": ("n", space, "ProductSpace"), "bernoulli": ("n", space, "ProductSpace"),
+             "coloring": ("vertices", models, "build_coloring"), "ergm": ("vertices", models, "build_ergm")}
+    out = []
+    for command, doc in _FUZZ_BASES:
+        kind = doc.get("model", {}).get("kind")
+        if kind in sites:
+            key, module, name = sites[kind]
+            limit = ERGM_MAX_VERTICES if kind == "ergm" else MAX_SITES
+            out.append((command, doc, ("model", key), limit, module, name))
+        if isinstance(doc.get("t_grid"), dict):
+            out.append((command, doc, ("t_grid", "count"), T_GRID_MAX_COUNT, np, "linspace"))
+        if command == "fourier":
+            out.append((command, doc, ("n",), FOURIER_MAX_N, space, "ProductSpace"))
+        if command == "lsi":
+            out.append((command, doc, ("starts",), LSI_MAX_STARTS, cli, "lsi_constant_search"))
+    search = _tail(bound={"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})})
+    out.append(("verify-tail", search, ("bound", "regime", "sigma2", "search", "starts"), LSI_MAX_STARTS, cli,
+                "lsi_constant_search"))
+    return out
+
+
+_SIZE_FIELDS = _size_fields()
+
+
+def test_size_fields_cover_every_bounded_kind():
+    kinds = {doc["model"]["kind"] for _, doc, path, *_ in _SIZE_FIELDS if path[0] == "model"}
+    assert kinds == {"rademacher", "bernoulli", "coloring", "ergm"}
+    paths = {".".join(path) for _, _, path, *_ in _SIZE_FIELDS}
+    assert paths == {"model.n", "model.vertices", "t_grid.count", "n", "starts", "bound.regime.sigma2.search.starts"}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), excess=st.one_of(
+    st.integers(1, 1 << 40), st.sampled_from([10**7, 10**12, 10**13, 1 << 63, 10**30])))
+def test_huge_size_exits_2_before_anything_is_built(data, excess):
+    from unittest import mock
+
+    command, doc, path, limit, module, name = data.draw(st.sampled_from(_SIZE_FIELDS))
+    doc = _replaced(doc, path, limit + excess)
+    with mock.patch.object(module, name, side_effect=AssertionError(f"built {name}")):
+        rc, err = _run_quietly(command, doc)
+    assert rc == EXIT_SCHEMA
+    assert "config error" in err and f"from 1 to {limit}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, path, limit, module, name", _SIZE_FIELDS,
+                         ids=[f"{f[0]}-{'.'.join(f[2])}-{i}" for i, f in enumerate(_SIZE_FIELDS)])
+def test_size_fields_are_read_up_to_their_limit(command, doc, path, limit, module, name):
+    # At its limit a field passes the reader, and the run reaches what it sizes.
+    from unittest import mock
+
+    with mock.patch.object(module, name, side_effect=AssertionError(f"built {name}")), \
+            pytest.raises(AssertionError, match=f"built {name}"):
+        _run_quietly(command, _replaced(doc, path, limit))
 
 
 def test_sampler_sizes_are_read_up_to_their_limit(tmp_path):

@@ -1,9 +1,12 @@
+import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "interleave.py"
+ROUND_PAIRS = runpy.run_path(str(TOOL))["ROUND_PAIRS"]
 
 
 def test_interleaved_passes_of_this_tree_against_itself():
@@ -19,6 +22,38 @@ def test_interleaved_passes_of_this_tree_against_itself():
         assert line.startswith(f"{side} {ROOT}: median ") and "over 2 passes" in line
         assert "1-sample" in line and "2-mc-tail" in line
     assert lines[3].startswith("median pair ratio B/A ") and lines[3].endswith(" of 2 pairs")
+    assert lines[4].startswith("by round of fresh workers, B faster in ") and lines[4].endswith(" of 2")
+
+
+def test_pairs_run_in_rounds_of_fresh_workers(tmp_path):
+    # Each worker start is logged by a sitecustomize module on the workers' path.
+    log = tmp_path / "starts.log"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os, sys\n"
+        "if '--worker' in sys.argv:\n"
+        f"    open({str(log)!r}, 'a').write(sys.argv[sys.argv.index('--worker') + 1] + '\\n')\n"
+    )
+    fake = tmp_path / "other"
+    for part in ("src", "perfbench"):
+        (fake / part).parent.mkdir(exist_ok=True)
+        (fake / part).symlink_to(ROOT / part)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(fake), "--workload", "glauber-mc", "--seed", "1",
+         "--passes", str(2 * ROUND_PAIRS + 1), "--tiny"],
+        capture_output=True, text=True, timeout=300, check=False, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "artifacts identical on both sides"
+    assert f"over {2 * ROUND_PAIRS + 1} passes" in lines[1] and f"over {2 * ROUND_PAIRS + 1} passes" in lines[2]
+    assert lines[3].endswith(f" of {2 * ROUND_PAIRS + 1} pairs")
+    rounds = lines[4].removeprefix("by round of fresh workers, B faster in ").split(", ")
+    assert [r.split(" of ")[1] for r in rounds] == [str(ROUND_PAIRS), str(ROUND_PAIRS), "1"]
+    assert sum(int(r.split(" of ")[0]) for r in rounds) == int(lines[3].split("B faster in ")[1].split()[0])
+    # Three rounds, three fresh workers per side; the worker of A starts first in rounds 0 and 2.
+    starts = log.read_text().splitlines()
+    assert starts == [str(ROOT), str(fake), str(fake), str(ROOT), str(ROOT), str(fake)]
 
 
 def test_a_failed_gate_stops_the_run(tmp_path):

@@ -246,6 +246,61 @@ class TestOpNormBatch:
                 op_norm_batch(np.ones(shape), restarts=0)
 
 
+def symmetric_batch(rng, size, n):
+    a = rng.standard_normal((size, n, n))
+    return a + a.transpose(0, 2, 1)
+
+
+def eigen_norms(batch):
+    """The largest |eigenvalue| of each matrix of a symmetric batch."""
+    return np.abs(np.linalg.eigvalsh(batch)).max(axis=1)
+
+
+class TestMatrixNorms:
+    def test_a_symmetric_matrix_has_one_value_alone_and_beside_an_asymmetric_one(self):
+        rng = np.random.default_rng(20)
+        symmetric = symmetric_batch(rng, 1, 6)[0]
+        asymmetric = rng.standard_normal((6, 6))
+        alone = op_norm_batch(symmetric[None])[0]
+        assert alone == eigen_norms(symmetric[None])[0]
+        mixed = op_norm_batch(np.stack([asymmetric, symmetric, asymmetric.T, symmetric]))
+        np.testing.assert_array_equal(mixed[[1, 3]], alone)
+        singular = [np.linalg.svd(a, compute_uv=False)[0] for a in (asymmetric, asymmetric.T)]
+        np.testing.assert_array_equal(mixed[[0, 2]], singular)
+
+    @pytest.mark.parametrize("kind", ["random", "negative-dominant", "nonnegative-zero-diagonal"])
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_eigenvalues_agree_with_singular_values(self, kind, n):
+        rng = np.random.default_rng(n)
+        batch = symmetric_batch(rng, 64, n)
+        if kind == "negative-dominant":
+            # Shifted down, as the signed chaos_w components can be: |lambda_min| > lambda_max.
+            batch -= 3.0 * np.eye(n) * np.abs(batch).max()
+            eigenvalues = np.linalg.eigvalsh(batch)
+            assert np.all(-eigenvalues[:, 0] > eigenvalues[:, -1])
+        elif kind == "nonnegative-zero-diagonal":
+            batch = np.abs(batch)
+            batch[:, np.arange(n), np.arange(n)] = 0.0
+        values = op_norm_batch(batch)
+        np.testing.assert_array_equal(values, eigen_norms(batch))
+        singular = np.linalg.svd(batch, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(values, singular, rtol=4 * n * np.finfo(float).eps, atol=0.0)
+
+    def test_rectangular_and_asymmetric_matrices_keep_the_singular_value(self):
+        rng = np.random.default_rng(21)
+        rectangular = rng.standard_normal((8, 3, 5))
+        np.testing.assert_array_equal(op_norm_batch(rectangular), np.linalg.svd(rectangular, compute_uv=False)[:, 0])
+        # One entry one ulp off its mirror makes a matrix asymmetric.
+        nearly = symmetric_batch(rng, 8, 5)
+        nearly[:, 0, 1] = np.nextafter(nearly[:, 1, 0], np.inf)
+        batch = np.concatenate([nearly, rng.standard_normal((4, 5, 5))])
+        np.testing.assert_array_equal(op_norm_batch(batch), np.linalg.svd(batch, compute_uv=False)[:, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 3, 3), (0, 2, 4), (0, 3, 3, 3)])
+    def test_an_empty_batch_has_no_norms(self, shape):
+        assert op_norm_batch(np.zeros(shape)).shape == (0,)
+
+
 class TestOrderOneNorms:
     @pytest.mark.parametrize("shape", [(0, 4), (7, 3), (1, 40), (9000, 70)])
     @pytest.mark.parametrize("block_bytes", [256, BLOCK_BYTES])
@@ -402,6 +457,46 @@ class TestActiveSet:
         np.testing.assert_allclose(run.values, contraction, rtol=1e-12, atol=0.0)
         for vec in run.vectors:
             np.testing.assert_allclose(np.linalg.norm(vec, axis=2), 1.0, atol=1e-12)
+
+    def test_the_starts_of_a_nonnegative_tensor_are_the_absolute_gaussian_draws(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        batch = rng.standard_normal((6, 3, 4, 5))
+        batch[::2] = np.abs(batch[::2])
+        batch[2, 1, 1, 1] = 0.0
+        starts = []
+        contract = tensors._contract
+
+        def spy(tensors_, vectors, axis, rows=None):
+            if not starts:
+                starts.extend(v.copy() for v in vectors)
+            return contract(tensors_, vectors, axis, rows)
+
+        monkeypatch.setattr(tensors, "_contract", spy)
+        _als(batch, 4, 9)
+        draws = np.random.default_rng(9)
+        for v, m in zip(starts, batch.shape[1:]):
+            want = draws.standard_normal((6, 4, m))
+            want[::2] = np.abs(want[::2])
+            want[:, 0, :] = 1.0
+            want /= np.linalg.norm(want, axis=2, keepdims=True)
+            np.testing.assert_array_equal(v, want)
+            assert np.all(v[::2] >= 0.0) and v[1::2].min() < 0.0
+
+    def test_a_nonnegative_tensor_runs_alike_beside_signed_or_nonnegative_ones(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        nonnegative = np.abs(rng.standard_normal((8, 4, 4, 4)))
+        mixed = nonnegative.copy()
+        mixed[[0, 1, 2, 4, 6]] = rng.standard_normal((5, 4, 4, 4))
+        counts = live_sweeps(monkeypatch, 8)
+        run_nonnegative = _als(nonnegative, 5, 3)
+        nonnegative_counts = counts.copy()
+        counts[:] = 0
+        run_mixed = _als(mixed, 5, 3)
+        np.testing.assert_array_equal(nonnegative_counts[[3, 5, 7]], counts[[3, 5, 7]])
+        np.testing.assert_array_equal(run_nonnegative.values[[3, 5, 7]], run_mixed.values[[3, 5, 7]])
+        for got, want in zip(run_nonnegative.vectors, run_mixed.vectors):
+            np.testing.assert_array_equal(got[[3, 5, 7]], want[[3, 5, 7]])
+            assert np.all(got >= 0.0)
 
     def test_a_capped_batch_keeps_the_early_values_of_its_converged_tensors(self, monkeypatch):
         monkeypatch.setattr(tensors, "SWEEPS", 3)

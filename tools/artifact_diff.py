@@ -97,6 +97,7 @@ def differences(a: dict[str, list], b: dict[str, list]) -> dict[str, tuple[int, 
 
 def run_pass(name: str, root: Path, args: argparse.Namespace, seed: int, keep: Path) -> tuple[list[dict], list[str]]:
     side = Side(name, root, args.workload, seed, args.tiny, keep)
+    side.start()
     try:
         outcomes = side.run_pass()
     finally:

@@ -4,16 +4,23 @@
 
 One worker process per checkout imports that checkout's own
 `perfbench/harness.py` and `perfbench/workloads.py`, builds the workload from
-the seed, imports the program once and keeps it loaded.  Each side runs one
-untimed pass; then the two sides run N pairs of passes, alternating, A first
-in even pairs and B first in odd ones.  A command that fails its gate stops
-the run (exit status 1).  Printed: each side's median pass time and
-per-command medians, whether the two sides' first-pass artifacts are
-byte-identical, the median of the pair ratios B/A, and the pairs B won.
+the seed, imports the program once and keeps it loaded.  The N pairs of
+passes run in rounds of at most ROUND_PAIRS, each round with a fresh worker
+per side: A's worker starts first in even rounds and B's in odd ones.  In
+each round each side runs one untimed pass; then the two sides run the
+round's pairs, alternating, A first in even pairs and B first in odd ones.
+A command that fails its gate stops the run (exit status 1).  Printed:
+whether the two sides' untimed-pass artifacts are byte-identical in every
+round, each side's median pass time and per-command medians, the median of
+the pair ratios B/A and the pairs B won over all rounds, and the pairs B won
+in each round.
 
 Separate benchmark runs of the same tree can differ by more than the change
 being measured; passes that alternate between live workers share the
-machine's slow and fast phases.  Standard library only; the workers import
+machine's slow and fast phases.  Two workers of the same sources can also
+run at speeds that differ by several percent for their whole lifetime, which
+fresh workers every round expose: rounds that disagree on the winner mean
+the pooled count is not a gain.  Standard library only; the workers import
 whatever their checkout's harness imports.
 """
 from __future__ import annotations
@@ -56,17 +63,26 @@ def worker(root: str, workload_name: str, seed: int, tiny: bool, keep: str | Non
     return 0
 
 
+# Most pairs of passes one pair of workers runs before both are replaced.
+ROUND_PAIRS = 10
+
+
 class Side:
     """One checkout's worker process; see `worker` for `keep`."""
 
     def __init__(self, name: str, root: Path, workload: str, seed: int, tiny: bool, keep: Path | None = None):
         self.name, self.root = name, root
-        command = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), workload,
-                   str(seed)] + (["--tiny"] if tiny else []) + ([f"--keep={keep}"] if keep is not None else [])
-        self.process = subprocess.Popen(command, cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                        text=True)
+        self.command = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root), workload,
+                        str(seed)] + (["--tiny"] if tiny else []) + ([f"--keep={keep}"] if keep is not None else [])
+        self.process: subprocess.Popen | None = None
         self.passes: list[float] = []
         self.commands: dict[str, list[float]] = {}
+
+    def start(self) -> None:
+        """Start a fresh worker process, after closing any earlier one."""
+        self.close()
+        self.process = subprocess.Popen(self.command, cwd=self.root, stdin=subprocess.PIPE,
+                                        stdout=subprocess.PIPE, text=True)
 
     def run_pass(self) -> list[dict]:
         self.process.stdin.write("pass\n")
@@ -82,8 +98,10 @@ class Side:
             self.commands.setdefault(o["label"], []).append(o["seconds"])
 
     def close(self) -> None:
-        self.process.stdin.close()
-        self.process.wait()
+        if self.process is not None:
+            self.process.stdin.close()
+            self.process.wait()
+            self.process = None
 
 
 def failures(side: Side, outcomes: list[dict]) -> list[str]:
@@ -97,8 +115,10 @@ def summary(a: Side, b: Side) -> list[str]:
         lines.append(f"{side.name} {side.root}: median {statistics.median(side.passes):.4f} s"
                      f" over {len(side.passes)} passes; per command: {commands}")
     ratios = [tb / ta for ta, tb in zip(a.passes, b.passes)]
-    wins = sum(tb < ta for ta, tb in zip(a.passes, b.passes))
-    lines.append(f"median pair ratio B/A {statistics.median(ratios):.4f}; B faster in {wins} of {len(ratios)} pairs")
+    won = [tb < ta for ta, tb in zip(a.passes, b.passes)]
+    lines.append(f"median pair ratio B/A {statistics.median(ratios):.4f}; B faster in {sum(won)} of {len(ratios)} pairs")
+    rounds = [won[lo : lo + ROUND_PAIRS] for lo in range(0, len(won), ROUND_PAIRS)]
+    lines.append("by round of fresh workers, B faster in " + ", ".join(f"{sum(r)} of {len(r)}" for r in rounds))
     return lines
 
 
@@ -120,26 +140,34 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--passes must be at least 1")
     sides = [Side(name, root.resolve(), args.workload, args.seed, args.tiny)
              for name, root in (("A", args.a), ("B", args.b))]
+    failed, identical = [], True
     try:
-        first = [side.run_pass() for side in sides]  # untimed
-        failed = failures(sides[0], first[0]) + failures(sides[1], first[1])
-        digests = [{o["label"]: o["digests"] for o in outcomes} for outcomes in first]
-        print("artifacts identical on both sides" if digests[0] == digests[1] else "artifacts DIFFER between sides")
-        for p in range(args.passes):
-            if failed:
-                break
-            for side in sides if p % 2 == 0 else sides[::-1]:
-                outcomes = side.run_pass()
-                failed = failures(side, outcomes)
+        for lo in range(0, args.passes, ROUND_PAIRS):
+            starting = sides if lo // ROUND_PAIRS % 2 == 0 else sides[::-1]
+            for side in starting:
+                side.start()
+            first = {side.name: side.run_pass() for side in starting}  # untimed
+            failed = failures(sides[0], first["A"]) + failures(sides[1], first["B"])
+            digests = [{o["label"]: o["digests"] for o in first[name]} for name in "AB"]
+            identical = identical and digests[0] == digests[1]
+            for p in range(lo, min(lo + ROUND_PAIRS, args.passes)):
                 if failed:
                     break
-                side.record(outcomes)
+                for side in sides if p % 2 == 0 else sides[::-1]:
+                    outcomes = side.run_pass()
+                    failed = failures(side, outcomes)
+                    if failed:
+                        break
+                    side.record(outcomes)
+            if failed:
+                break
     finally:
         for side in sides:
             side.close()
     if failed:
         print("\n".join(failed))
         return 1
+    print("artifacts identical on both sides" if identical else "artifacts DIFFER between sides")
     print("\n".join(summary(*sides)))
     return 0
 
