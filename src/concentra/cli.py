@@ -52,7 +52,7 @@ T_GRID_MAX_COUNT = 10**5
 # starts as one (starts, support size) array, 128 MiB at the limit on 2^12
 # configurations.
 LSI_MAX_STARTS = 1 << 12
-SITES, STARTS = integer(1, MAX_SITES), integer(1, LSI_MAX_STARTS)
+SITES, STARTS, GRID_COUNT = integer(1, MAX_SITES), integer(1, LSI_MAX_STARTS), integer(1, T_GRID_MAX_COUNT)
 # Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
 # `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit the
 # 16-site `glauber-mc` ring makes 16M site updates per field and keeps 16M
@@ -220,7 +220,7 @@ def build_bound(inputs: Inputs) -> bounds_mod.TailBound:
 def build_t_grid(doc, what: str = "t_grid") -> np.ndarray:
     """A finite, non-empty grid from a list or {start, stop, count}; a reader type."""
     if isinstance(doc, dict):
-        grid = np.linspace(field(doc, "start", real), field(doc, "stop", real), field(doc, "count", integer(1, T_GRID_MAX_COUNT)))
+        grid = np.linspace(field(doc, "start", real), field(doc, "stop", real), field(doc, "count", GRID_COUNT))
     else:
         grid = vector(doc, what)
     if grid.size == 0 or not np.all(np.isfinite(grid)):

@@ -37,8 +37,9 @@ from .errors import DomainError
 DEFAULT_RESTARTS = 32
 # Each tensor of an ALS run stops after SWEEPS sweeps, or earlier once each of
 # its start values moved by at most TOL relative (absolute below 1) in a sweep.
-# Nonnegative starts converge in fewer, larger steps than signed ones; at 1e-9
-# they could stop up to 5e-13 relative lower, at 1e-10 below 1e-13.
+# Nonnegative starts take fewer, larger steps than signed ones, so a looser
+# TOL stops them lower: at 1e-9 the corpus's rademacher4-cubic gamma_3 fell
+# 5.3e-13 relative below its signed-start value, at 1e-10 6.6e-14.
 SWEEPS = 200
 TOL = 1e-10
 # An exact norm-profile level of any order whose entrywise spread over the
@@ -166,11 +167,12 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
 
     Start 0 of every tensor is the all-ones direction, the others are
     Gaussian, and for a tensor with no negative entry their absolute values:
-    the draws are the same either way, and each tensor's starts depend on its
-    own entries alone.  The tensors run together, but each leaves the active set after
-    the first sweep in which all its start values converged, or after SWEEPS
-    sweeps; its values and vectors then stay as that sweep left them.  So a
-    tensor's result does not depend on the other tensors of its batch.
+    the draws are the same either way, and whether a tensor's starts are
+    folded depends on its own entries alone.  The tensors run together, but
+    each leaves the active set after the first sweep in which all its start
+    values converged, or after SWEEPS sweeps; its values and vectors then stay
+    as that sweep left them.  So a tensor's result does not depend on the
+    other tensors of its batch.
 
     A sweep is k calls to `_contract`, one per axis, on the active tensors:
     about k*A*R*n1*...*nk multiply-adds for A of them, with a workspace of one

@@ -339,8 +339,9 @@ def _recursion_margins(tables: np.ndarray, mu: Measure, d: int) -> np.ndarray:
 def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> PointwiseReport:
     """Pointwise |h+ of |h^(d-1) f|_op| <= |h^(d) f|_op at every support point.
 
-    The left side is exact for d <= 3 (vector norms and singular values); the
-    right side for d = 3 is an iterative lower bound, covered by the slack.
+    The left side is exact for d <= 3 (vector norms, and matrix norms from
+    eigenvalues or singular values); the right side for d = 3 is an iterative
+    lower bound, covered by the slack.
     This is `_recursion_margins` on a batch of one table.
     """
     if d < 2:

@@ -116,7 +116,8 @@ def summary(a: Side, b: Side) -> list[str]:
                      f" over {len(side.passes)} passes; per command: {commands}")
     ratios = [tb / ta for ta, tb in zip(a.passes, b.passes)]
     won = [tb < ta for ta, tb in zip(a.passes, b.passes)]
-    lines.append(f"median pair ratio B/A {statistics.median(ratios):.4f}; B faster in {sum(won)} of {len(ratios)} pairs")
+    lines.append(f"median pair ratio B/A {statistics.median(ratios):.4f};"
+                 f" B faster in {sum(won)} of {len(ratios)} pairs")
     rounds = [won[lo : lo + ROUND_PAIRS] for lo in range(0, len(won), ROUND_PAIRS)]
     lines.append("by round of fresh workers, B faster in " + ", ".join(f"{sum(r)} of {len(r)}" for r in rounds))
     return lines
