@@ -296,7 +296,7 @@ class TestMatrixNorms:
         batch = np.concatenate([nearly, rng.standard_normal((4, 5, 5))])
         np.testing.assert_array_equal(op_norm_batch(batch), np.linalg.svd(batch, compute_uv=False)[:, 0])
 
-    @pytest.mark.parametrize("shape", [(0, 4), (0, 3, 3), (0, 2, 4), (0, 3, 3, 3)])
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 2, 4), (0, 3, 3, 3)])
     def test_an_empty_batch_has_no_norms(self, shape):
         assert op_norm_batch(np.zeros(shape)).shape == (0,)
 
