@@ -29,7 +29,7 @@ def test_pairs_run_in_rounds_of_fresh_workers(tmp_path):
     # Each worker start is logged by a sitecustomize module on the workers' path.
     log = tmp_path / "starts.log"
     (tmp_path / "sitecustomize.py").write_text(
-        "import os, sys\n"
+        "import sys\n"
         "if '--worker' in sys.argv:\n"
         f"    open({str(log)!r}, 'a').write(sys.argv[sys.argv.index('--worker') + 1] + '\\n')\n"
     )
