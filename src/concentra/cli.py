@@ -19,12 +19,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import models, verify
 from .diffops import NormProfile, norm_profile
-from .errors import ConcentraError, DomainError, SchemaError
+from .errors import ConcentraError, SchemaError
 from .funcs import FunctionSpec, function_from_json, function_table, fourier_transform
 from .lsi import OPERATORS, lsi_constant_search, spectral_bracket
 from .schema import (
-    array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, one_key, reads, real,
-    vector,
+    array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector,
 )
 from .space import ENUMERATION_CAP, Measure, hypercube, measure_from_json, rademacher, bernoulli_product
 
@@ -43,14 +42,20 @@ MAX_SITES = 1 << 10
 CURIE_WEISS_MAX_N = MAX_SITES
 # 45 vertices make 990 edge sites, 46 make 1035.
 ERGM_MAX_VERTICES = (1 + math.isqrt(1 + 8 * MAX_SITES)) // 2
+# Rows of an `ergm` model's motif embeddings, summed over its motifs: a motif
+# on k vertices has V!/(V - k)! injective maps into V vertices, each one row
+# built by a Python loop (a 5-vertex path at V = 16, 524,160 rows, took 1.2 s
+# on a 2-CPU Xeon).  Every motif of at most three vertices stays within it at
+# V = 45 (85,140 rows each).
+ERGM_MAX_EMBEDDINGS = 1 << 20
 # `fourier` `n`: the 2^n configurations of its hypercube within the enumeration cap.
 FOURIER_MAX_N = ENUMERATION_CAP.bit_length() - 1
 # Points of a `{start, stop, count}` t grid, each one bound evaluation and, in
 # `verify-tail`, one tail probability.
 T_GRID_MAX_COUNT = 10**5
-# `lsi` `starts` and a `{"search": {"starts"}}` sigma2: a search draws its
-# starts as one (starts, support size) array, 128 MiB at the limit on 2^12
-# configurations.
+# `lsi` `starts`: an h or h_plus search draws its starts as one (starts,
+# size) array, 128 MiB at the limit on its largest space, 2^12
+# configurations; d uses no starts.
 LSI_MAX_STARTS = 1 << 12
 SITES, STARTS, GRID_COUNT = integer(1, MAX_SITES), integer(1, LSI_MAX_STARTS), integer(1, T_GRID_MAX_COUNT)
 # Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
@@ -92,6 +97,17 @@ def _load_config(path: str) -> dict:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
 
 
+def _ergm(vertices: int, motifs: list, beta: tuple) -> Measure:
+    """An `ergm` model, once its motif embeddings fit in ERGM_MAX_EMBEDDINGS rows."""
+    rows = sum(math.perm(vertices, m.n_vertices) for m in motifs)
+    if rows > ERGM_MAX_EMBEDDINGS:
+        raise SchemaError(
+            f"'motifs' must embed in at most {ERGM_MAX_EMBEDDINGS} rows (the sum of V!/(V - |motif|)!), "
+            f"got {rows} at {vertices} vertices"
+        )
+    return models.build_ergm(models.ErgmSpec(vertices, motifs, beta))[0]
+
+
 MODEL_KINDS = {
     "rademacher": reads(rademacher, ("n", SITES)),
     "bernoulli": reads(bernoulli_product, ("n", SITES), ("p", real)),
@@ -107,7 +123,7 @@ MODEL_KINDS = {
         ("edges", EDGES), ("vertices", SITES), ("colors", COUNT),
     ),
     "ergm": reads(
-        lambda *a: models.build_ergm(models.ErgmSpec(*a))[0],
+        _ergm,
         ("vertices", integer(1, ERGM_MAX_VERTICES)),
         ("motifs", list_of(reads(lambda e: models.Motif(tuple(map(tuple, e.tolist()))), ("edges", EDGES)))),
         ("beta", floats),
@@ -143,22 +159,10 @@ class Inputs:
         return function_table(self.function, self.model.space)
 
 
-def _lsi_sigma2(mu: Measure, starts: int, seed: int) -> float:
-    # Only the searched ratio is published, so the bracket's eigensolve is skipped.
-    best = lsi_constant_search(mu, "d", starts, seed, bracket=False).best_ratio
-    if best <= 0.0:
-        raise DomainError("the ratio search found no usable constant")
-    return best
-
-
 def _sigma2(inputs: Inputs):
-    """A number; {"search": {"starts", "seed"}}, the d-operator ratio search on
-    the model; or {"spectral": {}}, the upper end of its spectral bracket."""
-    form = one_key({
-        "search": reads(lambda *a: _lsi_sigma2(inputs.model, *a), ("starts", STARTS), ("seed", SEED)),
-        "spectral": check(lambda v: v == {}, "an empty object", lambda _: spectral_bracket(inputs.model)[1]),
-    })
-    return lambda value, what: (form if isinstance(value, dict) else real)(value, what)
+    """A number, or {"spectral": {}}: the upper end of the model's spectral bracket."""
+    spectral = check(lambda v: v == {"spectral": {}}, '{"spectral": {}}', lambda _: spectral_bracket(inputs.model)[1])
+    return lambda value, what: (spectral if isinstance(value, dict) else real)(value, what)
 
 
 REGIME_KINDS = {

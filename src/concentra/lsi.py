@@ -1,8 +1,8 @@
 """Log-Sobolev machinery: Dirichlet forms, LSI-ratio evaluation, heuristic
-constant search, the spectral bracket of the d-operator constant,
+h-operator constant search, the spectral bracket of the d-operator constant,
 product-measure verification, and the two-point blow-up study.
 
-Search results are lower bounds on the optimal constant: a search alone never
+A reported ratio is a lower bound on the optimal constant: a search alone never
 claims "satisfies LSI(sigma^2)", only "no violation found up to".  The upper
 end of `spectral_bracket` is the one certified constant.
 """
@@ -173,14 +173,47 @@ def spectral_bracket(mu: Measure) -> tuple[float, float]:
     return bracket
 
 
+# The d report's witness is the unit table along 1 + _D_WITNESS_EPS phi, phi a
+# gap eigenvector with max |phi| = 1 on the support.  Its ratio is
+# (1 + eps E phi^3 / (3 E phi^2) + O(eps^2)) / gap, so within eps / 3 of 1/gap
+# relative, and its rounding is of order 1e-16 / eps relative.
+_D_WITNESS_EPS = 1e-6
+# phi comes from two steps of inverse iteration on A - s I, s = (1 - _GAP_SHIFT)
+# gap, which is nonsingular: each step scales a component of eigenvalue m by
+# _GAP_SHIFT gap / |m - s| against the gap's.  A solve copies A once, as the
+# eigensolve does; `eigh`'s eigenvectors would need about four copies.
+_GAP_SHIFT = 1e-10
+
+
+def _d_report(mu: Measure) -> tuple[float, np.ndarray | None, tuple]:
+    """The d operator's best ratio, witness and spectral bracket, from one
+    support form and one eigensolve; (0, None, (None, None)) without a gap."""
+    support, ws, L = _support_form(mu)
+    bracket = _bracket(ws, L, mu.space.n)
+    if bracket is None:
+        return 0.0, None, (None, None)
+    # L now holds A.
+    L.flat[:: len(L) + 1] -= (1.0 - _GAP_SHIFT) / bracket[0]
+    v = np.random.default_rng(0).standard_normal(len(L))
+    for _ in range(2):
+        v = np.linalg.solve(L, v / np.linalg.norm(v))
+    phi = v / np.sqrt(ws)
+    table = np.zeros(mu.space.size)
+    table[support] = 1.0 + _D_WITNESS_EPS * phi / np.abs(phi).max()
+    ratio, witness, _ = _best(mu, (table / np.linalg.norm(table))[None], "d", 0)
+    return ratio, witness, bracket
+
+
 @dataclass
 class LsiReport(Record):
-    """Best ratio found by a heuristic search: a lower bound on the optimal constant.
+    """The LSI ratio of a unit table `witness`: a lower bound on the optimal constant.
 
-    `iterations` counts the objective rows the search evaluated, over all starts.
-    For the d operator, `inverse_gap` and `sigma2_upper` are `spectral_bracket`
-    of the measure; they are None for h and h_plus, and where the support has
-    no spectral gap.
+    h and h_plus: the best table of a search, which evaluated `iterations`
+    objective rows over all starts; no bracket.  d: no search (`iterations`
+    0); `inverse_gap` and `sigma2_upper` are `spectral_bracket` of the
+    measure, and the witness lies along 1 + _D_WITNESS_EPS phi, phi a gap
+    eigenvector, so `best_ratio` is within about _D_WITNESS_EPS / 3 of
+    `inverse_gap`.  Without a spectral gap the d report is 0 and None.
     """
 
     operator: str
@@ -195,168 +228,6 @@ class LsiReport(Record):
 
 # Iterations a search start may take, unless its caller says otherwise.
 _MAX_ITER = 500
-
-# Lockstep L-BFGS: scipy's L-BFGS-B defaults for memory and stopping, with
-# Armijo backtracking in place of its Wolfe line search.
-_LBFGS_MEMORY = 10
-_PGTOL = 1e-5
-_FTOL = 1e7 * np.finfo(float).eps
-_ARMIJO = 1e-4
-_BACKTRACKS = 40
-
-
-def _lbfgs(objective, x: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimise `objective` from every row of `x` in lockstep.
-
-    `objective` maps a (rows, dim) batch to values and gradients.  Each start
-    stops on its own when its largest gradient entry is <= _PGTOL, when an
-    iteration cuts its value by <= _FTOL relative, when its line search finds
-    no Armijo step, or after `max_iter` iterations.  Every test and reduction
-    is taken per row, so a start's path does not depend on the others when
-    the objective's rows do not.  Returns the final rows and the number of
-    rows each start evaluated.
-    """
-    out = x.copy()
-    value, grad = objective(x)
-    evaluations = np.ones(len(x), dtype=int)
-    live = np.flatnonzero(np.abs(grad).max(axis=1) > _PGTOL)
-    x, value, grad = x[live], value[live], grad[live]
-    # Ring buffers of the last pairs, one (live, dim) array per slot; an empty
-    # or skipped slot has rho = 0 and changes nothing in the two-loop recursion.
-    s_mem, y_mem, rho = [], [], []
-    # The first step is -grad scaled to unit length, as in L-BFGS-B.
-    gamma = 1.0 / np.linalg.norm(grad, axis=1)
-    for it in range(max_iter):
-        if not live.size:
-            break
-        slots = [(it - 1 - j) % _LBFGS_MEMORY for j in range(len(s_mem))]
-        direction = -grad
-        alpha = []
-        for s in slots:
-            alpha.append(rho[s] * (s_mem[s] * direction).sum(axis=1))
-            direction -= alpha[-1][:, None] * y_mem[s]
-        direction *= gamma[:, None]
-        for s, a in zip(reversed(slots), reversed(alpha)):
-            beta = rho[s] * (y_mem[s] * direction).sum(axis=1)
-            direction += (a - beta)[:, None] * s_mem[s]
-        slope = (grad * direction).sum(axis=1)
-        step = np.ones(len(x))
-        new_x, new_value, new_grad = x.copy(), value.copy(), grad.copy()
-        pending = np.flatnonzero(slope < 0.0)
-        for _ in range(_BACKTRACKS):
-            if not pending.size:
-                break
-            trial = x[pending] + step[pending, None] * direction[pending]
-            trial_value, trial_grad = objective(trial)
-            evaluations[live[pending]] += 1
-            ok = trial_value <= value[pending] + _ARMIJO * step[pending] * slope[pending]
-            took = pending[ok]
-            new_x[took], new_value[took], new_grad[took] = trial[ok], trial_value[ok], trial_grad[ok]
-            pending = pending[~ok]
-            step[pending] *= 0.5
-        moved = new_value < value
-        s_new, y_new = new_x - x, new_grad - grad
-        sy = (s_new * y_new).sum(axis=1)
-        yy = (y_new * y_new).sum(axis=1)
-        keep = moved & (sy > np.finfo(float).eps * yy)
-        pair = (s_new, y_new, np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0))
-        if len(s_mem) < _LBFGS_MEMORY:
-            for mem, item in zip((s_mem, y_mem, rho), pair):
-                mem.append(item)
-        else:
-            slot = it % _LBFGS_MEMORY
-            s_mem[slot], y_mem[slot], rho[slot] = pair
-        gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
-        reduction = (value - new_value) / np.maximum(np.maximum(np.abs(value), np.abs(new_value)), 1.0)
-        go_on = moved & (reduction > _FTOL) & (np.abs(new_grad).max(axis=1) > _PGTOL)
-        out[live] = new_x
-        x, value, grad, gamma, live = new_x[go_on], new_value[go_on], new_grad[go_on], gamma[go_on], live[go_on]
-        if not go_on.all():
-            for mem in (s_mem, y_mem, rho):
-                for j, item in enumerate(mem):
-                    mem[j] = item[go_on]
-    return out, evaluations
-
-
-def _padded_rows(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of the symmetric `L`, row by row: (index, values), with
-    values of shape (k, N), k the most nonzeros in a row of the N x N matrix.
-    Slot j of row i holds the row's j-th nonzero in column order, its column
-    at index[j * N + i]; slots past a row's count hold 0 at column 0."""
-    rows, cols = np.nonzero(L)
-    counts = np.bincount(rows, minlength=len(L))
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.zeros((int(counts.max()), len(L)), dtype=np.intp)
-    values = np.zeros(index.shape)
-    index[slot, rows] = cols
-    values[slot, rows] = L[rows, cols]
-    return index.ravel(), values
-
-
-def _form_product(form: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """x L of each row of `x`, for L in `_padded_rows` form: every entry is the
-    sum, in slot order, of its row's nonzeros times the gathered entries of
-    x, so a row's product does not depend on its batch."""
-    index, values = form
-    terms = np.take(x, index, axis=1).reshape((len(x),) + values.shape)
-    terms *= values
-    return terms.sum(axis=1)
-
-
-def _d_parts(x: np.ndarray, form: tuple[np.ndarray, np.ndarray],
-             ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """E |d f|^2, L f, Ent(f^2) and log(f^2 / E f^2) (0 where f = 0) of each row
-    of `x`, a batch of tables on the support, with L in `_padded_rows` form.
-
-    L 1 = 0, so L f = L c for the centred rows c; using c keeps the energy free
-    of cancellation near constants.
-    """
-    centred = x - (x * ws).sum(axis=1, keepdims=True)
-    lf = _form_product(form, centred)
-    return ((centred * lf).sum(axis=1), lf, *_entropy(ws, x**2, log_ratio=True))
-
-
-def _d_objective(form: tuple[np.ndarray, np.ndarray], ws: np.ndarray):
-    """The batch objective of the d search on the support form `form`
-    (`_padded_rows`) with probabilities `ws`."""
-
-    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log E|d f|^2 - log Ent(f^2) and its gradient; 1e6 with a zero gradient
-        where either vanishes."""
-        energy, lf, ent, log_r = _d_parts(x, form, ws)
-        ok = (energy > _TINY) & (ent > _TINY)
-        energy, ent = np.where(ok, energy, 1.0), np.where(ok, ent, 1.0)
-        value = np.where(ok, np.log(energy) - np.log(ent), 1e6)
-        grad = 2.0 * lf / energy[:, None] - 2.0 * ws * x * log_r / ent[:, None]
-        return value, np.where(ok[:, None], grad, 0.0)
-
-    return objective
-
-
-def _search_d_operator(
-    mu: Measure, starts: int, seed: int, max_iter: int, bracket: bool
-) -> tuple[float, np.ndarray | None, int, tuple[float, float] | None]:
-    support, ws, L = _support_form(mu)
-    form = _padded_rows(L)
-    objective = _d_objective(form, ws)
-    rng = np.random.default_rng(seed)
-    dim = support.size
-    points = rng.standard_normal((starts, dim))
-    # Indicator-like starts probe the small-mass corners driving the entropy.
-    corners = np.argsort(ws)[: max(1, starts // 4)]
-    indicators = np.full((corners.size, dim), 0.05)
-    indicators[np.arange(corners.size), corners] = 1.0
-    points = np.vstack([points, indicators])
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    # A start holds its L-BFGS pairs, a few work rows and the product's k terms.
-    row_bytes = 8 * dim * (2 * _LBFGS_MEMORY + 8 + len(form[1]))
-    runs = [_lbfgs(objective, group, max_iter) for group in _groups(points, row_bytes)]
-    ends = np.vstack([r[0] for r in runs])
-    witnesses = np.zeros((len(ends), mu.space.size))
-    witnesses[:, support] = ends / np.linalg.norm(ends, axis=1, keepdims=True)
-    evaluations = int(sum(r[1].sum() for r in runs))
-    return *_best(mu, witnesses, "d", evaluations), _bracket(ws, L, mu.space.n) if bracket else None
-
 
 # Lockstep Nelder-Mead: scipy's non-adaptive coefficients and initial simplex.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
@@ -493,34 +364,30 @@ def lsi_constant_search(
     starts: int = 32,
     seed: int = 0,
     max_iter: int = _MAX_ITER,
-    *,
-    bracket: bool = True,
 ) -> LsiReport:
-    """Multi-start ascent of the defining ratio over function tables.
+    """The best LSI ratio found for `operator`, with the table that attains it.
 
-    The starts advance in lockstep as one (starts, dim) array, so each
-    iteration is a few array operations over every start; only where the
-    arrays would pass _BATCH_BYTES do the starts go in several groups.  The d operator
-    runs L-BFGS on log E|d f|^2 - log Ent(f^2) from `starts` random tables
-    plus `starts // 4` indicator-like ones; h and h_plus run Nelder-Mead on
-    the normalized ratio from `starts` random tables.  The ratio is
-    scale-invariant, so candidates are normalized; the report is a lower
-    bound on the optimal constant.  A d report also carries the spectral
-    bracket, taken from the support form the search builds; `bracket=False`
-    skips its eigensolve and leaves the report's bracket fields None.
+    h and h_plus run a multi-start Nelder-Mead on the normalized ratio from
+    `starts` random tables of `seed`.  The starts advance in lockstep as one
+    (starts, dim) array, so each iteration is a few array operations over
+    every start; only where the arrays would pass _BATCH_BYTES do the starts
+    go in several groups.  The ratio is scale-invariant, so candidates are
+    normalized; the report is a lower bound on the optimal constant.
+
+    d runs no search and ignores `starts`, `seed` and `max_iter`: its report
+    is `spectral_bracket` of the measure, with the ratio of the table
+    1 + _D_WITNESS_EPS phi along a gap eigenvector phi (see `LsiReport`).
     """
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
     mu.space.check_cap()
-    w = mu.prob_table()
-    if int(np.count_nonzero(w > 0.0)) <= 1:
+    if np.count_nonzero(mu.prob_table() > 0.0) <= 1:
         return LsiReport(operator, 0.0, None, starts, 0, seed, None, None)
-    ends = None
     if operator == "d":
-        ratio, witness, iters, ends = _search_d_operator(mu, starts, seed, max_iter, bracket)
-    else:
-        ratio, witness, iters = _search_h_operator([mu], operator, starts, seed, max_iter)[0]
-    return LsiReport(operator, ratio, witness, starts, iters, seed, *(ends or (None, None)))
+        ratio, witness, bracket = _d_report(mu)
+        return LsiReport(operator, ratio, witness, starts, 0, seed, *bracket)
+    ratio, witness, iters = _search_h_operator([mu], operator, starts, seed, max_iter)[0]
+    return LsiReport(operator, ratio, witness, starts, iters, seed, None, None)
 
 
 def verify_h_lsi_product(mu: Measure, trials: int, seed: int = 0) -> float:

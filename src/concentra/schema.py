@@ -73,19 +73,6 @@ def dispatch(doc, builders: dict[str, Callable], what: str, *args):
     return builders[name](doc, *args)
 
 
-def one_key(types: dict[str, Callable]) -> Callable:
-    """The type of an object with exactly one key, one of `types`: that key's
-    type applied to its value."""
-
-    def type_(value, what: str):
-        if not (isinstance(value, dict) and len(value) == 1 and next(iter(value)) in types):
-            _fail(what, f"an object with exactly one key, one of {', '.join(types)}", value)
-        ((key, inner),) = value.items()
-        return types[key](inner, repr(key))
-
-    return type_
-
-
 def check(test: Callable, must: str, convert: Callable = lambda v: v) -> Callable:
     """The type of the JSON values that pass `test`, converted by `convert`."""
 

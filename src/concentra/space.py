@@ -554,11 +554,9 @@ def entropy_functional(mu: Measure, g) -> float:
     return float(_entropy(w[support], vals))
 
 
-def _entropy(weights: np.ndarray, g: np.ndarray, log_ratio: bool = False):
+def _entropy(weights: np.ndarray, g: np.ndarray):
     """Ent(g) of each row of g >= 0, given the support weights, one table or one
-    per row: E g · E[r log r - r + 1] with r = g / E g.  With `log_ratio`, the
-    pair (Ent(g), log r), log r taken as 0 where r = 0: the gradient of Ent in
-    g is weights · log r / sum(weights), so a search gets both from one pass.
+    per row: E g · E[r log r - r + 1] with r = g / E g.
 
     Every term is >= 0 and the form is stationary in E g, so it keeps its
     relative accuracy near constant g, where E g log g - E g log E g cancels.
@@ -572,8 +570,7 @@ def _entropy(weights: np.ndarray, g: np.ndarray, log_ratio: bool = False):
     safe = np.where(mean > 0.0, mean, 1.0)
     r = g / np.expand_dims(safe, -1)
     log_r = np.log(r, out=np.zeros_like(r), where=r > 0.0)
-    ent = mean * (weights * (r * log_r - (r - 1.0))).sum(axis=-1)
-    return (ent, log_r) if log_ratio else ent
+    return mean * (weights * (r * log_r - (r - 1.0))).sum(axis=-1)
 
 
 def lp_norm(mu: Measure, f, p: float, centered: bool = True) -> float:

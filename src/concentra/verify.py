@@ -392,9 +392,8 @@ def check_ustat_entry_bound(kernel: UStatistic, n: int, k: int) -> PointwiseRepo
 
 # The files `corpus/<name>.json`, in report order: `verify-tail` configs with a
 # `general` bound and no `t_grid`.  rademacher4-sum-dlsi states sigma2 = 1, the
-# d-operator LSI constant of uniform two-point coordinates;
-# curie-weiss6-magnetization searches its sigma2, and the other dlsi entries
-# publish the upper end of their spectral bracket.  The coloring has
+# d-operator LSI constant of uniform two-point coordinates, and the other dlsi
+# entries publish the upper end of their spectral bracket.  The coloring has
 # five colors on the triangle, k >= 2 * max degree + 1, so single-site
 # resampling is ergodic (with three it freezes and no finite constant exists).
 CORPUS = (
@@ -412,10 +411,6 @@ CORPUS = (
     "ergm4-triangles",
     "ergm5-edges",
 )
-
-
-# The `sigma2_source` of each object form of a dlsi sigma2.
-_SIGMA2_SOURCES = {"search": "searched", "spectral": "spectral"}
 
 
 def corpus_names() -> list[str]:
@@ -437,12 +432,10 @@ def run_corpus_entry(name: str) -> dict:
         shrunk = bound.scaled_constant(1.0 / (report.safety_factor * 1.05))
         flipped = not check_domination(curve, shrunk).dominated
     passed = report.dominated and report.nonvacuous and flipped
-    # The sigma2 form, until the result types carry exactness: searched,
-    # spectral, stated, or none.  The reader has checked it by now.
+    # The sigma2 form, until the result types carry exactness: spectral (the
+    # only object form), stated, or none.  The reader has checked it by now.
     regime_doc = field(field(inputs.config, "bound", document), "regime", document)
-    source = field(
-        regime_doc, "sigma2", lambda v, _: _SIGMA2_SOURCES[next(iter(v))] if isinstance(v, dict) else "stated", ""
-    )
+    source = field(regime_doc, "sigma2", lambda v, _: "spectral" if isinstance(v, dict) else "stated", "")
     return {
         "name": name,
         "passed": passed,

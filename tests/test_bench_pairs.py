@@ -51,6 +51,21 @@ def test_summary_counts_wins_ties_and_quartiles(bench_pairs):
     assert (rate["change_wins"], rate["ties"]) == (2, 1)
 
 
+def test_summary_gives_the_quartiles_of_the_per_pair_ratios(bench_pairs):
+    runs = [
+        record(0, "parent", 2.0, 1.0), record(0, "change", 1.0, 1.0),
+        record(1, "change", 2.0, 3.0), record(1, "parent", 2.0, 0.0),
+        record(2, "parent", 3.0, 2.0), record(2, "change", 1.5, 0.5),
+        record(3, "parent", 4.0, 1.0), record(3, "change", 5.0, 2.0),
+    ]
+    metrics = bench_pairs.summarise(runs, SPEC)["w"]["metrics"]
+    wall = metrics["wall_s"]["pair_ratio"]
+    assert wall["runs"] == [0.5, 1.0, 0.5, 1.25]
+    assert (wall["q1"], wall["median"], wall["q3"]) == (0.5, 0.75, 1.0625)
+    # a pair whose parent reads 0 has no ratio
+    assert metrics["rate"]["pair_ratio"]["runs"] == [1.0, 0.25, 2.0]
+
+
 def test_a_run_that_exits_nonzero_drops_its_pair(bench_pairs):
     runs = [
         record(0, "parent", 2.0, 1.0), record(0, "change", 1.0, 1.0),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from concentra.cli import (
     CURIE_WEISS_MAX_N,
+    ERGM_MAX_EMBEDDINGS,
     ERGM_MAX_VERTICES,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -460,10 +461,10 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capsys, command, d
     "bound_doc",
     [
         {"kind": "general", "regime": {"kind": "independent", "d": 1}},
-        {"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})},
+        {"kind": "general", "regime": _dlsi({"spectral": {}})},
         {"kind": "polynomial", "d": 1, "sigma": 1.0},
     ],
-    ids=["general", "general-sigma2-search", "polynomial"],
+    ids=["general", "general-sigma2-spectral", "polynomial"],
 )
 def test_verify_tail_builds_the_model_and_function_once(tmp_path, monkeypatch, bound_doc):
     import concentra.cli as cli
@@ -564,8 +565,8 @@ def test_lsi_command_loads_no_scipy(tmp_path, operator):
 
 def test_benchmark_setup_and_d_search_load_no_scipy_sparse(tmp_path):
     # The benchmark's setup_s times `import concentra.cli` plus building each
-    # workload's models, and suite-lsi's peak_rss_mib a whole pass; the
-    # d-search's sparse product is plain numpy, so neither loads scipy.sparse.
+    # workload's models, and suite-lsi's peak_rss_mib a whole pass; the `lsi`
+    # d report's eigensolve is numpy's, so neither loads scipy.sparse.
     import subprocess
     import sys
 
@@ -586,16 +587,6 @@ def test_benchmark_setup_and_d_search_load_no_scipy_sparse(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     assert (lines[0], lines[-1]) == ("False", f"{EXIT_OK} d False")
-
-
-def test_sigma2_search_without_a_usable_constant_exits_2(tmp_path, capsys):
-    point_mass = {"kind": "measure", "document": _MEASURE1 | {"measure": {"kind": "exact", "table": [1.0, 0.0]}}}
-    doc = _tail(model=point_mass, function={"kind": "table", "values": [0.0, 1.0]},
-                bound={"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert "no usable constant" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("table", [[0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0]], ids=["reducible", "single-point"])
@@ -622,20 +613,19 @@ def test_sigma2_spectral_is_the_upper_end_of_the_bracket(tmp_path):
 
 
 def test_bracket_is_computed_only_where_it_is_published(tmp_path, monkeypatch):
-    # a searched sigma^2 publishes the best ratio alone; `lsi --operator d`
-    # reports the bracket
+    # `lsi --operator d` and a {"spectral"} sigma^2 each take the bracket once
     from concentra import lsi
 
     calls = []
     original = lsi._bracket
     monkeypatch.setattr(lsi, "_bracket", lambda *a: calls.append(1) or original(*a))
     model = {"kind": "bernoulli", "n": 2, "p": 0.3}
-    doc = _bound(dict(_GENERAL_D1, regime=_dlsi({"search": {"starts": 4, "seed": 0}})), model=model)
+    doc = _bound(dict(_GENERAL_D1, regime=_dlsi({"spectral": {}})), model=model)
     assert main(["bound", "--config", write_config(tmp_path, "b.json", doc), "--out", str(tmp_path / "b")]) == EXIT_OK
-    assert calls == []
+    assert len(calls) == 1
     cfg = write_config(tmp_path, "l.json", {"model": model, "operator": "d", "starts": 4})
     assert main(["lsi", "--config", cfg, "--out", str(tmp_path / "l")]) == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert json.loads((tmp_path / "l" / "lsi_report.json").read_text())["sigma2_upper"] is not None
 
 
@@ -922,9 +912,6 @@ def _size_fields():
             out.append((command, doc, ("n",), FOURIER_MAX_N, space, "ProductSpace"))
         if command == "lsi":
             out.append((command, doc, ("starts",), LSI_MAX_STARTS, cli, "lsi_constant_search"))
-    search = _tail(bound={"kind": "general", "regime": _dlsi({"search": {"starts": 2, "seed": 0}})})
-    out.append(("verify-tail", search, ("bound", "regime", "sigma2", "search", "starts"), LSI_MAX_STARTS, cli,
-                "lsi_constant_search"))
     return out
 
 
@@ -935,7 +922,7 @@ def test_size_fields_cover_every_bounded_kind():
     kinds = {doc["model"]["kind"] for _, doc, path, *_ in _SIZE_FIELDS if path[0] == "model"}
     assert kinds == {"rademacher", "bernoulli", "coloring", "ergm"}
     paths = {".".join(path) for _, _, path, *_ in _SIZE_FIELDS}
-    assert paths == {"model.n", "model.vertices", "t_grid.count", "n", "starts", "bound.regime.sigma2.search.starts"}
+    assert paths == {"model.n", "model.vertices", "t_grid.count", "n", "starts"}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None,
@@ -975,6 +962,34 @@ def test_sampler_sizes_are_read_up_to_their_limit(tmp_path):
         assert main(["sample", "--config", write_config(tmp_path, "s.json", doc),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
     sample.assert_called_once_with(mock.ANY, SAMPLER_MAX_SWEEPS, SAMPLER_MAX_SWEEPS, 1, 0)
+
+
+_TRIANGLE = {"edges": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("motifs, rows", [
+    ([_TRIANGLE] * 12, 1980 + 12 * 85_140),
+    ([_TRIANGLE] * 13, 1980 + 13 * 85_140),
+    ([{"edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}], 1980 + 45 * 44 * 43 * 42 * 41),
+], ids=["12-triangles", "13-triangles", "5-vertex-path"])
+def test_ergm_motif_embeddings_are_bounded_before_a_row_is_built(motifs, rows):
+    # V!/(V - |motif|)! rows per motif, with the single edge first, at 45 vertices
+    from unittest import mock
+
+    from concentra import models
+
+    doc = {"model": {"kind": "ergm", "vertices": ERGM_MAX_VERTICES, "motifs": [{"edges": [[0, 1]]}] + motifs,
+                     "beta": [0.1] * (1 + len(motifs))}, "sweeps": 1}
+    with mock.patch.object(models, "_embedding_edge_indices", side_effect=AssertionError("built rows")) as build:
+        if rows <= ERGM_MAX_EMBEDDINGS:
+            with pytest.raises(AssertionError, match="built rows"):
+                _run_quietly("sample", doc)
+        else:
+            rc, err = _run_quietly("sample", doc)
+            assert rc == EXIT_SCHEMA
+            assert "config error" in err and f"at most {ERGM_MAX_EMBEDDINGS} rows" in err and f"got {rows}" in err
+            assert "Traceback" not in err
+            build.assert_not_called()
 
 
 def test_curie_weiss_n_is_read_up_to_its_limit():

@@ -733,7 +733,7 @@ class TestCorpus:
         assert got["rademacher4-pair"] == ("", None)
         assert got["rademacher4-sum-dlsi"] == ("stated", 1.0)
         source, sigma2 = got["curie-weiss6-magnetization"]
-        assert source == "searched" and sigma2 > 0.0
+        assert source == "spectral" and sigma2 > 0.0
 
     def test_single_entry_passes_with_all_flags(self):
         result = run_corpus_entry("rademacher4-pair")

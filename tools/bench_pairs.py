@@ -14,7 +14,10 @@ even pairs and the change first in odd ones.  Each run's result line is appended
 an interrupted session leaves its runs behind.  The summary goes to
 BENCH_<label>.json at the repository root.  For every workload and end-to-end
 metric the summary gives each side's runs, median and quartiles, the change's
-wins over its pair partner (ties count for neither) and the median ratio.
+wins over its pair partner (ties count for neither), the ratio of the two
+medians, and `pair_ratio`: each pair's change/parent ratio (pairs whose parent
+reads 0 left out) with their median and quartiles, so that a noisy pair spread
+shows in the record.
 It also records, for every workload and seed, whether each artifact's sha256
 (the `sha256 <workload>/<label>/<name> <digest>` lines of run.py) is the same
 on both sides; an artifact that only one side wrote counts as differing.
@@ -116,10 +119,12 @@ def summarise(runs: list[dict], spec: dict) -> dict:
             wins = sum((c < q) if lower else (c > q) for q, c in zip(value["parent"], value["change"]))
             ties = sum(c == q for q, c in zip(value["parent"], value["change"]))
             parent, change = spread(value["parent"]), spread(value["change"])
+            ratios = [c / q for q, c in zip(value["parent"], value["change"]) if q]
             row["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": parent, "change": change, "pairs": len(complete), "change_wins": wins, "ties": ties,
                 "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+                "pair_ratio": spread(ratios) if ratios else None,
             }
         out[workload] = row
     return out
