@@ -424,14 +424,15 @@ class TestDReport:
     def test_report_is_the_bracket_and_a_unit_witness_near_the_inverse_gap(self, name):
         # path-coloring and bernoulli3 have a gap of multiplicity 3.  The
         # ratio is (1 + eps E phi^3 / (3 E phi^2) + O(eps^2)) / gap with
-        # max |phi| = 1: at most eps / 3 away to first order, eps / 2 allowed.
+        # max |phi| = 1: at most eps / 3 away to first order, eps / 2 allowed
+        # with eps = 1e-6.
         mu = _d_report_model(name)
         report = lsi_constant_search(mu, "d", starts=4, seed=0)
         assert np.linalg.norm(report.witness) == pytest.approx(1.0, rel=1e-14)
         assert lsi_ratio(mu, report.witness, "d") == report.best_ratio
         assert report.iterations == 0
         assert (report.inverse_gap, report.sigma2_upper) == spectral_bracket(mu)
-        assert abs(report.best_ratio / report.inverse_gap - 1.0) <= 0.5 * lsi._D_WITNESS_EPS
+        assert abs(report.best_ratio / report.inverse_gap - 1.0) <= 5e-7
 
     @pytest.mark.parametrize("name", D_REPORT_MODELS)
     def test_starts_and_seed_do_not_change_the_report(self, name):
