@@ -30,23 +30,12 @@ def _check_variant(variant: str) -> None:
         raise DomainError(f"unknown variant {variant!r}; use one of {H_VARIANTS}")
 
 
-def _support_values(mu: Measure, i: int) -> np.ndarray:
-    idx = mu.coordinate_support(i)
-    return mu.space.value_grid(i)[idx]
-
-
-def _support_index_sets(mu: Measure) -> list[np.ndarray | None]:
-    """Each coordinate's support as alphabet indices, or None for the whole
-    alphabet, where a section needs no copy."""
-    sets = []
-    for i, m in enumerate(mu.space.shape):
-        idx = np.asarray(mu.coordinate_support(i), dtype=np.intp)
-        sets.append(None if np.array_equal(idx, np.arange(m)) else idx)
-    return sets
-
-
 def _on_support(arr: np.ndarray, idx: np.ndarray | None, axis: int) -> np.ndarray:
     return arr if idx is None else np.take(arr, idx, axis=axis)
+
+
+def _support_values(mu: Measure, i: int) -> np.ndarray:
+    return _on_support(mu.space.value_grid(i), mu.coordinate_supports()[i], 0)
 
 
 # Section kernel: the only code that turns function values into operator values.
@@ -62,10 +51,10 @@ def _h_reduce(section: np.ndarray, here, axis: int, variant: str) -> np.ndarray:
     plus/minus: the positive part of f(x) - min, or of max - f(x).
     """
     if variant == "osc":
-        return section.max(axis=axis, keepdims=True) - section.min(axis=axis, keepdims=True)
+        return np.maximum.reduce(section, axis, keepdims=True) - np.minimum.reduce(section, axis, keepdims=True)
     if variant == "plus":
-        return np.maximum(here - section.min(axis=axis, keepdims=True), 0.0)
-    return np.maximum(section.max(axis=axis, keepdims=True) - here, 0.0)
+        return np.maximum(here - np.minimum.reduce(section, axis, keepdims=True), 0.0)
+    return np.maximum(np.maximum.reduce(section, axis, keepdims=True) - here, 0.0)
 
 
 def _pair_difference(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -127,12 +116,14 @@ def h_field(f_table: np.ndarray, mu: Measure, variant: str = "osc") -> np.ndarra
     table = np.asarray(f_table, dtype=float)
     lead = table.shape[:-1]
     F = table.reshape(lead + space.shape)
-    supports = _support_index_sets(mu)
+    supports = mu.coordinate_supports()
     out = np.empty(lead + (space.size, space.n))
+    # The same array with its configuration axis split, so that each part is
+    # broadcast as it is written.
+    columns = out.reshape(F.shape + (space.n,))
     for i in range(space.n):
         axis = len(lead) + i
-        part = _h_reduce(_on_support(F, supports[i], axis), F, axis, variant)
-        out[..., i] = np.broadcast_to(part, F.shape).reshape(lead + (space.size,))
+        columns[..., i] = _h_reduce(_on_support(F, supports[i], axis), F, axis, variant)
     return out
 
 
@@ -156,7 +147,7 @@ def _section_entries(f_table: np.ndarray, mu: Measure, k: int) -> Iterator[tuple
     table = np.asarray(f_table, dtype=float)
     lead = table.shape[:-1]
     F = table.reshape(lead + space.shape)
-    supports = _support_index_sets(mu)
+    supports = mu.coordinate_supports()
     for combo in combinations(range(space.n), k):
         _tensor_cap_check(mu, combo)
 
@@ -316,7 +307,7 @@ def exact_level_scales(tables: Sequence[np.ndarray], mu: Measure, d: int, restar
     one norm, and its table is not walked.  Every other level goes through the
     section kernel, where a constant level (`_level_norms`) is one norm too."""
     w = mu.prob_table()
-    support = w > 0.0
+    support = mu.support_mask()
     functions = [None] * len(tables) if functions is None else functions
     scales = []
     for k in range(1, d + 1):

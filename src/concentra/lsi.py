@@ -17,7 +17,7 @@ from .errors import DomainError, UndefinedRatioError
 from .diffops import d_squared_field, h_field
 from .funcs import function_table
 from .schema import Record
-from .space import Measure, ProductMeasure, _entropy, lp_norm, two_point_measure
+from .space import Measure, ProductMeasure, _entropy, _lp_norms, two_point_measure
 
 OPERATORS = ("d", "h", "h_plus")
 
@@ -61,30 +61,33 @@ def _energies(mu: Measure, rows: np.ndarray, operator: str, weights: np.ndarray 
     if operator == "d":
         squares = d_squared_field(rows, mu)
     else:
-        squares = (h_field(rows, mu, "osc" if operator == "h" else "plus") ** 2).sum(axis=-1)
-    return (squares * (mu.prob_table() if weights is None else weights)).sum(axis=-1)
+        squares = np.add.reduce(h_field(rows, mu, "osc" if operator == "h" else "plus") ** 2, axis=-1)
+    return np.add.reduce(squares * (mu.prob_table() if weights is None else weights), axis=-1)
 
 
 def _ratios(mu: Measure, rows: np.ndarray, operator: str, weights: np.ndarray | None = None) -> np.ndarray:
     """Ent(f^2) / (2 E Gamma(f)^2) of each table in `rows` (shape (rows, size)),
     0 where either side vanishes; taken in groups of about _BATCH_BYTES.
     `weights`, one (rows, size) table per row, as in `_energies`."""
-    support = mu.prob_table() > 0.0
+    support = mu.support_mask()
+    on_support = (lambda a: a) if support.all() else (lambda a: a[..., support])
     w = mu.prob_table() if weights is None else weights
-    blocks = _groups(rows, _row_bytes(mu))
-    out = []
-    for block, wb in zip(blocks, _groups(w, _row_bytes(mu)) if w.ndim == 2 else [w] * len(blocks)):
+    group = max(1, _BATCH_BYTES // _row_bytes(mu))
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), group):
+        block = rows[lo:lo + group]
+        wb = w[lo:lo + group] if w.ndim == 2 else w
         energy = _energies(mu, block, operator, wb)
-        ent = _entropy(wb[..., support], block[:, support] ** 2)
+        ent = _entropy(on_support(wb), on_support(block) ** 2)
         ok = (energy > _TINY) & (ent > _TINY)
-        out.append(np.where(ok, ent / (2.0 * np.where(ok, energy, 1.0)), 0.0))
-    return np.concatenate(out)
+        out[lo:lo + group] = np.where(ok, ent / (2.0 * np.where(ok, energy, 1.0)), 0.0)
+    return out
 
 
 def lsi_ratio(mu: Measure, f, operator: str = "d") -> float:
     """Ent(f^2) / (2 E Gamma(f)^2); undefined for f constant on the support."""
     table = function_table(f, mu.space)
-    vals = table[mu.prob_table() > 0.0]
+    vals = table[mu.support_mask()]
     if np.all(vals == vals[0]):
         raise UndefinedRatioError("LSI ratio undefined for functions constant on the support")
     if not gamma_squared_mean(mu, table, operator) > _TINY:
@@ -118,7 +121,7 @@ def _support_form(mu: Measure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support's indices, its probabilities and `glauber_quadratic_form`
     restricted to it (the form itself, not a copy, on a full support)."""
     w = mu.prob_table()
-    support = np.nonzero(w > 0.0)[0]
+    support = np.flatnonzero(mu.support_mask())
     L = glauber_quadratic_form(mu)
     return support, w[support], L if support.size == w.size else L[np.ix_(support, support)]
 
@@ -311,7 +314,7 @@ def _h_objective(mu: Measure, operator: str, weights: np.ndarray):
     1e6 where it vanishes."""
 
     def neg_log_ratio(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        norm = np.sqrt((x * x).sum(axis=1))
+        norm = np.sqrt(np.add.reduce(x * x, axis=1))
         ratio = _ratios(mu, x / np.where(norm > _TINY, norm, 1.0)[:, None], operator, weights[starts])
         return -np.log(ratio, out=np.full(len(ratio), -1e6), where=ratio > 0.0)
 
@@ -329,9 +332,9 @@ def _search_h_operator(
     dim = mu.space.size
     if dim > 4096:
         raise DomainError("h-operator search supported only on small spaces")
-    support = mu.prob_table() > 0.0
+    support = mu.support_mask()
     for other in mus[1:]:
-        if other.space != mu.space or not np.array_equal(other.prob_table() > 0.0, support):
+        if other.space != mu.space or not np.array_equal(other.support_mask(), support):
             raise DomainError("a family h-operator search needs one space and one support")
     weights = np.repeat([m.prob_table() for m in mus], starts, axis=0)
     points = np.tile(np.random.default_rng(seed).standard_normal((starts, dim)), (len(mus), 1))
@@ -381,7 +384,7 @@ def lsi_constant_search(
     if operator not in OPERATORS:
         raise DomainError(f"unknown operator {operator!r}; use one of {OPERATORS}")
     mu.space.check_cap()
-    if np.count_nonzero(mu.prob_table() > 0.0) <= 1:
+    if np.count_nonzero(mu.support_mask()) <= 1:
         return LsiReport(operator, 0.0, None, starts, 0, seed, None, None)
     if operator == "d":
         ratio, witness, bracket = _d_report(mu)
@@ -441,11 +444,9 @@ def psi2_blowup_study(
             )
         except OverflowError:
             psi2 = math.inf
-        f = np.array([0.0, 1.0])
-        orlicz = max(
-            2.0 * math.e * lp_norm(mu, f, float(q)) / math.sqrt(q)
-            for q in range(1, q_max + 1)
-        )
+        qs = range(1, q_max + 1)
+        norms = _lp_norms(mu, np.array([0.0, 1.0]), [float(q) for q in qs])
+        orlicz = max(2.0 * math.e * norm / math.sqrt(q) for q, norm in zip(qs, norms))
         rows.append(Psi2Row(float(p), sigma2, psi2, orlicz))
     return rows
 

@@ -401,7 +401,7 @@ class GlauberChain:
         if isinstance(self.measure, ExactMeasure):
             # Joint support can be a strict subset of the per-coordinate
             # supports (proper colorings), so start at a positive-mass point.
-            self._index = int(np.nonzero(self.measure.prob_table() > 0.0)[0][0])
+            self._index = int(np.flatnonzero(self.measure.support_mask())[0])
             self._digits = [self._index // s % m for s, m in zip(space.strides, space.shape)]
         else:
             self._digits = [

@@ -28,10 +28,11 @@ ENUMERATION_CAP = 1 << 24
 # `enumeration_blocks` yields blocks of at most about this many bytes of
 # configurations.
 ENUMERATION_BLOCK_BYTES = 1 << 23
-# Largest space that `enumerate_configurations` writes column by column.
-# Measured on {-1,+1}^n, one core: the columns and the halves tie near 2^13
-# configurations (0.26 against 0.28 ms); at 2^14 the halves take 0.46 ms
-# against 0.91, at 2^16 1.6 against 6.8, and at 2^20 80 against 374.
+# Largest space that `enumerate_configurations` writes column by column, and
+# the largest whose configurations a `ProductSpace` keeps (at most 8 KiB per
+# coordinate).  Measured on {-1,+1}^n, one core: the columns and the halves tie
+# near 2^13 configurations (0.26 against 0.28 ms); at 2^14 the halves take
+# 0.46 ms against 0.91, at 2^16 1.6 against 6.8, and at 2^20 80 against 374.
 ENUMERATION_COLUMN_LIMIT = 1 << 13
 
 # A configuration is a point of the product space, one value per coordinate.
@@ -130,6 +131,13 @@ class ProductSpace:
     def value_grid(self, i: int) -> np.ndarray:
         return np.asarray(self.alphabets[i], dtype=float)
 
+    @cached_property
+    def _configurations(self) -> np.ndarray:
+        """`enumerate_configurations` of a space of at most
+        ENUMERATION_COLUMN_LIMIT configurations: made on first use, then kept
+        read-only."""
+        return _read_only(_columns(self))
+
     def check_cap(self, cap: int = ENUMERATION_CAP) -> None:
         if self.size > cap:
             raise EnumerationTooLargeError(
@@ -157,15 +165,24 @@ def binary(n: int) -> ProductSpace:
     return ProductSpace(tuple((0.0, 1.0) for _ in range(n)))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All configurations in lexicographic order, one row per configuration.
 
-    Above ENUMERATION_COLUMN_LIMIT configurations, every pair of a row of the
-    leading half of the coordinates and a row of the trailing half, each
-    half enumerated in turn; below it, one strided column per coordinate.
+    Up to ENUMERATION_COLUMN_LIMIT configurations, one strided column per
+    coordinate, written on the space's first call and returned read-only on
+    every call.  Above it, every pair of a row of the leading half of the
+    coordinates and a row of the trailing half, each half enumerated in turn,
+    into a new array.
     """
     space.check_cap(cap)
-    if space.size > ENUMERATION_COLUMN_LIMIT and space.n > 1:
+    if space.size <= ENUMERATION_COLUMN_LIMIT:
+        return space._configurations
+    if space.n > 1:
         lead = space.n // 2
         head = enumerate_configurations(ProductSpace(space.alphabets[:lead]))
         tail = enumerate_configurations(ProductSpace(space.alphabets[lead:]))
@@ -174,6 +191,11 @@ def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) ->
         pairs[:, :, :lead] = head[:, None]
         pairs[:, :, lead:] = tail[None]
         return rows
+    return _columns(space)
+
+
+def _columns(space: ProductSpace) -> np.ndarray:
+    """Every configuration, one strided column per coordinate."""
     if space.size == 1:
         return np.array([[a[0] for a in space.alphabets]], dtype=float)
     columns = np.empty((space.size, space.n), dtype=float)
@@ -242,7 +264,12 @@ def _axis_indices(space: ProductSpace, base_digits: np.ndarray, i: int) -> np.nd
 
 
 class Measure:
-    """Base class: a probability measure on a ProductSpace."""
+    """Base class: a probability measure on a ProductSpace.
+
+    `support_mask` and `coordinate_supports` are derived from the measure on
+    their first call and kept, read-only, for its lifetime; a measure is never
+    changed after it is built.
+    """
 
     kind = "abstract"
 
@@ -276,7 +303,25 @@ class Measure:
         raise NotImplementedError
 
     def support_mask(self) -> np.ndarray:
-        return self.prob_table() > 0.0
+        """Whether each configuration has positive probability, in enumeration order."""
+        return self._support_mask
+
+    @cached_property
+    def _support_mask(self) -> np.ndarray:
+        return _read_only(self.prob_table() > 0.0)
+
+    def coordinate_supports(self) -> tuple[np.ndarray | None, ...]:
+        """Each coordinate's `coordinate_support` as alphabet indices, or None
+        where it is the whole alphabet (a section then needs no copy)."""
+        return self._coordinate_supports
+
+    @cached_property
+    def _coordinate_supports(self) -> tuple[np.ndarray | None, ...]:
+        sets = []
+        for i, m in enumerate(self.space.shape):
+            idx = np.asarray(self.coordinate_support(i), dtype=np.intp)
+            sets.append(None if np.array_equal(idx, np.arange(m)) else _read_only(idx))
+        return tuple(sets)
 
     def to_exact(self) -> "ExactMeasure":
         return ExactMeasure(self.space, self.prob_table())
@@ -391,8 +436,8 @@ class GibbsMeasure(Measure):
 
     `log_weights` is either a `funcs.MultilinearPoly` or a callable mapping a
     (k, n) batch of configurations to their k log-weights; a row's value must
-    not depend on the other rows of its batch.  All declared alphabet values
-    are treated as support.
+    not depend on the other rows of its batch.  Every declared alphabet value
+    is in its coordinate's support (`coordinate_support`).
 
     A polynomial's rows go through its `evaluate_rows`, and its conditionals
     come from its slopes (`MultilinearPoly.slope_terms`): coordinate i's
@@ -490,9 +535,6 @@ class GibbsMeasure(Measure):
     def coordinate_support(self, i: int) -> np.ndarray:
         return np.arange(self.space.shape[i])
 
-    def support_mask(self) -> np.ndarray:
-        return np.ones(self.space.size, dtype=bool)
-
     def measure_json(self) -> dict:
         return {"kind": "gibbs", "log_weights": self._enumerated_log_weights().tolist()}
 
@@ -547,7 +589,7 @@ def entropy_functional(mu: Measure, g) -> float:
 
     table = function_table(g, mu.space)
     w = mu.prob_table()
-    support = w > 0.0
+    support = mu.support_mask()
     vals = table[support]
     if np.any(vals < 0.0):
         raise DomainError("entropy functional requires g >= 0 on the support")
@@ -566,25 +608,30 @@ def _entropy(weights: np.ndarray, g: np.ndarray):
     """
     g = np.ascontiguousarray(g, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
-    mean = (weights * g).sum(axis=-1) / weights.sum(axis=-1)
+    mean = np.add.reduce(weights * g, axis=-1) / np.add.reduce(weights, axis=-1)
     safe = np.where(mean > 0.0, mean, 1.0)
-    r = g / np.expand_dims(safe, -1)
-    log_r = np.log(r, out=np.zeros_like(r), where=r > 0.0)
-    return mean * (weights * (r * log_r - (r - 1.0))).sum(axis=-1)
+    r = g / safe[..., None]
+    log_r = np.log(r, out=np.zeros(r.shape), where=r > 0.0)
+    return mean * np.add.reduce(weights * (r * log_r - (r - 1.0)), axis=-1)
 
 
 def lp_norm(mu: Measure, f, p: float, centered: bool = True) -> float:
     """(E |f - [centered] E f|^p)^(1/p) by exact summation."""
-    if p < 1.0:
-        raise DomainError(f"p={p} < 1")
+    return _lp_norms(mu, f, [p], centered)[0]
+
+
+def _lp_norms(mu: Measure, f, ps: Sequence[float], centered: bool = True) -> list[float]:
+    """`lp_norm` at each p of `ps`, from one table and one deviation array."""
+    for p in ps:
+        if p < 1.0:
+            raise DomainError(f"p={p} < 1")
     from .funcs import function_table  # funcs builds on this module
 
     table = function_table(f, mu.space)
     w = mu.prob_table()
     shift = float(np.dot(w, table)) if centered else 0.0
     dev = np.abs(table - shift)
-    m = float(np.dot(w, dev**p))
-    return m ** (1.0 / p)
+    return [float(np.dot(w, dev**p)) ** (1.0 / p) for p in ps]
 
 
 def lp_norm_mc(f_samples: np.ndarray, p: float, center: float | None = None) -> tuple[float, float]:

@@ -27,6 +27,7 @@ tensors are gathered block by block, never all at once) plus a few
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -113,8 +114,37 @@ class _AlsRun:
     converged: bool  # every tensor stopped before the SWEEPS cap
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How `_contract` contracts a batch of one tensor shape on every axis but
+    one: the axis of the first-stage matmul and the size of the axes it
+    keeps, the axes the einsums then contract after and before the one kept,
+    and how many tensors go through in a block."""
+
+    first: int
+    kept: tuple[int, ...]
+    rest: int
+    after: tuple[int, ...]
+    before: tuple[int, ...]
+    block: int
+
+
+def _plan(shape: tuple[int, ...], restarts: int, axis: int, gathered: bool) -> _Plan:
+    """`_contract`'s plan for `axis` of a batch of `shape` tensors with
+    `restarts` vectors each; `gathered` when its tensors are gathered rows."""
+    k = len(shape)
+    first = k - 1 if axis == 0 else 0
+    kept = [a for a in range(k) if a != first]
+    here = kept.index(axis)
+    rest = math.prod(shape[a] for a in kept)
+    floats = restarts * rest + (rest * shape[first] if gathered else 0)
+    return _Plan(first, tuple(shape[a] for a in kept), rest, tuple(reversed(kept[here + 1:])),
+                 tuple(kept[:here]), max(1, BLOCK_BYTES // max(1, 8 * floats)))
+
+
 def _contract(
-    tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int, rows: np.ndarray | None = None
+    tensors: np.ndarray, vectors: Sequence[np.ndarray], axis: int, rows: np.ndarray | None = None,
+    plan: _Plan | None = None,
 ) -> np.ndarray:
     """Contract a batch (B, n1, ..., nk) against (B, R, n_a) vectors on every axis but `axis`.
 
@@ -128,16 +158,14 @@ def _contract(
     first-stage product stays near BLOCK_BYTES.  Without `rows` a block is a
     slice of the batch, so nothing is copied; with `rows` each block's tensors
     are gathered into one workspace, which counts against BLOCK_BYTES too, and
-    only that block's vectors are gathered.
+    only that block's vectors are gathered.  `plan` is `_plan` of the call,
+    which a caller that contracts the same shapes many times makes once.
     """
     shape = tensors.shape[1:]
-    k, restarts = len(shape), vectors[0].shape[1]
-    first = k - 1 if axis == 0 else 0
-    kept = [a for a in range(k) if a != first]
-    here = kept.index(axis)
-    rest = int(np.prod([shape[a] for a in kept]))
-    floats = restarts * rest + (0 if rows is None else rest * shape[first])
-    block = max(1, BLOCK_BYTES // max(1, 8 * floats))
+    restarts = vectors[0].shape[1]
+    if plan is None:
+        plan = _plan(shape, restarts, axis, rows is not None)
+    first, block = plan.first, plan.block
     count = len(tensors) if rows is None else len(rows)
     if rows is not None:
         workspace = np.empty((min(block, count),) + shape)
@@ -150,16 +178,30 @@ def _contract(
             pick = rows[part]
             t = np.take(tensors, pick, axis=0, out=workspace[: len(pick)], mode="clip")
         if first == 0:
-            w = vectors[0][pick] @ t.reshape(len(t), shape[0], rest)
+            w = vectors[0][pick] @ t.reshape(len(t), shape[0], plan.rest)
         else:
-            w = vectors[first][pick] @ t.reshape(len(t), rest, shape[first]).transpose(0, 2, 1)
-        w = w.reshape((len(t), restarts) + tuple(shape[a] for a in kept))
-        for a in reversed(kept[here + 1 :]):
+            w = vectors[first][pick] @ t.reshape(len(t), plan.rest, shape[first]).transpose(0, 2, 1)
+        w = w.reshape((len(t), restarts) + plan.kept)
+        for a in plan.after:
             w = np.einsum("zy...j,zyj->zy...", w, vectors[a][pick])
-        for a in kept[:here]:
+        for a in plan.before:
             w = np.einsum("zyj...,zyj->zy...", w, vectors[a][pick])
         out[part] = w
     return out
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(vectors, axis=-1)` bit for bit.  numpy adds a
+    contiguous row of fewer than 8 squares one by one, and so do the column
+    sums here, each over the whole batch instead of one short row at a time;
+    longer rows go to numpy's pairwise sum itself."""
+    squares = vectors * vectors
+    if squares.shape[-1] >= 8:
+        return np.sqrt(np.add.reduce(squares, axis=-1))
+    total = squares[..., 0].copy()
+    for j in range(1, squares.shape[-1]):
+        total += squares[..., j]
+    return np.sqrt(total)
 
 
 def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
@@ -176,11 +218,13 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
 
     A sweep is k calls to `_contract`, one per axis, on the active tensors:
     about k*A*R*n1*...*nk multiply-adds for A of them, with a workspace of one
-    block of about BLOCK_BYTES plus the (A, R, n_a) contraction.  The new
-    vectors go into the active rows of the (B, R, n_a) arrays in place.  After
-    the last axis step the norm of the contraction is the value against the
-    new vectors (the contraction dotted with its own normalization), so the
-    returned values, these norms, are certified lower bounds up to rounding.
+    block of about BLOCK_BYTES plus the (A, R, n_a) contraction.  Each axis's
+    plan is made once per call.  The new vectors go into the active rows of
+    the (B, R, n_a) arrays in place, a slice while every tensor is active.
+    After the last axis step the norm of the contraction is the value against
+    the new vectors (the contraction dotted with its own normalization), so
+    the returned values, these norms, are certified lower bounds up to
+    rounding.
     """
     rng = np.random.default_rng(seed)
     batch = tensors.shape[0]
@@ -194,18 +238,21 @@ def _als(tensors: np.ndarray, restarts: int, seed: int) -> _AlsRun:
         v[:, 0, :] = 1.0
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         vectors.append(v)
+    # plans[gathered][axis]
+    plans = [[_plan(tensors.shape[1:], restarts, axis, gathered) for axis in range(k)] for gathered in (False, True)]
 
-    value = np.einsum("zyi,zyi->zy", _contract(tensors, vectors, k - 1), vectors[k - 1])
+    value = np.einsum("zyi,zyi->zy", _contract(tensors, vectors, k - 1, plan=plans[False][k - 1]), vectors[k - 1])
     live = np.arange(batch)
     for sweep in range(1, SWEEPS + 1):
-        rows = None if len(live) == batch else live
+        gathered = len(live) < batch
+        rows, active = (live, live) if gathered else (None, slice(None))
         for axis in range(k):
-            contraction = _contract(tensors, vectors, axis, rows)
-            norms = np.linalg.norm(contraction, axis=2)
+            contraction = _contract(tensors, vectors, axis, rows, plans[gathered][axis])
+            norms = _norms(contraction)
             safe = np.where(norms == 0.0, 1.0, norms)
-            vectors[axis][live] = contraction / safe[:, :, None]
-        settled = np.all(np.abs(norms - value[live]) <= TOL * np.maximum(1.0, norms), axis=1)
-        value[live] = norms
+            vectors[axis][active] = contraction / safe[:, :, None]
+        settled = np.all(np.abs(norms - value[active]) <= TOL * np.maximum(1.0, norms), axis=1)
+        value[active] = norms
         live = live[~settled]
         if len(live) == 0:
             break

@@ -9,6 +9,7 @@ covered by declared slack.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -45,7 +46,7 @@ from .space import (
     ProductMeasure,
     ProductSpace,
     hypercube,
-    lp_norm,
+    _lp_norms,
     rademacher,
     uniform,
 )
@@ -204,7 +205,7 @@ def max_deviation(mu: Measure, f) -> float:
     """max |f - Ef| over the support of mu."""
     table = function_table(f, mu.space)
     w = mu.prob_table()
-    return float(np.abs(table[w > 0] - float(np.dot(w, table))).max())
+    return float(np.abs(table[mu.support_mask()] - float(np.dot(w, table))).max())
 
 
 def domination_grid(bound: TailBound, max_deviation: float) -> np.ndarray:
@@ -254,7 +255,7 @@ def _moment_report(mu: Measure, f, p_grid: Sequence[float], right: Callable[[np.
         raise DomainError("the moment chain needs a non-empty grid of p >= 2")
     table = function_table(f, mu.space)
     right_at = right(table)
-    lhs = tuple(lp_norm(mu, table, p) for p in p_grid)
+    lhs = tuple(_lp_norms(mu, table, p_grid))
     rhs = tuple(right_at(p) for p in p_grid)
     worst = max(left - right for left, right in zip(lhs, rhs))
     return MomentChainReport(regime, d, p_grid, lhs, rhs, worst <= slack, worst)
@@ -368,20 +369,25 @@ def check_sup_lemma(family: SupFamily, mu: Measure, slack: float = 1e-12) -> Poi
 def check_ustat_entry_bound(kernel: UStatistic, n: int, k: int) -> PointwiseReport:
     """Every order-k difference-tensor entry of the U-statistic stays below
     C(d,k) 2^k B n^(d-k), over the uniform product on the shared alphabet."""
-    d = kernel.order
+    return _ustat_entry_report(kernel, _ustat_measure(kernel.kernel.shape[0], n), k)
+
+
+def _ustat_measure(alphabet_size: int, n: int) -> ProductMeasure:
+    """The uniform product on n copies of the alphabet 0..alphabet_size - 1."""
+    return uniform(ProductSpace(tuple(tuple(float(v) for v in range(alphabet_size)) for _ in range(n))))
+
+
+def _ustat_entry_report(kernel: UStatistic, mu: ProductMeasure, k: int) -> PointwiseReport:
+    """`check_ustat_entry_bound` on `mu`, the kernel's `_ustat_measure`."""
+    d, n = kernel.order, mu.space.n
     if not 1 <= k <= d:
         raise DomainError("need 1 <= k <= d")
-    alphabet_size = kernel.kernel.shape[0]
-    space = ProductSpace(
-        tuple(tuple(float(v) for v in range(alphabet_size)) for _ in range(n))
-    )
-    mu = uniform(space)
-    table = kernel.evaluate_table(space)
+    table = kernel.evaluate_table(mu.space)
     # Entries are nonnegative, and the dense field's other entries are zeros.
     worst_entry = float(max(entry.max() for _, entry in _section_entries(table, mu, k)))
     limit = math.comb(d, k) * 2.0**k * kernel.bound * float(n) ** (d - k)
     return PointwiseReport(
-        f"ustat-entry-k{k}", worst_entry <= limit + 1e-9, worst_entry - limit, space.size * n**k
+        f"ustat-entry-k{k}", worst_entry <= limit + 1e-9, worst_entry - limit, mu.space.size * n**k
     )
 
 
@@ -511,9 +517,10 @@ def _suite_recursion(seed: int) -> SuiteCheck:
 def _suite_sup_lemma(seed: int) -> SuiteCheck:
     rng = np.random.default_rng(seed)
     worst = -math.inf
+    measure = functools.cache(rademacher)  # one measure per n, for every trial on it
     for _ in range(30):
         n = int(rng.integers(2, 4))
-        mu = rademacher(n)
+        mu = measure(n)
         members = tuple(
             MultilinearPoly({1: rng.uniform(-1.0, 1.0, size=n)}) for _ in range(int(rng.integers(2, 5)))
         )
@@ -527,13 +534,15 @@ def _suite_sup_lemma(seed: int) -> SuiteCheck:
 def _suite_ustat_entries(seed: int) -> SuiteCheck:
     rng = np.random.default_rng(seed)
     worst = -math.inf
+    measure = functools.cache(_ustat_measure)  # one measure per n, for every trial on it
     for _ in range(10):
         n = int(rng.integers(4, 6))
         H = rng.uniform(-1.0, 1.0, size=(2, 2))
         H = (H + H.T) / 2.0
         kernel = UStatistic(2, H)
+        mu = measure(2, n)
         for k in (1, 2):
-            report = check_ustat_entry_bound(kernel, n, k)
+            report = _ustat_entry_report(kernel, mu, k)
             worst = max(worst, report.worst_margin)
             if not report.passed:
                 return SuiteCheck("ustat-entries", False, {"worst_margin": worst})
@@ -590,10 +599,11 @@ def _suite_moment_chain(seed: int) -> SuiteCheck:
     rng = np.random.default_rng(seed)
     p_grid = list(range(2, 21))
     worst = -math.inf
+    measure = functools.cache(rademacher)  # one measure per n, for every trial on it
     for _ in range(20):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
-        mu = rademacher(n)
+        mu = measure(n)
         f = Tabulated(rng.uniform(-1.0, 1.0, size=mu.space.size))
         report = check_moment_chain(mu, f, d, p_grid, independent(d))
         worst = max(worst, report.worst_margin)

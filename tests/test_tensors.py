@@ -407,10 +407,10 @@ def live_sweeps(monkeypatch, size):
     counts = np.zeros(size, dtype=int)
     contract = tensors._contract
 
-    def spy(batch, vectors, axis, rows=None):
+    def spy(batch, vectors, axis, rows=None, plan=None):
         if axis == 0:
             counts[slice(None) if rows is None else rows] += 1
-        return contract(batch, vectors, axis, rows)
+        return contract(batch, vectors, axis, rows, plan)
 
     monkeypatch.setattr(tensors, "_contract", spy)
     return counts
@@ -466,10 +466,10 @@ class TestActiveSet:
         starts = []
         contract = tensors._contract
 
-        def spy(tensors_, vectors, axis, rows=None):
+        def spy(tensors_, vectors, axis, rows=None, plan=None):
             if not starts:
                 starts.extend(v.copy() for v in vectors)
-            return contract(tensors_, vectors, axis, rows)
+            return contract(tensors_, vectors, axis, rows, plan)
 
         monkeypatch.setattr(tensors, "_contract", spy)
         _als(batch, 4, 9)
