@@ -23,7 +23,8 @@ from .errors import ConcentraError, SchemaError
 from .funcs import FunctionSpec, function_from_json, function_table, fourier_transform
 from .lsi import OPERATORS, lsi_constant_search, spectral_bracket
 from .schema import (
-    array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real, vector,
+    REQUIRED, array, boolean, check, choice, dispatch, document, field, floats, integer, list_of, matrix, reads, real,
+    vector,
 )
 from .space import ENUMERATION_CAP, Measure, hypercube, measure_from_json, rademacher, bernoulli_product
 
@@ -61,11 +62,30 @@ SITES, STARTS, GRID_COUNT = integer(1, MAX_SITES), integer(1, LSI_MAX_STARTS), i
 # Most sweeps one sampler field asks for: `sample`'s `sweeps` and `burn_in`,
 # `verify-tail`'s `samples`, `burn_in` and `--samples`.  At the limit the
 # 16-site `glauber-mc` ring makes 16M site updates per field and keeps 16M
-# digits, 8 bytes each in the kept list and in each array made from it.  The
-# reader rejects a larger count before any chain is built.
+# digits, 8 bytes each in the kept list and in each array made from it.
 SAMPLER_MAX_SWEEPS = 10**6
-SWEEPS, BURN_IN = integer(1, SAMPLER_MAX_SWEEPS), integer(0, SAMPLER_MAX_SWEEPS)
+# Most site updates of one chain, (burn_in + sweeps) x sites, which bounds its
+# time and its kept digits whatever the model's size: the 16-site ring reaches
+# both sweep limits (32M updates), a 1024-site chain 32,768 sweeps in all.  The
+# reader rejects a larger count before any chain is built.
+SAMPLER_MAX_UPDATES = 1 << 25
 EDGES = array((None, 2), int)
+
+
+def _chain_sweeps(config: dict, mu: Measure, key: str, default, burn_in: int) -> tuple[int, int]:
+    """The kept sweeps `key` and the `burn_in` sweeps of a sampler config,
+    defaults included: each at most SAMPLER_MAX_SWEEPS, and together at most
+    SAMPLER_MAX_UPDATES site updates of a chain on `mu`."""
+    per_site = SAMPLER_MAX_UPDATES // mu.space.n
+    sweeps = field(config, key, _as_given, default)
+    sweeps = integer(1, min(SAMPLER_MAX_SWEEPS, per_site))(sweeps, repr(key))
+    burn_in = field(config, "burn_in", _as_given, burn_in)
+    return sweeps, integer(0, min(SAMPLER_MAX_SWEEPS, per_site - sweeps))(burn_in, repr("burn_in"))
+
+
+def _as_given(value, _what):
+    """The reader type of a value checked later, together with its default."""
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -281,10 +301,8 @@ def cmd_verify_tail(config: dict | None, args) -> int:
     if mode == "exact":
         curve = verify.tail_curve(mu, inputs.table, grid, mode="exact", side=side)
     else:
-        sample_rows = reads(
-            lambda sweeps, burn_in, seed: models.glauber_sample(mu, sweeps, burn_in, seed=seed),
-            ("samples", SWEEPS, args.samples), ("burn_in", BURN_IN, 500), ("seed", SEED, args.seed),
-        )(config)
+        samples, burn_in = _chain_sweeps(config, mu, "samples", args.samples, 500)
+        sample_rows = models.glauber_sample(mu, samples, burn_in, seed=field(config, "seed", SEED, args.seed))
         curve = verify.tail_curve(mu, f, grid, mode="monte_carlo", side=side, samples=sample_rows)
     report = verify.check_domination(curve, bound)
     out = _out_dir(args)
@@ -342,9 +360,9 @@ def cmd_fourier(config: dict | None, args) -> int:
 def cmd_sample(config: dict | None, args) -> int:
     mu = Inputs(config).model
     fmt = field(config, "format", choice("csv", "binary"), "csv")
+    sweeps, burn_in = _chain_sweeps(config, mu, "sweeps", REQUIRED, 0)
     samples = reads(
-        lambda *a: models.glauber_sample(mu, *a),
-        ("sweeps", SWEEPS), ("burn_in", BURN_IN, 0), ("thinning", COUNT, 1), ("seed", SEED, args.seed),
+        lambda *a: models.glauber_sample(mu, sweeps, burn_in, *a), ("thinning", COUNT, 1), ("seed", SEED, args.seed),
     )(config)
     out = _out_dir(args)
     if fmt == "csv":

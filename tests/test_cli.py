@@ -22,6 +22,7 @@ from concentra.cli import (
     LSI_MAX_STARTS,
     MAX_SITES,
     SAMPLER_MAX_SWEEPS,
+    SAMPLER_MAX_UPDATES,
     T_GRID_MAX_COUNT,
     build_model,
     build_t_grid,
@@ -912,6 +913,13 @@ def _size_fields():
             out.append((command, doc, ("n",), FOURIER_MAX_N, space, "ProductSpace"))
         if command == "lsi":
             out.append((command, doc, ("starts",), LSI_MAX_STARTS, cli, "lsi_constant_search"))
+    # A chain's site updates, (burn_in + sweeps) x sites: on 64 sites the kept
+    # sweeps meet that bound before their own.
+    wide, per_site = {"kind": "rademacher", "n": 64}, SAMPLER_MAX_UPDATES // 64
+    linear = {"kind": "poly", "coefficients": [{"order": 1, "tensor": [1.0] * 64}]}
+    out.append(("sample", {"model": wide, "sweeps": 1}, ("sweeps",), per_site, models, "GlauberChain"))
+    out.append(("verify-tail", _tail(model=wide, function=linear, mode="mc", samples=1, burn_in=0),
+                ("samples",), per_site, models, "GlauberChain"))
     return out
 
 
@@ -922,7 +930,7 @@ def test_size_fields_cover_every_bounded_kind():
     kinds = {doc["model"]["kind"] for _, doc, path, *_ in _SIZE_FIELDS if path[0] == "model"}
     assert kinds == {"rademacher", "bernoulli", "coloring", "ergm"}
     paths = {".".join(path) for _, _, path, *_ in _SIZE_FIELDS}
-    assert paths == {"model.n", "model.vertices", "t_grid.count", "n", "starts"}
+    assert paths == {"model.n", "model.vertices", "t_grid.count", "n", "starts", "sweeps", "samples"}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None,
@@ -934,8 +942,9 @@ def test_huge_size_exits_2_before_anything_is_built(data, excess):
 
     command, doc, path, limit, module, name = data.draw(st.sampled_from(_SIZE_FIELDS))
     doc = _replaced(doc, path, limit + excess)
-    with mock.patch.object(module, name, side_effect=AssertionError(f"built {name}")):
+    with mock.patch.object(module, name, side_effect=AssertionError(f"built {name}")) as built:
         rc, err = _run_quietly(command, doc)
+    built.assert_not_called()
     assert rc == EXIT_SCHEMA
     assert "config error" in err and f"from 1 to {limit}" in err
     assert "Traceback" not in err
@@ -962,6 +971,49 @@ def test_sampler_sizes_are_read_up_to_their_limit(tmp_path):
         assert main(["sample", "--config", write_config(tmp_path, "s.json", doc),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
     sample.assert_called_once_with(mock.ANY, SAMPLER_MAX_SWEEPS, SAMPLER_MAX_SWEEPS, 1, 0)
+
+
+@pytest.mark.parametrize("sites, sweeps, burn_in, ok", [
+    (16, SAMPLER_MAX_SWEEPS, SAMPLER_MAX_SWEEPS, True),  # the glauber-mc ring reaches both sweep limits
+    (1024, 32_000, 768, True),
+    (1024, 32_000, 769, False),
+    (1024, 32_769, 0, False),
+])
+def test_a_chains_site_updates_are_bounded_before_it_is_built(sites, sweeps, burn_in, ok):
+    # (burn_in + sweeps) x sites at most SAMPLER_MAX_UPDATES = 2^25, for `sample` and an mc `verify-tail`
+    from unittest import mock
+
+    from concentra import models
+
+    model = {"kind": "rademacher", "n": sites}
+    linear = {"kind": "poly", "coefficients": [{"order": 1, "tensor": [1.0] * sites}]}
+    for command, doc in [("sample", {"model": model, "sweeps": sweeps, "burn_in": burn_in}),
+                         ("verify-tail", _tail(model=model, function=linear, mode="mc", samples=sweeps,
+                                               burn_in=burn_in))]:
+        with mock.patch.object(models, "GlauberChain", side_effect=AssertionError("built a chain")) as chain:
+            if ok:
+                with pytest.raises(AssertionError, match="built a chain"):
+                    _run_quietly(command, doc)
+            else:
+                rc, err = _run_quietly(command, doc)
+                assert rc == EXIT_SCHEMA and "config error" in err and "Traceback" not in err
+                chain.assert_not_called()
+
+
+def test_the_samples_flag_is_bounded_by_the_chains_site_updates(tmp_path):
+    # --samples is read at parse time up to SAMPLER_MAX_SWEEPS, then with the model's sites
+    from unittest import mock
+
+    from concentra import models
+
+    doc = _tail(model={"kind": "rademacher", "n": 1024}, mode="mc", burn_in=0,
+                function={"kind": "poly", "coefficients": [{"order": 1, "tensor": [1.0] * 1024}]})
+    cfg = write_config(tmp_path, "c.json", doc)
+    with mock.patch.object(models, "GlauberChain", side_effect=AssertionError("built a chain")) as chain, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["verify-tail", "--config", cfg, "--out", str(tmp_path / "out"), "--samples", "32769"])
+    assert rc == EXIT_SCHEMA and "'samples' must be an integer from 1 to 32768" in err.getvalue()
+    chain.assert_not_called()
 
 
 _TRIANGLE = {"edges": [[0, 1], [1, 2], [0, 2]]}
