@@ -336,3 +336,100 @@ class TestSerialization:
             ExactMeasure(binary(1), np.array([0.6, 0.6]))
         with pytest.raises(DomainError):
             ProductMeasure(binary(1), [np.array([-0.1, 1.1])])
+
+
+def _counted_supports(monkeypatch):
+    """Count `coordinate_support` calls per (measure, coordinate) on every measure kind."""
+    from concentra import space
+
+    calls: dict[tuple[int, int], int] = {}
+    for kind in (space.ExactMeasure, space.ProductMeasure, space.GibbsMeasure):
+        derive = kind.coordinate_support
+
+        def spy(self, i, derive=derive):
+            calls[id(self), i] = calls.get((id(self), i), 0) + 1
+            return derive(self, i)
+
+        monkeypatch.setattr(kind, "coordinate_support", spy)
+    return calls
+
+
+def _built_measures():
+    from concentra.cli import build_model
+
+    space = hypercube(2)
+    return [
+        ExactMeasure(space, [0.5, 0.5, 0.0, 0.0]),
+        ProductMeasure(space, [np.array([0.3, 0.7]), np.array([1.0, 0.0])]),
+        rademacher(3),
+        two_point_measure(0.2),
+        build_model({"kind": "ising", "coupling": [[0.0, 0.3], [0.3, 0.0]], "field": [0.1, 0.0]}),
+        build_model({"kind": "coloring", "vertices": 3, "edges": [[0, 1], [1, 2]], "colors": 3}),
+        build_model({"kind": "ergm", "vertices": 3, "motifs": [{"edges": [[0, 1]]}], "beta": [0.1]}),
+    ]
+
+
+class TestDerivedStructure:
+    """A measure's support mask and coordinate supports, and a small space's
+    configurations, are derived on first use, kept read-only, and belong to
+    the one object."""
+
+    def test_building_a_measure_derives_nothing(self, monkeypatch):
+        calls = _counted_supports(monkeypatch)
+        for mu in _built_measures():
+            assert not {"_support_mask", "_coordinate_supports"} & set(vars(mu))
+        assert calls == {}
+
+    def test_every_kept_array_is_read_only(self):
+        for mu in _built_measures():
+            kept = [mu.support_mask(), *(idx for idx in mu.coordinate_supports() if idx is not None),
+                    enumerate_configurations(mu.space)]
+            for array in kept:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+            assert mu.support_mask() is kept[0]
+        assert enumerate_configurations(hypercube(2)).flags.writeable is False
+
+    def test_the_supports_are_each_measures_own(self):
+        # Equal spaces, one shared and one not, with different supports.
+        space = hypercube(2)
+        half = ExactMeasure(space, [0.5, 0.5, 0.0, 0.0])
+        full = ExactMeasure(space, [0.25] * 4)
+        other = ExactMeasure(hypercube(2), [0.0, 0.5, 0.0, 0.5])
+        assert half.coordinate_supports()[0].tolist() == [0]
+        assert full.coordinate_supports() == (None, None)
+        assert other.coordinate_supports()[0] is None and other.coordinate_supports()[1].tolist() == [1]
+        assert half.support_mask().tolist() == [True, True, False, False]
+        assert full.support_mask().all()
+        assert other.support_mask().tolist() == [False, True, False, True]
+
+    def test_the_supports_are_the_derivation(self):
+        for mu in _built_measures():
+            np.testing.assert_array_equal(mu.support_mask(), mu.prob_table() > 0.0)
+            for i, idx in enumerate(mu.coordinate_supports()):
+                want = mu.coordinate_support(i)
+                assert (idx is None) == np.array_equal(want, np.arange(mu.space.shape[i]))
+                if idx is not None:
+                    np.testing.assert_array_equal(idx, want)
+
+    def test_an_h_field_batch_derives_each_support_once(self, monkeypatch):
+        from concentra.diffops import h_field, h_tensor_field
+
+        calls = _counted_supports(monkeypatch)
+        mu = ExactMeasure(ProductSpace(((0.0, 1.0, 2.0), (0.0, 1.0))), [0.2, 0.0, 0.3, 0.0, 0.5, 0.0])
+        tables = np.random.default_rng(3).standard_normal((5, mu.space.size))
+        for variant in ("osc", "plus", "minus"):
+            h_field(tables, mu, variant)
+        h_tensor_field(tables, mu, 2)
+        assert calls == {(id(mu), 0): 1, (id(mu), 1): 1}
+
+    def test_a_psi2_study_derives_each_measures_supports_once(self, monkeypatch):
+        from concentra import lsi
+
+        calls = _counted_supports(monkeypatch)
+        built = []
+        measure = lsi.two_point_measure
+        monkeypatch.setattr(lsi, "two_point_measure", lambda p: built.append(measure(p)) or built[-1])
+        lsi.psi2_blowup_study([1e-2, 1e-3], q_max=4, starts=3, seed=1)
+        assert len(built) == 2
+        assert calls == {(id(mu), 0): 1 for mu in built}
