@@ -138,3 +138,41 @@ def test_each_tree_is_compiled_before_its_first_timed_run(bench_pairs, monkeypat
         timed = first(lambda cmd, cwd: cwd == tree and "perfbench/run.py" in cmd)
         assert exported < compiled < timed
     assert sum(cmd[1:3] == ["-m", "compileall"] for cmd, _ in calls) == 2
+
+
+def test_cold_suite_alternates_the_sides_and_gives_each_sides_median(bench_pairs, monkeypatch, tmp_path):
+    # A fake runner: each run takes the next of its side's durations on a fake
+    # clock, and writes a report; the change's third run fails, its fifth
+    # writes another report.
+    import sys
+
+    durations = {"parent": [1.0, 1.2, 0.9, 1.1, 1.0], "change": [0.8, 0.7, 5.0, 0.9, 0.6]}
+    now, calls = [0.0], []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        side = cwd.name
+        run = sum(s == side for s, *_ in calls)
+        calls.append((side, cmd, env))
+        now[0] += durations[side][run]
+        out = Path(cmd[cmd.index("--out") + 1])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "suite_report.json").write_text("moved" if (side, run) == ("change", 4) else "same")
+        return SimpleNamespace(returncode=1 if (side, run) == ("change", 2) else 0, stdout="all passed\n")
+
+    monkeypatch.setenv("CONCENTRA_JOBS", "4")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    cold = bench_pairs.cold_suite(trees, tmp_path / "cold")
+
+    assert [side for side, *_ in calls] == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    for side, cmd, env in calls:
+        assert cmd[:6] == [sys.executable, "-m", "concentra", "suite", "--seed", "0"]
+        assert env["PYTHONPATH"] == str(trees[side] / "src") and env["OPENBLAS_NUM_THREADS"] == "1"
+        assert "CONCENTRA_JOBS" not in env
+    parent, change = cold["parent"], cold["change"]
+    assert parent["runs"] == pytest.approx(durations["parent"]) and parent["median"] == pytest.approx(1.0)
+    assert (parent["exited_nonzero"], change["exited_nonzero"]) == (0, 1)
+    assert change["runs"] == pytest.approx([0.8, 0.7, 0.9, 0.6]) and change["median"] == pytest.approx(0.75)
+    assert len(parent["suite_report_sha256"]) == 1 and len(change["suite_report_sha256"]) == 2
+    assert parent["stdout_sha256"] == change["stdout_sha256"]

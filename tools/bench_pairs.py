@@ -21,6 +21,11 @@ shows in the record.
 It also records, for every workload and seed, whether each artifact's sha256
 (the `sha256 <workload>/<label>/<name> <digest>` lines of run.py) is the same
 on both sides; an artifact that only one side wrote counts as differing.
+Before the pairs, each side also runs COLD_RUNS fresh
+`python -m concentra suite --seed 0` processes, alternated with the other
+side's, and `cold_suite` records their wall times with interpreter start
+included, their median, and the sha256 of each run's suite_report.json and
+stdout: the tier-1 command in a cold process, beside the in-process passes.
 The machine block also holds a short calibration, timed before the runs: a
 Python loop and a 256x256 matmul, to compare machines; it is never gated.
 Standard library only (the calibration imports numpy in a child process);
@@ -29,6 +34,7 @@ run it from a quiet machine, one run at a time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -44,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs that can back a gain claim
 FIRST_SEED = 1
+COLD_RUNS = 5  # cold `concentra suite --seed 0` processes per side
+BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def export(rev: str, dest: Path) -> str:
@@ -67,6 +75,42 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
     return {"returncode": proc.returncode, "result": result, "artifacts": artifact_digests(lines)}
+
+
+def cold_suite(trees: dict[str, Path], out: Path) -> dict:
+    """Per side, COLD_RUNS fresh `python -m concentra suite --seed 0`
+    processes on that tree's sources with one BLAS thread, the sides
+    alternated (the parent first in even rounds): each run's wall time from
+    start to exit, the median over the runs that exited 0, how many did not,
+    and the distinct sha256 of suite_report.json and of stdout over the runs."""
+    env = {k: v for k, v in os.environ.items() if k != "CONCENTRA_JOBS"} | BLAS_ENV
+    sides = {side: {"runs": [], "exited_nonzero": 0, "suite_report_sha256": set(), "stdout_sha256": set()}
+             for side in SIDES}
+    for round_ in range(COLD_RUNS):
+        for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
+            out_dir = out / side
+            report = out_dir / "suite_report.json"
+            report.unlink(missing_ok=True)
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "concentra", "suite", "--seed", "0", "--out", str(out_dir)],
+                cwd=trees[side], env=env | {"PYTHONPATH": str(trees[side] / "src")},
+                capture_output=True, text=True, check=False,
+            )
+            seconds = time.perf_counter() - start
+            record = sides[side]
+            if proc.returncode != 0:
+                record["exited_nonzero"] += 1
+                continue
+            record["runs"].append(seconds)
+            record["stdout_sha256"].add(hashlib.sha256(proc.stdout.encode()).hexdigest())
+            record["suite_report_sha256"].add(hashlib.sha256(report.read_bytes()).hexdigest()
+                                              if report.exists() else None)
+    for record in sides.values():
+        record["median"] = statistics.median(record["runs"]) if record["runs"] else None
+        for key in ("suite_report_sha256", "stdout_sha256"):
+            record[key] = sorted(record[key], key=str)
+    return sides
 
 
 def artifact_digests(lines: list[str]) -> dict[str, str]:
@@ -163,8 +207,8 @@ def calibration() -> dict:
     """Seconds of CALIBRATION's loop and matmul, with one BLAS thread as in the
     benchmark.  Recorded so runs on different machines can be set side by side;
     nothing is gated on it."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CALIBRATION], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], env=dict(os.environ) | BLAS_ENV,
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -193,6 +237,7 @@ def main(argv=None) -> int:
         shas[side] = export(rev, work / side)
         compile_tree(work / side)
     host = machine()
+    cold = cold_suite({side: work / side for side in SIDES}, work / "cold")
     log = work / "runs.jsonl"
     print(f"runs go to {log}", flush=True)
     runs = []
@@ -216,6 +261,7 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "wall_clock_s": round(time.time() - started, 1),
         "machine": host,
+        "cold_suite": {"command": "python -m concentra suite --seed 0", "runs_per_side": COLD_RUNS, **cold},
         "workloads": summarise(runs, spec),
     }
     (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n")
