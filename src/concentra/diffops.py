@@ -173,14 +173,14 @@ def h_tensor_field(f_table: np.ndarray, mu: Measure, k: int) -> np.ndarray:
     lead = np.shape(f_table)[:-1]
     entries = _section_entries(f_table, mu, k)
     out = np.zeros(lead + (space.size,) + (space.n,) * k)
-    configurations = (slice(None),) * (len(lead) + 1)
+    # The same array with its configuration axis split, so that each entry is
+    # broadcast as it is written.
+    sections = out.reshape(lead + space.shape + (space.n,) * k)
+    configurations = (slice(None),) * (len(lead) + space.n)
     for combo, entry in entries:
-        expanded = entry
-        for i in combo:
-            expanded = np.expand_dims(expanded, len(lead) + i)
-        expanded = np.broadcast_to(expanded, lead + space.shape).reshape(lead + (space.size,))
+        entry = entry.reshape(lead + tuple(1 if i in combo else m for i, m in enumerate(space.shape)))
         for perm in permutations(combo):
-            out[configurations + perm] = expanded
+            sections[configurations + perm] = entry
     return out
 
 
