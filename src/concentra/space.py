@@ -28,11 +28,10 @@ ENUMERATION_CAP = 1 << 24
 # `enumeration_blocks` yields blocks of at most about this many bytes of
 # configurations.
 ENUMERATION_BLOCK_BYTES = 1 << 23
-# Largest space that `enumerate_configurations` writes column by column, and
-# the largest whose configurations a `ProductSpace` keeps (at most 8 KiB per
-# coordinate).  Measured on {-1,+1}^n, one core: the columns and the halves tie
-# near 2^13 configurations (0.26 against 0.28 ms); at 2^14 the halves take
-# 0.46 ms against 0.91, at 2^16 1.6 against 6.8, and at 2^20 80 against 374.
+# Largest space that `enumerate_configurations` writes column by column.
+# Measured on {-1,+1}^n, one core: the columns and the halves tie near 2^13
+# configurations (0.26 against 0.28 ms); at 2^14 the halves take 0.46 ms
+# against 0.91, at 2^16 1.6 against 6.8, and at 2^20 80 against 374.
 ENUMERATION_COLUMN_LIMIT = 1 << 13
 
 # A configuration is a point of the product space, one value per coordinate.
@@ -131,13 +130,6 @@ class ProductSpace:
     def value_grid(self, i: int) -> np.ndarray:
         return np.asarray(self.alphabets[i], dtype=float)
 
-    @cached_property
-    def _configurations(self) -> np.ndarray:
-        """`enumerate_configurations` of a space of at most
-        ENUMERATION_COLUMN_LIMIT configurations: made on first use, then kept
-        read-only."""
-        return _read_only(_columns(self))
-
     def check_cap(self, cap: int = ENUMERATION_CAP) -> None:
         if self.size > cap:
             raise EnumerationTooLargeError(
@@ -165,24 +157,15 @@ def binary(n: int) -> ProductSpace:
     return ProductSpace(tuple((0.0, 1.0) for _ in range(n)))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All configurations in lexicographic order, one row per configuration.
 
-    Up to ENUMERATION_COLUMN_LIMIT configurations, one strided column per
-    coordinate, written on the space's first call and returned read-only on
-    every call.  Above it, every pair of a row of the leading half of the
-    coordinates and a row of the trailing half, each half enumerated in turn,
-    into a new array.
+    Above ENUMERATION_COLUMN_LIMIT configurations, every pair of a row of the
+    leading half of the coordinates and a row of the trailing half, each
+    half enumerated in turn; below it, one strided column per coordinate.
     """
     space.check_cap(cap)
-    if space.size <= ENUMERATION_COLUMN_LIMIT:
-        return space._configurations
-    if space.n > 1:
+    if space.size > ENUMERATION_COLUMN_LIMIT and space.n > 1:
         lead = space.n // 2
         head = enumerate_configurations(ProductSpace(space.alphabets[:lead]))
         tail = enumerate_configurations(ProductSpace(space.alphabets[lead:]))
@@ -191,11 +174,6 @@ def enumerate_configurations(space: ProductSpace, cap: int = ENUMERATION_CAP) ->
         pairs[:, :, :lead] = head[:, None]
         pairs[:, :, lead:] = tail[None]
         return rows
-    return _columns(space)
-
-
-def _columns(space: ProductSpace) -> np.ndarray:
-    """Every configuration, one strided column per coordinate."""
     if space.size == 1:
         return np.array([[a[0] for a in space.alphabets]], dtype=float)
     columns = np.empty((space.size, space.n), dtype=float)
@@ -229,6 +207,11 @@ def enumeration_blocks(space: ProductSpace) -> Iterator[np.ndarray]:
         block[:, :lead] = space.configuration(start)[:lead]
         block[:, lead:] = tail
         yield block
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _letter_sum(w: np.ndarray) -> np.ndarray:
