@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,14 +59,6 @@ def dlsi(sigma2: float, d: int) -> Regime:
     return Regime("dlsi", d, sigma2)
 
 
-def _level_rate(t: float, gamma: float, order: float) -> float:
-    """(t/gamma)^(2/order), +inf where the float power overflows."""
-    try:
-        return (t / gamma) ** (2.0 / order)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass
 class TailBound(Record):
     """Piecewise multilevel bound with levels (order k, scale gamma_k);
@@ -87,6 +80,12 @@ class TailBound(Record):
             if not gamma >= 0:
                 raise DomainError("level scales must be nonnegative")
 
+    @cached_property
+    def _rates(self) -> tuple[tuple[float, float, float], ...]:
+        """(k, gamma_k, 2/k) of each level with gamma_k > 0, by order: what
+        every evaluation reads, derived on the first one."""
+        return tuple((order, gamma, 2.0 / order) for order, gamma in sorted(self.levels) if gamma > 0.0)
+
     def exponent(self, t: float) -> float:
         """min over levels of (t/gamma_k)^(2/k) / C; +inf when every level is excluded."""
         if t < 0:
@@ -94,9 +93,13 @@ class TailBound(Record):
         if t == 0.0:
             return 0.0
         best = math.inf
-        for order, gamma in self.levels:
-            if gamma > 0.0:
-                best = min(best, _level_rate(t, gamma, order))
+        for _, gamma, power in self._rates:
+            try:
+                rate = (t / gamma) ** power
+            except OverflowError:  # +inf, which never lowers the min
+                continue
+            if rate < best:
+                best = rate
         return best / self.constant
 
     def active_level(self, t: float) -> float | None:
@@ -104,11 +107,13 @@ class TailBound(Record):
         if t <= 0.0:
             return None
         best, which = math.inf, None
-        for order, gamma in sorted(self.levels):
-            if gamma > 0.0:
-                value = _level_rate(t, gamma, order)
-                if value < best:
-                    best, which = value, order
+        for order, gamma, power in self._rates:
+            try:
+                rate = (t / gamma) ** power
+            except OverflowError:
+                continue
+            if rate < best:
+                best, which = rate, order
         return which
 
     def evaluate_raw(self, t: float) -> float:

@@ -194,6 +194,9 @@ def _bound_half_point(bound: TailBound, start: float) -> float:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        # Once mid is an end already tested, no later step can move either end.
+        if mid == hi or (mid == lo and lo > 0.0):
+            break
         if bound.evaluate(mid) < 0.5:
             hi = mid
         else:
@@ -353,13 +356,10 @@ def check_recursion_lemma(mu: Measure, f, d: int, slack: float = 0.0) -> Pointwi
 
 def check_sup_lemma(family: SupFamily, mu: Measure, slack: float = 1e-12) -> PointwiseReport:
     """Pointwise |h+ g| <= sup over members of |h+ |member|| for g the family sup."""
-    g_table = family.evaluate_table(mu.space)
-    lhs = np.linalg.norm(h_field(g_table, mu, "plus"), axis=1)
-    member_plus = []
-    for member in family.members:
-        abs_table = np.abs(member.evaluate_table(mu.space))
-        member_plus.append(np.linalg.norm(h_field(abs_table, mu, "plus"), axis=1))
-    rhs = np.stack(member_plus).max(axis=0)
+    # Each member is evaluated once; g's table is the family's, row for row.
+    abs_tables = np.stack([np.abs(member.evaluate_table(mu.space)) for member in family.members])
+    lhs = np.linalg.norm(h_field(abs_tables.max(axis=0), mu, "plus"), axis=1)
+    rhs = np.stack([np.linalg.norm(h_field(table, mu, "plus"), axis=1) for table in abs_tables]).max(axis=0)
     support = mu.support_mask()
     margins = lhs[support] - rhs[support]
     worst = float(margins.max())

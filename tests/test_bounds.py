@@ -63,6 +63,27 @@ class TestTailBoundShape:
         assert bound.active_level(0.1) == 1.0
         assert bound.active_level(10.0) == 2.0
 
+    def test_level_rates_are_derived_on_the_first_evaluation(self):
+        bound = TailBound(((2.0, 3.0), (1.0, 0.0), (1.0, 2.0)), 4.0)
+        assert "_rates" not in vars(bound)
+        bound.evaluate(1.0)
+        assert bound._rates == ((1.0, 2.0, 2.0), (2.0, 3.0, 1.0))
+
+    def test_exponent_is_the_min_of_the_level_rates(self):
+        levels = ((3.0, 0.5), (1.0, 1e-300), (2.0, 0.0), (0.5, 2.0))
+        bound = TailBound(levels, 7.0)
+        for t in (1e-300, 0.3, 1.0, 7.5, 1e300):
+            rates = []
+            for order, gamma in levels:
+                if gamma > 0.0:
+                    try:
+                        rates.append((t / gamma) ** (2.0 / order))
+                    except OverflowError:
+                        rates.append(math.inf)
+            assert bound.exponent(t) == min(rates) / 7.0
+        # Past every level's float range the exponent is +inf and the bound 0.
+        assert TailBound(((0.5, 1e-300),), 1.0).exponent(1e300) == math.inf
+
     def test_serialization_round_trip(self):
         bound = TailBound(((1.0, 1.5),), 2.0, prefactor=math.e, one_sided=True, label="x")
         back = TailBound.from_json(bound.to_json())

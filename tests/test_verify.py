@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from concentra.bounds import MomentProfile, TailBound, independent, dlsi, moment_to_tail
-from concentra.diffops import norm_profile
+from concentra.diffops import h_field, norm_profile
 from concentra.errors import DomainError
 from concentra.funcs import MultilinearPoly, QuadraticForm, SupFamily, Tabulated, UStatistic
 from concentra import verify
@@ -255,6 +255,22 @@ class TestDomination:
         mild = bound.scaled_constant(1.0 / (0.9 * safety))
         assert check_domination(curve, mild).dominated
 
+    @pytest.mark.parametrize("prefactor", [2.0, 0.4])
+    @pytest.mark.parametrize("start", [0.0, 1e-300, 0.7, 40.0])
+    def test_half_point_is_the_full_bisection(self, prefactor, start):
+        bound = TailBound(((1.0, 0.3), (2.0, 1e-3), (4.0, 2.5)), 9.0, prefactor=prefactor)
+        hi = max(start, 1.0)
+        while bound.evaluate(hi) >= 0.5:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if bound.evaluate(mid) < 0.5:
+                hi = mid
+            else:
+                lo = mid
+        assert verify._bound_half_point(bound, start) == hi
+
     def test_one_sided_bound_needs_upper_curve(self):
         curve = tail_curve(rademacher(1), np.array([0.0, 1.0]), [0.0, 1.0], side="two")
         bound = TailBound(((1.0, 1.0),), 1.0, one_sided=True)
@@ -466,6 +482,23 @@ class TestSupLemma:
                 for _ in range(int(rng.integers(2, 5)))
             )
             assert check_sup_lemma(SupFamily(members), mu).passed
+
+    def test_each_member_is_evaluated_once(self, monkeypatch):
+        mu = rademacher(3)
+        rng = np.random.default_rng(3)
+        members = tuple(MultilinearPoly({1: rng.standard_normal(3)}) for _ in range(3))
+        calls = []
+        original = MultilinearPoly.evaluate_rows
+        monkeypatch.setattr(
+            MultilinearPoly, "evaluate_rows", lambda self, space, rows: calls.append(1) or original(self, space, rows)
+        )
+        report = check_sup_lemma(SupFamily(members), mu)
+        assert len(calls) == len(members)
+        # g is the family's own table: |h+ g| at each point, recomputed from it.
+        g = np.linalg.norm(h_field(SupFamily(members).evaluate_table(mu.space), mu, "plus"), axis=1)
+        member_plus = [np.linalg.norm(h_field(np.abs(m.evaluate_table(mu.space)), mu, "plus"), axis=1)
+                       for m in members]
+        assert report.worst_margin == float((g - np.max(member_plus, axis=0)).max())
 
 
 class TestUstatEntryBound:
